@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace --release -q (every crate's unit tests and proptests)"
+cargo test --workspace --release -q
+
+echo "==> benchmark harness tests"
+(cd benchmark && cargo test --release --offline -q)
+
 echo "==> store crash / corrupt / resume / replay smoke"
 BIN=target/release/pseudo-honeypot
 SMOKE=$(mktemp -d)

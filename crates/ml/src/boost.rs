@@ -10,8 +10,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use crate::bins::BinnedMatrix;
 use crate::data::Dataset;
-use crate::tree::{DecisionTreeConfig, RegressionTree};
+use crate::tree::{label_targets, DecisionTreeConfig, RegressionTree};
 use crate::Classifier;
 
 /// Hyper-parameters for [`GradientBoosting`].
@@ -81,11 +82,7 @@ impl GradientBoosting {
             "subsample must be in (0, 1]"
         );
         let n = data.len();
-        let y: Vec<f64> = data
-            .labels()
-            .iter()
-            .map(|&l| if l { 1.0 } else { 0.0 })
-            .collect();
+        let y = label_targets(data.labels());
         // F0 = log-odds of the positive class, clamped away from ±∞ for
         // single-class datasets.
         let p0 = (data.num_positive() as f64 / n as f64).clamp(1e-6, 1.0 - 1e-6);
@@ -100,7 +97,9 @@ impl GradientBoosting {
         let mut scores = vec![initial_log_odds; n];
         let mut stages = Vec::with_capacity(config.num_stages);
         let sample_size = ((n as f64 * config.subsample) as usize).clamp(1, n);
-        let mut order: Vec<usize> = (0..n).collect();
+        // Bin once; each stage fits on a list of row indices into it.
+        let bins = BinnedMatrix::new(data.rows());
+        let mut order: Vec<u32> = (0..n as u32).collect();
         for _ in 0..config.num_stages {
             // Residuals of the logistic loss: r_i = y_i − σ(F(x_i)).
             let residuals: Vec<f64> = scores
@@ -108,16 +107,11 @@ impl GradientBoosting {
                 .zip(&y)
                 .map(|(&f, &yi)| yi - sigmoid(f))
                 .collect();
-            let (rows_stage, targets_stage): (Vec<Vec<f64>>, Vec<f64>) = if sample_size < n {
+            if sample_size < n {
                 order.shuffle(&mut rng);
-                order[..sample_size]
-                    .iter()
-                    .map(|&i| (data.row(i).to_vec(), residuals[i]))
-                    .unzip()
-            } else {
-                (data.rows().to_vec(), residuals.clone())
-            };
-            let tree = RegressionTree::fit(&tree_config, &rows_stage, &targets_stage);
+            }
+            let rows_stage = order[..sample_size].to_vec();
+            let tree = RegressionTree::fit_binned(&tree_config, &bins, &residuals, rows_stage);
             for (i, score) in scores.iter_mut().enumerate() {
                 *score += config.learning_rate * tree.predict(data.row(i));
             }

@@ -6,8 +6,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::bins::BinnedMatrix;
 use crate::data::Dataset;
-use crate::tree::{DecisionTree, DecisionTreeConfig};
+use crate::tree::{label_targets, DecisionTree, DecisionTreeConfig};
 use crate::Classifier;
 
 /// Hyper-parameters for [`RandomForest`].
@@ -78,17 +79,21 @@ impl RandomForest {
         // sequential training produce identical forests.
         let mut seeder = StdRng::seed_from_u64(seed);
         let tree_seeds: Vec<u64> = (0..config.num_trees).map(|_| seeder.random()).collect();
+        // Bin every feature once; all trees share the codes read-only.
+        let bins = BinnedMatrix::new(data.rows());
+        let targets = label_targets(data.labels());
 
         let train_one = |tree_seed: u64| -> (DecisionTree, f64) {
             let start = std::time::Instant::now();
             let mut rng = StdRng::seed_from_u64(tree_seed);
             // Bootstrap sample: n draws with replacement.
             let n = data.len();
-            let indices: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
-            let tree = DecisionTree::fit_on_indices(
+            let rows: Vec<u32> = (0..n).map(|_| rng.random_range(0..n) as u32).collect();
+            let tree = DecisionTree::fit_binned(
                 &config.tree,
-                data,
-                &indices,
+                &bins,
+                &targets,
+                rows,
                 Some(features_per_split),
                 rng.random(),
             );

@@ -10,7 +10,8 @@
 //! scratch over a shared [`Dataset`] representation:
 //!
 //! - [`tree::DecisionTree`] — CART with Gini impurity (plus a regression
-//!   variant used by boosting),
+//!   variant used by boosting), grown on a [`bins::BinnedMatrix`] that
+//!   quantises each feature to ≤256 `u8` bins once per fit,
 //! - [`forest::RandomForest`] — bagged CART trees with per-split feature
 //!   subsampling,
 //! - [`knn::KNearestNeighbors`] — brute-force kNN with z-score scaling,
@@ -40,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bins;
 pub mod boost;
 pub mod cv;
 pub mod data;

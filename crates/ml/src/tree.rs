@@ -6,12 +6,19 @@
 //! Gini gain (Gini impurity `2p(1-p)` is proportional to the node variance
 //! `p(1-p)`), so the classification tree fits the shared core to 0/1 targets
 //! and thresholds leaf means at 0.5.
+//!
+//! Split finding runs on a [`BinnedMatrix`] — every feature quantised to
+//! `u8` codes once per fit — so one grower serves the single tree, every
+//! tree of a forest, and every boosting stage. Each split is stored as an
+//! `f64` threshold that routes every training row exactly as its code did
+//! (see [`crate::bins`]).
 
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use crate::bins::{BinnedMatrix, MAX_BINS};
 use crate::data::Dataset;
 use crate::Classifier;
 
@@ -58,7 +65,10 @@ pub(crate) struct TreeCore {
 }
 
 impl TreeCore {
-    fn predict_value(&self, features: &[f64]) -> f64 {
+    /// Walks `features` down to its leaf, calling `on_split` with the
+    /// `(feature, threshold)` of every split passed, and returns the leaf
+    /// value.
+    fn descend(&self, features: &[f64], mut on_split: impl FnMut(usize, f64)) -> f64 {
         assert_eq!(
             features.len(),
             self.num_features,
@@ -74,6 +84,7 @@ impl TreeCore {
                     left,
                     right,
                 } => {
+                    on_split(*feature, *threshold);
                     at = if features[*feature] <= *threshold {
                         *left
                     } else {
@@ -82,6 +93,18 @@ impl TreeCore {
                 }
             }
         }
+    }
+
+    fn predict_value(&self, features: &[f64]) -> f64 {
+        self.descend(features, |_, _| {})
+    }
+
+    fn decision_path(&self, features: &[f64]) -> Vec<(usize, f64)> {
+        let mut path = Vec::new();
+        self.descend(features, |feature, threshold| {
+            path.push((feature, threshold))
+        });
+        path
     }
 
     fn depth(&self) -> usize {
@@ -106,6 +129,11 @@ impl TreeCore {
     }
 }
 
+/// Labels as 0/1 regression targets (see the module docs).
+pub(crate) fn label_targets(labels: &[bool]) -> Vec<f64> {
+    labels.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect()
+}
+
 /// Options driving one tree-growing run.
 struct GrowOptions<'a> {
     config: &'a DecisionTreeConfig,
@@ -113,166 +141,137 @@ struct GrowOptions<'a> {
     features_per_split: Option<usize>,
 }
 
-/// The per-tree presorted working set (classic presorted CART).
-///
-/// All columns are indexed by *slot* — a position in the bootstrap sample,
-/// so duplicate draws get distinct slots. `sorted` holds, per feature, the
-/// slots stably sorted by that feature's value; `order` holds the slots in
-/// original bootstrap order. Each tree node owns a contiguous `[lo, hi)`
-/// range of every column, and a split stably partitions those ranges in
-/// place — no per-node sort, no per-node allocation.
-///
-/// Equivalence with sort-per-node: a stable sort of a node's slots equals
-/// the stable filter of the globally sorted column (both orderings ascend
-/// by value with ties in bootstrap-subsequence order), and the gain scan,
-/// leaf means, and SSE accumulators all visit slots in exactly the same
-/// sequence as before — so the grown tree is bit-identical, including for
-/// arbitrary `f64` regression targets.
-struct PresortedSample {
-    /// Columnar feature values: `values[f * n + s]` = feature `f` of slot `s`.
-    values: Vec<f64>,
-    /// Target per slot.
+/// Target statistics of a set of rows: count, Σt and Σt².
+#[derive(Debug, Clone, Copy, Default)]
+struct Stats {
+    n: u32,
+    sum: f64,
+    sq: f64,
+}
+
+impl Stats {
+    fn add(&mut self, t: f64) {
+        self.n += 1;
+        self.sum += t;
+        self.sq += t * t;
+    }
+
+    fn merge(&mut self, other: &Stats) {
+        self.n += other.n;
+        self.sum += other.sum;
+        self.sq += other.sq;
+    }
+}
+
+/// Per-tree working buffers, allocated once and reused at every node.
+struct Scratch {
+    /// Targets of the current node's rows, in row-list order.
     targets: Vec<f64>,
-    /// Per-feature slot permutation, stably sorted by value (stride `n`).
-    sorted: Vec<u32>,
-    /// Slots in original bootstrap order (preserves summation order).
-    order: Vec<u32>,
-    /// Slot count (`indices.len()`).
-    n: usize,
-    num_features: usize,
+    /// One histogram bucket per bin of the feature being scanned; all
+    /// zero between scans.
+    hist: Vec<Stats>,
+    /// Right-hand rows during a stable partition.
+    right: Vec<u32>,
 }
 
-impl PresortedSample {
-    fn build(rows: &[Vec<f64>], targets: &[f64], indices: &[usize]) -> Self {
-        let n = indices.len();
-        let num_features = rows[0].len();
-        let mut values = vec![0.0f64; num_features * n];
-        for (s, &i) in indices.iter().enumerate() {
-            let row = &rows[i];
-            for (f, &v) in row.iter().enumerate() {
-                values[f * n + s] = v;
-            }
-        }
-        let targets: Vec<f64> = indices.iter().map(|&i| targets[i]).collect();
-        let mut sorted = vec![0u32; num_features * n];
-        for f in 0..num_features {
-            let col = &mut sorted[f * n..(f + 1) * n];
-            for (s, slot) in col.iter_mut().enumerate() {
-                *slot = s as u32;
-            }
-            let vals = &values[f * n..(f + 1) * n];
-            // Stable: ties stay in bootstrap order, matching the stable
-            // per-node sort of the sort-per-node implementation.
-            col.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
-        }
-        let order: Vec<u32> = (0..n as u32).collect();
-        Self {
-            values,
-            targets,
-            sorted,
-            order,
-            n,
-            num_features,
-        }
-    }
-
-    fn value(&self, feature: usize, slot: u32) -> f64 {
-        self.values[feature * self.n + slot as usize]
-    }
-
-    fn target(&self, slot: u32) -> f64 {
-        self.targets[slot as usize]
-    }
-}
-
-/// Stably partitions `col[lo..hi]` so slots with `goes_left` come first
-/// (both halves keep their relative order). Returns the left-half length.
-fn partition_stable(col: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>) -> usize {
-    scratch.clear();
-    let mut write = 0usize;
-    for read in 0..col.len() {
-        let slot = col[read];
-        if goes_left[slot as usize] {
-            col[write] = slot;
-            write += 1;
-        } else {
-            scratch.push(slot);
-        }
-    }
-    col[write..].copy_from_slice(scratch);
-    write
-}
-
-/// Grows a regression tree on `targets` over the given row indices.
+/// Grows a regression tree on `targets` (indexed by row) over the rows
+/// listed in `rows` (bootstrap duplicates allowed).
+///
+/// Each node owns a contiguous `[lo, hi)` range of `rows`. Splitting
+/// builds a (count, Σt, Σt²) histogram over the node's rows for each of
+/// the node's sampled candidate features only, scans its bins in
+/// ascending order, and stably partitions the one row list in place.
 fn grow(
-    rows: &[Vec<f64>],
+    bins: &BinnedMatrix,
     targets: &[f64],
-    indices: &[usize],
+    mut rows: Vec<u32>,
     opts: &GrowOptions<'_>,
     rng: &mut StdRng,
 ) -> TreeCore {
-    assert!(!indices.is_empty(), "cannot grow a tree on zero samples");
-    let mut sample = PresortedSample::build(rows, targets, indices);
-    let num_features = sample.num_features;
-    let n = sample.n;
+    assert!(!rows.is_empty(), "cannot grow a tree on zero samples");
+    assert_eq!(
+        targets.len(),
+        bins.num_rows(),
+        "one target per binned row required"
+    );
+    let num_features = bins.num_features();
     let mut core = TreeCore {
         nodes: Vec::new(),
         num_features,
     };
-    let mut goes_left = vec![false; n];
-    let mut scratch: Vec<u32> = Vec::with_capacity(n);
+    let mut scratch = Scratch {
+        targets: Vec::with_capacity(rows.len()),
+        hist: vec![Stats::default(); MAX_BINS],
+        right: Vec::with_capacity(rows.len()),
+    };
     // Explicit stack instead of recursion: the paper's depth cap is 700,
     // beyond typical thread stack comfort for recursive descent.
-    // Each entry: (node slot, column range lo..hi, depth). Push order
-    // (left, then right) matches the pre-presort implementation so the
-    // per-node RNG draws line up exactly.
+    // Each entry: (node slot, row range lo..hi, depth). Children are
+    // pushed left then right, so the right subtree is grown (and draws
+    // its candidate features) first.
     core.nodes.push(Node::Leaf { value: 0.0 });
-    let mut stack: Vec<(usize, usize, usize, usize)> = vec![(0, 0, n, 0)];
+    let mut stack: Vec<(usize, usize, usize, usize)> = vec![(0, 0, rows.len(), 0)];
     while let Some((slot, lo, hi, depth)) = stack.pop() {
-        let node = &sample.order[lo..hi];
-        let mean = node.iter().map(|&s| sample.target(s)).sum::<f64>() / node.len() as f64;
-        let make_leaf = |core: &mut TreeCore| core.nodes[slot] = Node::Leaf { value: mean };
-        if depth >= opts.config.max_depth
-            || node.len() < opts.config.min_samples_split
-            || is_pure(&sample.targets, node)
-        {
-            make_leaf(&mut core);
+        let node = &rows[lo..hi];
+        scratch.targets.clear();
+        let mut total = Stats::default();
+        for &r in node {
+            let t = targets[r as usize];
+            scratch.targets.push(t);
+            total.add(t);
+        }
+        let mean = total.sum / node.len() as f64;
+        let pure = scratch.targets.iter().all(|&t| t == scratch.targets[0]);
+        if depth >= opts.config.max_depth || node.len() < opts.config.min_samples_split || pure {
+            core.nodes[slot] = Node::Leaf { value: mean };
             continue;
         }
         let candidates = candidate_features(num_features, opts.features_per_split, rng);
-        match best_split(&sample, lo, hi, &candidates, opts.config) {
-            None => make_leaf(&mut core),
-            Some(split) => {
-                for &s in &sample.order[lo..hi] {
-                    goes_left[s as usize] = sample.value(split.feature, s) <= split.threshold;
-                }
-                let mut left_len = 0;
-                for f in 0..num_features {
-                    let col = &mut sample.sorted[f * n + lo..f * n + hi];
-                    left_len = partition_stable(col, &goes_left, &mut scratch);
-                }
-                partition_stable(&mut sample.order[lo..hi], &goes_left, &mut scratch);
-                let left_slot = core.nodes.len();
-                core.nodes.push(Node::Leaf { value: 0.0 });
-                let right_slot = core.nodes.len();
-                core.nodes.push(Node::Leaf { value: 0.0 });
-                core.nodes[slot] = Node::Split {
-                    feature: split.feature,
-                    threshold: split.threshold,
-                    left: left_slot,
-                    right: right_slot,
-                };
-                stack.push((left_slot, lo, lo + left_len, depth + 1));
-                stack.push((right_slot, lo + left_len, hi, depth + 1));
-            }
-        }
+        let Some(split) = best_split(bins, node, &total, &candidates, opts.config, &mut scratch)
+        else {
+            core.nodes[slot] = Node::Leaf { value: mean };
+            continue;
+        };
+        let column = bins.column(split.feature);
+        let left_len = partition_stable(&mut rows[lo..hi], &mut scratch.right, |r| {
+            column[r as usize] <= split.bin
+        });
+        let left_slot = core.nodes.len();
+        core.nodes.push(Node::Leaf { value: 0.0 });
+        let right_slot = core.nodes.len();
+        core.nodes.push(Node::Leaf { value: 0.0 });
+        core.nodes[slot] = Node::Split {
+            feature: split.feature,
+            threshold: split.threshold,
+            left: left_slot,
+            right: right_slot,
+        };
+        stack.push((left_slot, lo, lo + left_len, depth + 1));
+        stack.push((right_slot, lo + left_len, hi, depth + 1));
     }
     core
 }
 
-fn is_pure(targets: &[f64], slots: &[u32]) -> bool {
-    let first = targets[slots[0] as usize];
-    slots.iter().all(|&s| targets[s as usize] == first)
+/// Stably partitions `rows` so those with `goes_left` come first (both
+/// halves keep their relative order). Returns the left-half length.
+fn partition_stable(
+    rows: &mut [u32],
+    right: &mut Vec<u32>,
+    goes_left: impl Fn(u32) -> bool,
+) -> usize {
+    right.clear();
+    let mut write = 0usize;
+    for read in 0..rows.len() {
+        let r = rows[read];
+        if goes_left(r) {
+            rows[write] = r;
+            write += 1;
+        } else {
+            right.push(r);
+        }
+    }
+    rows[write..].copy_from_slice(right);
+    write
 }
 
 fn candidate_features(
@@ -288,69 +287,78 @@ fn candidate_features(
 
 struct SplitChoice {
     feature: usize,
+    /// Rows whose code is `<= bin` go left.
+    bin: u8,
     threshold: f64,
 }
 
 /// Finds the variance-minimizing split over the candidate features, if any
 /// split yields positive gain while respecting `min_samples_leaf`.
 ///
-/// Scans the node's pre-sorted `[lo, hi)` column ranges directly — no
-/// per-node sort or allocation. The parent totals accumulate over `order`
-/// (bootstrap order) and each feature scan walks the sorted column, both in
-/// exactly the sequence the sort-per-node implementation produced.
+/// Per candidate, one pass over the node's rows fills a histogram over
+/// the bins the node occupies; the scan then walks those bins in
+/// ascending order and considers a cut between every occupied bin and the
+/// next occupied one. Candidates and cuts are visited in a fixed order and
+/// only a strictly larger gain replaces the incumbent, so ties go to the
+/// first candidate and the lowest cut.
 fn best_split(
-    sample: &PresortedSample,
-    lo: usize,
-    hi: usize,
+    bins: &BinnedMatrix,
+    node: &[u32],
+    total: &Stats,
     candidates: &[usize],
     config: &DecisionTreeConfig,
+    scratch: &mut Scratch,
 ) -> Option<SplitChoice> {
-    let node = &sample.order[lo..hi];
     let n = node.len() as f64;
-    let total_sum: f64 = node.iter().map(|&s| sample.target(s)).sum();
-    let total_sq: f64 = node
-        .iter()
-        .map(|&s| sample.target(s) * sample.target(s))
-        .sum();
-    let parent_sse = total_sq - total_sum * total_sum / n;
+    let parent_sse = total.sq - total.sum * total.sum / n;
     let mut best: Option<(f64, SplitChoice)> = None;
 
     for &feature in candidates {
-        let col = &sample.sorted[feature * sample.n + lo..feature * sample.n + hi];
-        let mut left_sum = 0.0;
-        let mut left_sq = 0.0;
-        for (k, &s) in col.iter().enumerate().take(col.len() - 1) {
-            let value = sample.value(feature, s);
-            let target = sample.target(s);
-            left_sum += target;
-            left_sq += target * target;
-            let next_value = sample.value(feature, col[k + 1]);
-            if value == next_value {
-                continue; // cannot split between equal feature values
-            }
-            let left_n = (k + 1) as f64;
-            let right_n = n - left_n;
-            if (left_n as usize) < config.min_samples_leaf
-                || (right_n as usize) < config.min_samples_leaf
-            {
+        let column = bins.column(feature);
+        let hist = &mut scratch.hist;
+        let (mut lo_bin, mut hi_bin) = (u8::MAX, u8::MIN);
+        for (&r, &t) in node.iter().zip(&scratch.targets) {
+            let b = column[r as usize];
+            hist[b as usize].add(t);
+            lo_bin = lo_bin.min(b);
+            hi_bin = hi_bin.max(b);
+        }
+        // Taking each bucket leaves the histogram zeroed for the next scan.
+        let mut buckets = (lo_bin..=hi_bin).zip(&mut hist[lo_bin as usize..=hi_bin as usize]);
+        let (mut prev, first) = buckets.next().expect("a node occupies at least one bin");
+        let mut left = std::mem::take(first);
+        for (b, bucket) in buckets {
+            let here = std::mem::take(bucket);
+            if here.n == 0 {
                 continue;
             }
-            let right_sum = total_sum - left_sum;
-            let right_sq = total_sq - left_sq;
-            let sse = (left_sq - left_sum * left_sum / left_n)
-                + (right_sq - right_sum * right_sum / right_n);
-            let gain = parent_sse - sse;
-            // Zero-gain splits are allowed (XOR-style interactions only pay
-            // off a level deeper); tiny negative values are float noise.
-            if gain >= -1e-9 && best.as_ref().is_none_or(|(g, _)| gain > *g) {
-                best = Some((
-                    gain,
-                    SplitChoice {
-                        feature,
-                        threshold: midpoint(value, next_value),
-                    },
-                ));
+            let left_n = left.n as usize;
+            let right_n = node.len() - left_n;
+            if left_n >= config.min_samples_leaf && right_n >= config.min_samples_leaf {
+                let (ln, rn) = (left_n as f64, right_n as f64);
+                let right_sum = total.sum - left.sum;
+                let right_sq = total.sq - left.sq;
+                let sse =
+                    (left.sq - left.sum * left.sum / ln) + (right_sq - right_sum * right_sum / rn);
+                let gain = parent_sse - sse;
+                // Zero-gain splits are allowed (XOR-style interactions only
+                // pay off a level deeper); tiny negative values are float
+                // noise.
+                if gain >= -1e-9 && best.as_ref().is_none_or(|(g, _)| gain > *g) {
+                    let (_, left_max) = bins.bin_range(feature, prev);
+                    let (right_min, _) = bins.bin_range(feature, b);
+                    best = Some((
+                        gain,
+                        SplitChoice {
+                            feature,
+                            bin: prev,
+                            threshold: midpoint(left_max, right_min),
+                        },
+                    ));
+                }
             }
+            left.merge(&here);
+            prev = b;
         }
     }
     best.map(|(_, choice)| choice)
@@ -394,33 +402,34 @@ pub struct DecisionTree {
 impl DecisionTree {
     /// Fits a tree to the full dataset.
     pub fn fit(config: &DecisionTreeConfig, data: &Dataset) -> Self {
-        let indices: Vec<usize> = (0..data.len()).collect();
-        Self::fit_on_indices(config, data, &indices, None, 0)
+        let bins = BinnedMatrix::new(data.rows());
+        let rows: Vec<u32> = (0..data.len() as u32).collect();
+        Self::fit_binned(config, &bins, &label_targets(data.labels()), rows, None, 0)
     }
 
-    /// Fits a tree over a row subset with optional per-split feature
-    /// subsampling — the entry point used by [`crate::forest::RandomForest`].
+    /// Fits a tree over the listed rows of a binned matrix (duplicates
+    /// allowed) with optional per-split feature subsampling — the entry
+    /// point used by [`crate::forest::RandomForest`], which bins once and
+    /// shares the matrix across trees. `targets` holds one 0/1 label per
+    /// binned row.
     ///
     /// # Panics
     ///
-    /// Panics if `indices` is empty.
-    pub fn fit_on_indices(
+    /// Panics if `rows` is empty or lists a row the matrix does not hold,
+    /// or if `targets` does not cover every binned row.
+    pub fn fit_binned(
         config: &DecisionTreeConfig,
-        data: &Dataset,
-        indices: &[usize],
+        bins: &BinnedMatrix,
+        targets: &[f64],
+        rows: Vec<u32>,
         features_per_split: Option<usize>,
         seed: u64,
     ) -> Self {
-        let targets: Vec<f64> = data
-            .labels()
-            .iter()
-            .map(|&l| if l { 1.0 } else { 0.0 })
-            .collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let core = grow(
-            data.rows(),
-            &targets,
-            indices,
+            bins,
+            targets,
+            rows,
             &GrowOptions {
                 config,
                 features_per_split,
@@ -433,6 +442,12 @@ impl DecisionTree {
     /// Fraction of positive training samples in the leaf this row lands in.
     pub fn predict_probability(&self, features: &[f64]) -> f64 {
         self.core.predict_value(features)
+    }
+
+    /// The `(feature, threshold)` of every split `features` passes on its
+    /// way to a leaf, root first.
+    pub fn decision_path(&self, features: &[f64]) -> Vec<(usize, f64)> {
+        self.core.decision_path(features)
     }
 
     /// Depth of the fitted tree (0 for a single leaf).
@@ -477,12 +492,30 @@ impl RegressionTree {
     pub fn fit(config: &DecisionTreeConfig, rows: &[Vec<f64>], targets: &[f64]) -> Self {
         assert_eq!(rows.len(), targets.len(), "rows/targets length mismatch");
         assert!(!rows.is_empty(), "cannot fit on an empty dataset");
-        let indices: Vec<usize> = (0..rows.len()).collect();
+        let bins = BinnedMatrix::new(rows);
+        Self::fit_binned(config, &bins, targets, (0..rows.len() as u32).collect())
+    }
+
+    /// Fits a regression tree over the listed rows of a binned matrix —
+    /// the entry point used by [`crate::boost::GradientBoosting`], which
+    /// bins once and fits every stage on a subsample of row indices.
+    /// `targets` holds one value per binned row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or lists a row the matrix does not hold,
+    /// or if `targets` does not cover every binned row.
+    pub fn fit_binned(
+        config: &DecisionTreeConfig,
+        bins: &BinnedMatrix,
+        targets: &[f64],
+        rows: Vec<u32>,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(0);
         let core = grow(
-            rows,
+            bins,
             targets,
-            &indices,
+            rows,
             &GrowOptions {
                 config,
                 features_per_split: None,

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use ph_ml::bins::{BinnedMatrix, MAX_BINS};
 use ph_ml::boost::{BoostConfig, GradientBoosting};
 use ph_ml::cv::stratified_folds;
 use ph_ml::data::{Dataset, Standardizer};
@@ -35,8 +36,129 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// Strategy: a hostile feature matrix with labels. Cells mix duplicates,
+/// adjacent floats (`f64::from_bits(b + 1)`), `-0.0`/`+0.0`, ±1e300 and
+/// small integers with, in the denser modes, unique values — so some
+/// columns stay under 256 distinct values and some go well past it.
+fn hostile_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
+    (1usize..700, 1usize..4, 0u64..4, any::<u64>()).prop_map(|(n, d, dense, seed)| {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let up = |v: f64, k: u64| f64::from_bits(v.to_bits() + k);
+        let pool = [
+            0.0,
+            -0.0,
+            1.0,
+            up(1.0, 1),
+            up(1.0, 2),
+            1e300,
+            up(1e300, 1),
+            -1e300,
+            up(-1e300, 1),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            3.0,
+            7.0,
+        ];
+        let mut cell = move || {
+            if next() % 4 < dense {
+                (next() as f64 / (1u64 << 53) as f64 - 0.5) * 2e6
+            } else {
+                pool[(next() % pool.len() as u64) as usize]
+            }
+        };
+        let rows: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| cell()).collect()).collect();
+        let labels: Vec<bool> = (0..n).map(|i| (seed >> (i % 64)) & 1 == 1).collect();
+        (rows, labels)
+    })
+}
+
+/// The bin a split's threshold cuts after: the last bin lying wholly at
+/// or below it.
+fn split_bin(bins: &BinnedMatrix, feature: usize, threshold: f64) -> Option<u8> {
+    (0..bins.num_bins(feature))
+        .rev()
+        .map(|b| b as u8)
+        .find(|&b| bins.bin_range(feature, b).1 <= threshold)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The binning contract on hostile columns: at most 256 bins, codes
+    /// monotone in value and inside their bin's range, bins ascending and
+    /// disjoint, and one exact bin per value when a column has at most
+    /// 256 distinct values.
+    #[test]
+    fn binning_is_monotone_bounded_and_exact_when_sparse(
+        case in hostile_strategy(),
+    ) {
+        let (rows, _labels) = case;
+        let bins = BinnedMatrix::new(&rows);
+        for f in 0..bins.num_features() {
+            let nb = bins.num_bins(f);
+            prop_assert!((1..=MAX_BINS).contains(&nb), "feature {f}: {nb} bins");
+            for b in 1..nb {
+                let (_, prev_max) = bins.bin_range(f, (b - 1) as u8);
+                let (min, max) = bins.bin_range(f, b as u8);
+                prop_assert!(prev_max < min && min <= max, "bins {b} overlap");
+            }
+            let mut by_value: Vec<(f64, u8)> =
+                rows.iter().enumerate().map(|(r, row)| (row[f], bins.code(f, r))).collect();
+            for &(v, code) in &by_value {
+                let (min, max) = bins.bin_range(f, code);
+                prop_assert!(min <= v && v <= max, "{v} outside bin {code} [{min}, {max}]");
+            }
+            by_value.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for pair in by_value.windows(2) {
+                let ((a, ca), (b, cb)) = (pair[0], pair[1]);
+                prop_assert!(ca <= cb, "codes not monotone: {a} -> {ca}, {b} -> {cb}");
+                if a == b {
+                    prop_assert_eq!(ca, cb, "equal values {} and {} split", a, b);
+                }
+            }
+            let mut distinct: Vec<f64> = by_value.iter().map(|&(v, _)| v).collect();
+            distinct.dedup_by(|a, b| a == b);
+            if distinct.len() <= MAX_BINS {
+                prop_assert_eq!(nb, distinct.len());
+                for b in 0..nb {
+                    let (min, max) = bins.bin_range(f, b as u8);
+                    prop_assert!(min == max, "sparse bin {b} spans [{min}, {max}]");
+                }
+            }
+        }
+    }
+
+    /// Binned thresholds route training rows exactly: at every split on a
+    /// training row's path, `value <= threshold` holds exactly when the
+    /// row's code is at most the split's bin.
+    #[test]
+    fn split_thresholds_route_training_rows_as_their_codes(
+        case in hostile_strategy(),
+    ) {
+        let (rows, labels) = case;
+        let bins = BinnedMatrix::new(&rows);
+        let data = Dataset::new(rows, labels).unwrap();
+        let tree = DecisionTree::fit(&DecisionTreeConfig::default(), &data);
+        for (r, row) in data.rows().iter().enumerate() {
+            for (f, threshold) in tree.decision_path(row) {
+                let bin = split_bin(&bins, f, threshold);
+                prop_assert!(bin.is_some(), "threshold {threshold} below every bin of {f}");
+                let bin = bin.unwrap();
+                prop_assert_eq!(
+                    row[f] <= threshold,
+                    bins.code(f, r) <= bin,
+                    "row {} feature {} value {} code {} vs threshold {} bin {}",
+                    r, f, row[f], bins.code(f, r), threshold, bin
+                );
+            }
+        }
+    }
 
     /// A deep decision tree achieves 100% training accuracy whenever no two
     /// identical rows carry different labels (here rows are continuous, so

@@ -323,8 +323,19 @@ mod tests {
     // tests use unique stage names and avoid asserting on globals other
     // tests also move.
 
+    /// Serialises the tests that flip the global `ENABLED` switch: without
+    /// it, `disable()` in one test can land inside another's enabled scope.
+    static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn hold_switch() -> std::sync::MutexGuard<'static, ()> {
+        SWITCH
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn disabled_scope_is_a_noop() {
+        let _switch = hold_switch();
         disable();
         let before = stage_stats("test.alloc.noop");
         {
@@ -337,6 +348,7 @@ mod tests {
 
     #[test]
     fn enabled_scope_attributes_allocations() {
+        let _switch = hold_switch();
         enable();
         let before = stage_stats("test.alloc.counted").unwrap_or_default();
         {
@@ -356,6 +368,7 @@ mod tests {
 
     #[test]
     fn scopes_nest_and_restore() {
+        let _switch = hold_switch();
         enable();
         let outer_before = stage_stats("test.alloc.outer").unwrap_or_default();
         {
@@ -380,6 +393,7 @@ mod tests {
 
     #[test]
     fn publish_exports_prof_gauges() {
+        let _switch = hold_switch();
         enable();
         {
             let _g = scope("test.alloc.published");
@@ -411,6 +425,7 @@ mod tests {
 
     #[test]
     fn stage_table_overflow_falls_back_to_unattributed() {
+        let _switch = hold_switch();
         enable();
         // Drown the table; every name past MAX_STAGES-1 must yield slot 0
         // instead of panicking or growing without bound.
