@@ -153,7 +153,11 @@ echo "==> scaling smoke (sniff_e2e_t1 vs sniff_e2e_t0)"
 # covered by the replay determinism smoke above and the
 # threads_equivalence integration test). The speedup floor scales with
 # the cores actually present; a single-core host can only watch for
-# pathological overhead.
+# pathological overhead. Quick inputs run ~25 ms, too little to amortise
+# the fan-out on a few cores: ten runs on a 2-core box read t1/t0 =
+# 0.73-1.04x (median 0.87x), and ten of the build before one-pass
+# screening 0.78-1.34x (median 0.89x). So 2-7 cores get a 0.6x floor,
+# below every measured run, that still trips on runaway worker overhead.
 "$BIN" perf bench --quick --only sniff_e2e_t1,sniff_e2e_t0 \
     --out-dir "$SMOKE/scaling" --quiet > /dev/null
 python3 - "$SMOKE/scaling/BENCH_sniff_e2e_t1.json" \
@@ -166,7 +170,7 @@ ratio = t1 / max(t0, 1e-9)
 if cores >= 8:
     assert ratio >= 1.8, f"t1/t0 = {ratio:.2f}x on {cores} cores; expected >= 1.8x"
 elif cores >= 2:
-    assert ratio >= 0.9, f"t1/t0 = {ratio:.2f}x on {cores} cores; expected >= 0.9x"
+    assert ratio >= 0.6, f"t1/t0 = {ratio:.2f}x on {cores} cores; expected >= 0.6x"
 else:
     assert ratio >= 0.7, f"t1/t0 = {ratio:.2f}x on 1 core; worker overhead is pathological"
     print(f"    single-core host: speedup unmeasurable, overhead sane (t1/t0 = {ratio:.2f}x)")

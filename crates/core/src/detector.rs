@@ -161,9 +161,9 @@ impl ClassificationOutcome {
 }
 
 /// Classifier-confidence histogram: 20 uniform buckets over [0, 1].
-/// The verdict still comes from `predict()` — the score is recorded
-/// alongside, never thresholded, so classification behavior is
-/// untouched by the instrumentation.
+/// Verdict and score come from one `predict_with_score()` call, whose
+/// verdict is exactly `predict()`'s; the histogram only records the
+/// score, so classification behavior is untouched by the instrumentation.
 fn confidence_histogram() -> std::sync::Arc<ph_telemetry::Histogram> {
     let bounds: Vec<f64> = (1..=20).map(|i| i as f64 * 0.05).collect();
     ph_telemetry::histogram("detect.rf_confidence", &bounds)
@@ -258,8 +258,7 @@ impl SpamDetector {
         for item in stream {
             let c = item.borrow();
             let features = extractor.extract(c, &rest);
-            let spam = self.model.predict(&features);
-            let score = self.model.predict_score(&features);
+            let (spam, score) = self.model.predict_with_score(&features);
             confidence.record(score);
             margin.record((2.0 * score - 1.0).abs());
             extractor.record_verdict(c.slot, spam);
@@ -330,8 +329,7 @@ impl SpamDetector {
         for (i, c) in collected.iter().enumerate() {
             extractor.finish_into(c, matrix.row_mut(i));
             let row = matrix.row(i);
-            let spam = self.model.predict(row);
-            let score = self.model.predict_score(row);
+            let (spam, score) = self.model.predict_with_score(row);
             confidence.record(score);
             margin.record((2.0 * score - 1.0).abs());
             if observing {

@@ -110,8 +110,6 @@ pub fn apply_with(
     let mut authors: Vec<AccountId> = collected.iter().map(|c| c.tweet.author).collect();
     authors.sort_unstable();
     authors.dedup();
-    let author_index: HashMap<AccountId, usize> =
-        authors.iter().enumerate().map(|(i, &id)| (id, i)).collect();
     let mut account_uf = UnionFind::new(authors.len());
 
     cluster_by_image(&authors, rest, config, exec, &mut account_uf);
@@ -191,7 +189,6 @@ pub fn apply_with(
             report.newly_labeled_spammers += 1;
         }
     }
-    let _ = author_index; // retained for clarity of the universe mapping
     report
 }
 

@@ -6,17 +6,19 @@
 //! paper's Active/Dormant screening (§III-D) to keep the network portable
 //! over accounts that still attract attention.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use ph_twitter_sim::engine::Engine;
-use ph_twitter_sim::topics::Trend;
-use ph_twitter_sim::AccountId;
+use ph_twitter_sim::topics::{TopicEngine, Trend};
+use ph_twitter_sim::{AccountId, TopicCategory};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::attributes::{matches_sample, AttributeKind, SampleAttribute, TrendAttribute};
+use crate::attributes::{
+    matches_sample, AttributeKind, ProfileAttribute, SampleAttribute, TrendAttribute,
+};
 use crate::network::{NodeAssignment, PseudoHoneypotNetwork};
 
 /// Selection parameters.
@@ -51,6 +53,90 @@ impl Default for SelectorConfig {
     }
 }
 
+/// Which top-k lists a hashtag (or an account's recent hashtags) falls in:
+/// bit `i` for the `TopicCategory::ALL[i]` list, then the three trend lists.
+type TagMask = u16;
+const TRENDING_UP: TagMask = 1 << TopicCategory::ALL.len();
+const TRENDING_DOWN: TagMask = TRENDING_UP << 1;
+const POPULAR: TagMask = TRENDING_UP << 2;
+const ANY_TRENDING: TagMask = TRENDING_UP | TRENDING_DOWN | POPULAR;
+
+/// The round's top-k lists folded into one lookup: hashtag → [`TagMask`].
+fn tag_masks(topics: &TopicEngine, top_k: usize) -> HashMap<&str, TagMask> {
+    let mut masks: HashMap<&str, TagMask> = HashMap::new();
+    for (i, &category) in TopicCategory::ALL.iter().enumerate() {
+        for tag in topics.top_hashtags(category, top_k) {
+            *masks.entry(tag).or_default() |= 1 << i;
+        }
+    }
+    for (trend, bit) in [
+        (Trend::Up, TRENDING_UP),
+        (Trend::Down, TRENDING_DOWN),
+        (Trend::Popular, POPULAR),
+    ] {
+        for tag in topics.trending(trend, top_k) {
+            *masks.entry(tag).or_default() |= bit;
+        }
+    }
+    masks
+}
+
+/// One eligible account as the screen sees it, computed once per round.
+struct Screened {
+    /// Every C1 attribute, in `ProfileAttribute::ALL` order.
+    profile: [f64; ProfileAttribute::ALL.len()],
+    /// OR of the masks of its recent hashtags.
+    tags: TagMask,
+    posted: bool,
+    no_hashtags: bool,
+}
+
+/// A slot's membership test over [`Screened`] facts.
+enum SlotTest {
+    /// Attribute `ProfileAttribute::ALL[attr]` matches `target`.
+    Profile { attr: usize, target: f64 },
+    /// Some recent hashtag is in one of these lists.
+    Tags(TagMask),
+    /// Posted, but with no hashtags.
+    NoHashtag,
+    /// Posted, but in no trend list.
+    NonTrending,
+}
+
+impl SlotTest {
+    fn of(slot: &SampleAttribute) -> Self {
+        match slot.kind {
+            AttributeKind::Profile(attr) => SlotTest::Profile {
+                attr: ProfileAttribute::ALL
+                    .iter()
+                    .position(|&a| a == attr)
+                    .expect("attribute is in ALL"),
+                target: slot.sample_value.expect("profile slot has sample value"),
+            },
+            AttributeKind::Hashtag(Some(category)) => SlotTest::Tags(
+                1 << TopicCategory::ALL
+                    .iter()
+                    .position(|&c| c == category)
+                    .expect("category is in ALL"),
+            ),
+            AttributeKind::Hashtag(None) => SlotTest::NoHashtag,
+            AttributeKind::Trending(TrendAttribute::TrendingUp) => SlotTest::Tags(TRENDING_UP),
+            AttributeKind::Trending(TrendAttribute::TrendingDown) => SlotTest::Tags(TRENDING_DOWN),
+            AttributeKind::Trending(TrendAttribute::Popular) => SlotTest::Tags(POPULAR),
+            AttributeKind::Trending(TrendAttribute::NonTrending) => SlotTest::NonTrending,
+        }
+    }
+
+    fn matches(&self, s: &Screened) -> bool {
+        match *self {
+            SlotTest::Profile { attr, target } => matches_sample(s.profile[attr], target),
+            SlotTest::Tags(mask) => s.tags & mask != 0,
+            SlotTest::NoHashtag => s.posted && s.no_hashtags,
+            SlotTest::NonTrending => s.posted && s.tags & ANY_TRENDING == 0,
+        }
+    }
+}
+
 /// Selects a pseudo-honeypot network over the given slots.
 ///
 /// Each account is assigned to at most one slot ("each account satisfying
@@ -58,6 +144,12 @@ impl Default for SelectorConfig {
 /// are shuffled with `seed` before picking, so repeated hourly selections
 /// rotate through the eligible population (the paper's portability
 /// property).
+///
+/// One round touches each account once ("the account screening is
+/// extremely fast", §III-B): a single directory pass screens every
+/// eligible account and appends it, in directory order, to the candidate
+/// list of each slot it matches. Slots then claim their quota in order
+/// from their own lists, skipping accounts an earlier slot took.
 pub fn select_network(
     engine: &Engine,
     slots: &[SampleAttribute],
@@ -66,121 +158,52 @@ pub fn select_network(
 ) -> PseudoHoneypotNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
     let rest = engine.rest();
-    let topics = engine.topics();
     let now_hours = engine.now().whole_hours();
+    let masks = tag_masks(engine.topics(), config.top_k);
+    let tests: Vec<SlotTest> = slots.iter().map(SlotTest::of).collect();
 
-    // Pre-compute the top-k lists once per selection round.
-    let top_by_category: Vec<(ph_twitter_sim::TopicCategory, HashSet<String>)> =
-        ph_twitter_sim::TopicCategory::ALL
-            .iter()
-            .map(|&c| {
-                (
-                    c,
-                    topics
-                        .top_hashtags(c, config.top_k)
-                        .into_iter()
-                        .map(str::to_string)
-                        .collect(),
-                )
-            })
-            .collect();
-    let top_trending = |t: Trend| -> HashSet<String> {
-        topics
-            .trending(t, config.top_k)
-            .into_iter()
-            .map(str::to_string)
-            .collect()
-    };
-    let up = top_trending(Trend::Up);
-    let down = top_trending(Trend::Down);
-    let popular = top_trending(Trend::Popular);
-    let any_trending: HashSet<String> = up.union(&down).cloned().chain(popular.clone()).collect();
-
-    // One pass over the directory computes all topical/activity facts, so
-    // the per-slot scans below are branch-and-compare only. This is what
-    // keeps a full selection round fast enough to run every simulated hour
-    // ("the account screening is extremely fast", §III-B).
-    struct Facts {
-        eligible: bool,
-        posted: bool,
-        no_hashtags: bool,
-        category: [bool; 8],
-        trending_up: bool,
-        trending_down: bool,
-        popular: bool,
-        any_trending: bool,
-    }
-    let facts: Vec<Facts> = rest
-        .profiles()
-        .map(|profile| {
-            let id = profile.id;
-            let activity = rest.activity(id);
-            let active = if !config.active_only {
-                true
-            } else {
-                match activity.last_post_at {
-                    Some(t) => {
-                        now_hours.saturating_sub(t.whole_hours()) <= config.dormant_after_hours
-                    }
-                    // Early in a simulation nobody has posted yet; treat
-                    // unknown history as eligible rather than starving
-                    // selection.
-                    None => now_hours < config.dormant_after_hours,
-                }
+    let mut lists: Vec<Vec<AccountId>> = vec![Vec::new(); slots.len()];
+    for profile in rest.profiles() {
+        let id = profile.id;
+        let activity = rest.activity(id);
+        let active = !config.active_only
+            || match activity.last_post_at {
+                Some(t) => now_hours.saturating_sub(t.whole_hours()) <= config.dormant_after_hours,
+                // Early in a simulation nobody has posted yet; treat
+                // unknown history as eligible rather than starving
+                // selection.
+                None => now_hours < config.dormant_after_hours,
             };
-            let tags = rest.recent_hashtags(id);
-            let mut category = [false; 8];
-            for (slot, (_, top)) in category.iter_mut().zip(&top_by_category) {
-                *slot = tags.iter().any(|h| top.contains(h));
-            }
-            Facts {
-                eligible: active && !rest.is_suspended(id),
-                posted: activity.last_post_at.is_some(),
-                no_hashtags: tags.is_empty(),
-                category,
-                trending_up: tags.iter().any(|h| up.contains(h)),
-                trending_down: tags.iter().any(|h| down.contains(h)),
-                popular: tags.iter().any(|h| popular.contains(h)),
-                any_trending: tags.iter().any(|h| any_trending.contains(h)),
-            }
-        })
-        .collect();
-
-    let mut taken: HashSet<AccountId> = HashSet::new();
-    let mut nodes = Vec::new();
-    let mut shortfalls = Vec::new();
-
-    for slot in slots {
-        let mut candidates: Vec<AccountId> = Vec::new();
-        for (profile, f) in rest.profiles().zip(&facts) {
-            let id = profile.id;
-            if !f.eligible || taken.contains(&id) {
-                continue;
-            }
-            let matches = match slot.kind {
-                AttributeKind::Profile(attr) => {
-                    let target = slot.sample_value.expect("profile slot has sample value");
-                    matches_sample(attr.value_of(profile), target)
-                }
-                AttributeKind::Hashtag(Some(category)) => {
-                    let index = ph_twitter_sim::TopicCategory::ALL
-                        .iter()
-                        .position(|&c| c == category)
-                        .expect("category is in ALL");
-                    f.category[index]
-                }
-                AttributeKind::Hashtag(None) => f.posted && f.no_hashtags,
-                AttributeKind::Trending(t) => match t {
-                    TrendAttribute::TrendingUp => f.trending_up,
-                    TrendAttribute::TrendingDown => f.trending_down,
-                    TrendAttribute::Popular => f.popular,
-                    TrendAttribute::NonTrending => f.posted && !f.any_trending,
-                },
-            };
-            if matches {
-                candidates.push(id);
+        if !active || rest.is_suspended(id) {
+            continue;
+        }
+        let mut tags = 0;
+        let mut no_hashtags = true;
+        for tag in rest.recent_hashtags(id) {
+            no_hashtags = false;
+            tags |= masks.get(tag).copied().unwrap_or(0);
+        }
+        let screened = Screened {
+            profile: ProfileAttribute::ALL.map(|attr| attr.value_of(profile)),
+            tags,
+            posted: activity.last_post_at.is_some(),
+            no_hashtags,
+        };
+        for (list, test) in lists.iter_mut().zip(&tests) {
+            if test.matches(&screened) {
+                list.push(id);
             }
         }
+    }
+
+    // Each slot's candidates are its list minus earlier slots' picks —
+    // the same accounts in the same order as a per-slot directory scan,
+    // so the shuffle below draws the same RNG stream.
+    let mut taken = vec![false; rest.num_accounts()];
+    let mut nodes = Vec::new();
+    let mut shortfalls = Vec::new();
+    for (slot, mut candidates) in slots.iter().zip(lists) {
+        candidates.retain(|id| !taken[id.index()]);
         candidates.shuffle(&mut rng);
         if config.rank_by_attention {
             // Stable sort after the shuffle: attention decides, ties rotate.
@@ -195,7 +218,7 @@ pub fn select_network(
             shortfalls.push((*slot, quota - candidates.len()));
         }
         for id in candidates.into_iter().take(quota) {
-            taken.insert(id);
+            taken[id.index()] = true;
             nodes.push(NodeAssignment {
                 account: id,
                 slot: *slot,
@@ -228,9 +251,151 @@ pub fn select_random_network(engine: &Engine, count: usize, seed: u64) -> Pseudo
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
-    use crate::attributes::ProfileAttribute;
     use ph_twitter_sim::engine::SimConfig;
+
+    /// The selection round as it was before one-pass screening, kept as
+    /// the oracle: `HashSet<String>` top-k tables, a `HashSet` of taken
+    /// accounts, and one full directory scan per slot.
+    fn select_network_reference(
+        engine: &Engine,
+        slots: &[SampleAttribute],
+        config: &SelectorConfig,
+        seed: u64,
+    ) -> PseudoHoneypotNetwork {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rest = engine.rest();
+        let topics = engine.topics();
+        let now_hours = engine.now().whole_hours();
+
+        let top_by_category: Vec<(TopicCategory, HashSet<String>)> = TopicCategory::ALL
+            .iter()
+            .map(|&c| {
+                (
+                    c,
+                    topics
+                        .top_hashtags(c, config.top_k)
+                        .into_iter()
+                        .map(str::to_string)
+                        .collect(),
+                )
+            })
+            .collect();
+        let top_trending = |t: Trend| -> HashSet<String> {
+            topics
+                .trending(t, config.top_k)
+                .into_iter()
+                .map(str::to_string)
+                .collect()
+        };
+        let up = top_trending(Trend::Up);
+        let down = top_trending(Trend::Down);
+        let popular = top_trending(Trend::Popular);
+        let any_trending: HashSet<String> =
+            up.union(&down).cloned().chain(popular.clone()).collect();
+
+        struct Facts {
+            eligible: bool,
+            posted: bool,
+            no_hashtags: bool,
+            category: [bool; 8],
+            trending_up: bool,
+            trending_down: bool,
+            popular: bool,
+            any_trending: bool,
+        }
+        let facts: Vec<Facts> = rest
+            .profiles()
+            .map(|profile| {
+                let id = profile.id;
+                let activity = rest.activity(id);
+                let active = if !config.active_only {
+                    true
+                } else {
+                    match activity.last_post_at {
+                        Some(t) => {
+                            now_hours.saturating_sub(t.whole_hours()) <= config.dormant_after_hours
+                        }
+                        None => now_hours < config.dormant_after_hours,
+                    }
+                };
+                let tags: Vec<String> = rest.recent_hashtags(id).map(str::to_string).collect();
+                let mut category = [false; 8];
+                for (slot, (_, top)) in category.iter_mut().zip(&top_by_category) {
+                    *slot = tags.iter().any(|h| top.contains(h));
+                }
+                Facts {
+                    eligible: active && !rest.is_suspended(id),
+                    posted: activity.last_post_at.is_some(),
+                    no_hashtags: tags.is_empty(),
+                    category,
+                    trending_up: tags.iter().any(|h| up.contains(h)),
+                    trending_down: tags.iter().any(|h| down.contains(h)),
+                    popular: tags.iter().any(|h| popular.contains(h)),
+                    any_trending: tags.iter().any(|h| any_trending.contains(h)),
+                }
+            })
+            .collect();
+
+        let mut taken: HashSet<AccountId> = HashSet::new();
+        let mut nodes = Vec::new();
+        let mut shortfalls = Vec::new();
+
+        for slot in slots {
+            let mut candidates: Vec<AccountId> = Vec::new();
+            for (profile, f) in rest.profiles().zip(&facts) {
+                let id = profile.id;
+                if !f.eligible || taken.contains(&id) {
+                    continue;
+                }
+                let matches = match slot.kind {
+                    AttributeKind::Profile(attr) => {
+                        let target = slot.sample_value.expect("profile slot has sample value");
+                        matches_sample(attr.value_of(profile), target)
+                    }
+                    AttributeKind::Hashtag(Some(category)) => {
+                        let index = TopicCategory::ALL
+                            .iter()
+                            .position(|&c| c == category)
+                            .expect("category is in ALL");
+                        f.category[index]
+                    }
+                    AttributeKind::Hashtag(None) => f.posted && f.no_hashtags,
+                    AttributeKind::Trending(t) => match t {
+                        TrendAttribute::TrendingUp => f.trending_up,
+                        TrendAttribute::TrendingDown => f.trending_down,
+                        TrendAttribute::Popular => f.popular,
+                        TrendAttribute::NonTrending => f.posted && !f.any_trending,
+                    },
+                };
+                if matches {
+                    candidates.push(id);
+                }
+            }
+            candidates.shuffle(&mut rng);
+            if config.rank_by_attention {
+                candidates.sort_by(|&a, &b| {
+                    let ma = rest.activity(a).recent_mentions_per_hour;
+                    let mb = rest.activity(b).recent_mentions_per_hour;
+                    mb.total_cmp(&ma)
+                });
+            }
+            let quota = config.accounts_per_slot;
+            if candidates.len() < quota {
+                shortfalls.push((*slot, quota - candidates.len()));
+            }
+            for id in candidates.into_iter().take(quota) {
+                taken.insert(id);
+                nodes.push(NodeAssignment {
+                    account: id,
+                    slot: *slot,
+                });
+            }
+        }
+        PseudoHoneypotNetwork::new(nodes, shortfalls)
+    }
 
     fn engine(hours: u64) -> Engine {
         let mut e = Engine::new(SimConfig {
@@ -242,6 +407,71 @@ mod tests {
         });
         e.run_hours(hours);
         e
+    }
+
+    #[test]
+    fn one_pass_selection_matches_reference() {
+        // Duplicate slots (the second copy only sees what the first left),
+        // a profile target nobody has, and every topical kind.
+        let mixed = vec![
+            SampleAttribute::profile(ProfileAttribute::FriendsCount, 100.0),
+            SampleAttribute::profile(ProfileAttribute::FriendsCount, 100.0),
+            SampleAttribute::profile(ProfileAttribute::FollowersCount, 1e15),
+            SampleAttribute::hashtag(Some(TopicCategory::ALL[0])),
+            SampleAttribute::hashtag(Some(TopicCategory::ALL[0])),
+            SampleAttribute::hashtag(None),
+            SampleAttribute::trending(TrendAttribute::NonTrending),
+            SampleAttribute::trending(TrendAttribute::NonTrending),
+            SampleAttribute::trending(TrendAttribute::Popular),
+            SampleAttribute::trending(TrendAttribute::TrendingUp),
+            SampleAttribute::trending(TrendAttribute::TrendingDown),
+        ];
+        let slot_lists = [SampleAttribute::standard_slots(), mixed, Vec::new()];
+        for world in [11, 29] {
+            let mut e = Engine::new(SimConfig {
+                seed: world,
+                num_organic: 400,
+                num_campaigns: 2,
+                accounts_per_campaign: 5,
+                ..Default::default()
+            });
+            let mut at = 0;
+            // No posting history yet, warming up, and past the 24 h
+            // dormancy window.
+            for hour in [0, 8, 30] {
+                e.run_hours(hour - at);
+                at = hour;
+                let flags = [true, false];
+                let configs = flags.iter().flat_map(|&active_only| {
+                    flags.iter().flat_map(move |&rank_by_attention| {
+                        [3, 10].into_iter().flat_map(move |top_k| {
+                            [2, 24].into_iter().map(move |dormant_after_hours| {
+                                (active_only, rank_by_attention, top_k, dormant_after_hours)
+                            })
+                        })
+                    })
+                });
+                for (active_only, rank_by_attention, top_k, dormant_after_hours) in configs {
+                    for (seed, accounts_per_slot) in [(1, 10), (77, 3)] {
+                        let config = SelectorConfig {
+                            accounts_per_slot,
+                            active_only,
+                            dormant_after_hours,
+                            top_k,
+                            rank_by_attention,
+                        };
+                        for slots in &slot_lists {
+                            assert_eq!(
+                                select_network(&e, slots, &config, seed),
+                                select_network_reference(&e, slots, &config, seed),
+                                "world {world}, hour {hour}, seed {seed}, {} slots, {config:?}",
+                                slots.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -305,7 +535,7 @@ mod tests {
     #[test]
     fn hashtag_slots_fill_after_warmup() {
         let e = engine(8);
-        let slots: Vec<SampleAttribute> = ph_twitter_sim::TopicCategory::ALL
+        let slots: Vec<SampleAttribute> = TopicCategory::ALL
             .iter()
             .map(|&c| SampleAttribute::hashtag(Some(c)))
             .collect();

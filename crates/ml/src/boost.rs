@@ -151,6 +151,11 @@ impl Classifier for GradientBoosting {
     fn predict_score(&self, features: &[f64]) -> f64 {
         self.predict_probability(features)
     }
+
+    fn predict_with_score(&self, features: &[f64]) -> (bool, f64) {
+        let p = self.predict_probability(features);
+        (p >= 0.5, p)
+    }
 }
 
 #[cfg(test)]

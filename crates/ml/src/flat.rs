@@ -477,6 +477,11 @@ impl Classifier for FlatForest {
         self.predict_probability(features)
     }
 
+    fn predict_with_score(&self, features: &[f64]) -> (bool, f64) {
+        let p = self.predict_probability(features);
+        (p >= 0.5, p)
+    }
+
     fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<bool> {
         rows.iter()
             .map(|r| self.predict_probability(r) >= 0.5)

@@ -78,6 +78,14 @@ pub trait Classifier: Send + Sync {
         }
     }
 
+    /// `(predict(x), predict_score(x))` in one call. Models whose verdict
+    /// is `score >= 0.5` override this with a single evaluation; the
+    /// default keeps both calls because a margin model's verdict need not
+    /// equal its squashed score's threshold at the boundary.
+    fn predict_with_score(&self, features: &[f64]) -> (bool, f64) {
+        (self.predict(features), self.predict_score(features))
+    }
+
     /// Predicts every row of a feature matrix.
     fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<bool> {
         rows.iter().map(|r| self.predict(r)).collect()

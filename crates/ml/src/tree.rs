@@ -474,6 +474,11 @@ impl Classifier for DecisionTree {
     fn predict_score(&self, features: &[f64]) -> f64 {
         self.predict_probability(features)
     }
+
+    fn predict_with_score(&self, features: &[f64]) -> (bool, f64) {
+        let p = self.predict_probability(features);
+        (p >= 0.5, p)
+    }
 }
 
 /// A fitted CART regression tree over arbitrary `f64` targets — the weak

@@ -78,6 +78,30 @@ fn hostile_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
     })
 }
 
+/// `data` plus a copy of its first `conflicts` rows with the opposite
+/// label: identical rows that disagree leave 0.5 leaves in deep trees and
+/// tied votes in even-sized forests.
+fn with_conflicts(data: &Dataset, conflicts: usize) -> Dataset {
+    let mut rows = data.rows().to_vec();
+    let mut labels = data.labels().to_vec();
+    for i in 0..conflicts.min(data.len()) {
+        rows.push(data.row(i).to_vec());
+        labels.push(!data.labels()[i]);
+    }
+    Dataset::new(rows, labels).unwrap()
+}
+
+/// Every family's one-call verdict, checked against its two-call form
+/// bit for bit.
+fn assert_one_call_matches(model: &dyn Classifier, rows: &[Vec<f64>]) -> Result<(), String> {
+    for row in rows {
+        let (spam, score) = model.predict_with_score(row);
+        prop_assert_eq!(spam, model.predict(row));
+        prop_assert_eq!(score.to_bits(), model.predict_score(row).to_bits());
+    }
+    Ok(())
+}
+
 /// The bin a split's threshold cuts after: the last bin lying wholly at
 /// or below it.
 fn split_bin(bins: &BinnedMatrix, feature: usize, threshold: f64) -> Option<u8> {
@@ -231,6 +255,52 @@ proptest! {
         }
     }
 
+    /// `predict_with_score` equals `(predict, predict_score)` bit for bit
+    /// for every family, on training rows (some conflicting, so trees hold
+    /// 0.5 leaves and even forests tie) and on arbitrary queries.
+    #[test]
+    fn predict_with_score_is_predict_then_score(
+        data in dataset_strategy(),
+        conflicts in 0usize..6,
+        seed: u64,
+        half_trees in 1usize..5,
+        k in 1usize..5,
+        queries in proptest::collection::vec(
+            proptest::collection::vec(-20f64..20.0, 5),
+            1..8,
+        ),
+    ) {
+        let data = with_conflicts(&data, conflicts);
+        let width = data.num_features();
+        let rows: Vec<Vec<f64>> = data
+            .rows()
+            .iter()
+            .cloned()
+            .chain(queries.into_iter().map(|q| q[..width].to_vec()))
+            .collect();
+        let forest = RandomForest::fit(
+            &RandomForestConfig { num_trees: 2 * half_trees, parallel: false, ..Default::default() },
+            &data,
+            seed,
+        );
+        let flat = FlatForest::from_forest(&forest);
+        let models: Vec<Box<dyn Classifier>> = vec![
+            Box::new(DecisionTree::fit(&DecisionTreeConfig::default(), &data)),
+            Box::new(KNearestNeighbors::fit(&KnnConfig { k, standardize: k % 2 == 0 }, &data)),
+            Box::new(LinearSvm::fit(&SvmConfig { epochs: 3, ..Default::default() }, &data, seed)),
+            Box::new(GradientBoosting::fit(
+                &BoostConfig { num_stages: 4, ..Default::default() },
+                &data,
+                seed,
+            )),
+            Box::new(forest),
+            Box::new(flat),
+        ];
+        for model in &models {
+            assert_one_call_matches(model.as_ref(), &rows)?;
+        }
+    }
+
     /// kNN with k = n predicts the majority class for every query.
     #[test]
     fn knn_full_k_is_majority(data in dataset_strategy()) {
@@ -304,5 +374,56 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&m.false_positive_rate()));
         let pos_truth = m.true_positives + m.false_negatives;
         prop_assert_eq!(pos_truth, actual.iter().filter(|&&a| a).count());
+    }
+}
+
+/// The threshold case the proptest can only hit by chance, forced: two
+/// identical rows with opposite labels give a 0.5 tree leaf, a 2-of-4 kNN
+/// vote, a zero-logit boosted model and (for some seed) a 1–1 forest vote.
+/// The one-call verdict must still be `score >= 0.5`, as `predict` says.
+#[test]
+fn predict_with_score_agrees_on_exact_ties() {
+    let data = Dataset::new(vec![vec![0.0]; 4], vec![true, false, true, false]).unwrap();
+    let tie = [0.0];
+    let forest = (0..64)
+        .map(|seed| {
+            RandomForest::fit(
+                &RandomForestConfig {
+                    num_trees: 2,
+                    parallel: false,
+                    ..Default::default()
+                },
+                &data,
+                seed,
+            )
+        })
+        .find(|f| f.predict_probability(&tie) == 0.5)
+        .expect("some seed splits a 2-tree vote");
+    let flat = FlatForest::from_forest(&forest);
+    let models: Vec<Box<dyn Classifier>> = vec![
+        Box::new(DecisionTree::fit(&DecisionTreeConfig::default(), &data)),
+        Box::new(KNearestNeighbors::fit(
+            &KnnConfig {
+                k: 4,
+                standardize: false,
+            },
+            &data,
+        )),
+        Box::new(GradientBoosting::fit(
+            &BoostConfig {
+                num_stages: 1,
+                subsample: 1.0,
+                ..Default::default()
+            },
+            &data,
+            3,
+        )),
+        Box::new(forest),
+        Box::new(flat),
+    ];
+    for model in &models {
+        assert_eq!(model.predict_score(&tie), 0.5);
+        assert_eq!(model.predict_with_score(&tie), (true, 0.5));
+        assert!(model.predict(&tie));
     }
 }

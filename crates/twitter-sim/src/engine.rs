@@ -726,13 +726,13 @@ impl<'a> RestApi<'a> {
     }
 
     /// Hashtags the account used within the exposure window (observable
-    /// from its public timeline).
-    pub fn recent_hashtags(&self, id: AccountId) -> Vec<String> {
+    /// from its public timeline), oldest first, borrowed from the engine.
+    pub fn recent_hashtags(&self, id: AccountId) -> impl Iterator<Item = &'a str> {
         self.engine
             .states
             .get(id.index())
-            .map(|s| s.recent_hashtags.iter().map(|(h, _)| h.clone()).collect())
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|s| s.recent_hashtags.iter().map(|(h, _)| h.as_str()))
     }
 
     /// Post/mention recency summary for Active/Dormant screening.
@@ -1035,8 +1035,8 @@ mod tests {
         engine.run_hours(4);
         let rest = engine.rest();
         for i in 0..rest.num_accounts() as u32 {
-            let tags = rest.recent_hashtags(AccountId(i));
-            assert!(tags.len() < 1000, "unbounded hashtag window");
+            let tags = rest.recent_hashtags(AccountId(i)).count();
+            assert!(tags < 1000, "unbounded hashtag window");
         }
     }
 }
