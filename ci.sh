@@ -16,6 +16,11 @@ cargo test --workspace --release -q
 echo "==> benchmark harness tests"
 (cd benchmark && cargo test --release --offline -q)
 
+echo "==> benchmark smoke (check --smoke + every workload, traced and untraced)"
+# Builds the driver offline and exits non-zero on any verdict that is
+# missing or differs from the sequential reference, or on a digest mismatch.
+benchmark/smoke.sh
+
 echo "==> store crash / corrupt / resume / replay smoke"
 BIN=target/release/pseudo-honeypot
 SMOKE=$(mktemp -d)

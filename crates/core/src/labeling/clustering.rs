@@ -14,7 +14,9 @@ use std::collections::{HashMap, HashSet};
 
 use ph_exec::ExecConfig;
 use ph_sketch::dhash::DHash128;
-use ph_sketch::lsh::{bands_of_signature, bands_of_u128, BandIndex};
+use ph_sketch::lsh::{
+    bands_of_signature, bands_of_u128, hamming_band_floor, jaccard_band_floor, BandIndex,
+};
 use ph_sketch::shingle::normalize;
 use ph_sketch::{MinHasher, UnionFind};
 use ph_twitter_sim::engine::RestApi;
@@ -92,15 +94,57 @@ pub fn apply(
 /// Applies the clustering pass, fanning the dHash / Σ-sequence / MinHash
 /// sketch computation *and* the candidate-pair verify → union-find merge
 /// ([`merge_candidate_pairs`]) out across `exec`'s workers. Candidate
-/// generation stays sequential (band-index construction is cheap), and
-/// components are invariant under pair partitioning, so the resulting
-/// labels are identical to [`apply`] at any thread count.
+/// generation stays sequential and reaches `verify` only with pairs that
+/// share the pigeonhole floor of LSH bands ([`BandIndex::candidates`]);
+/// every pair that can pass `verify` does, so the components are those of
+/// the unfiltered all-pairs pass. Components are invariant under pair
+/// partitioning, so the resulting labels are identical to [`apply`] at any
+/// thread count.
 pub fn apply_with(
     collected: &[CollectedTweet],
     rest: &RestApi<'_>,
     config: &ClusteringConfig,
     exec: &ExecConfig,
     labels: &mut LabeledCollection,
+) -> ClusterReport {
+    apply_filtered(
+        collected,
+        rest,
+        config,
+        exec,
+        labels,
+        Candidates::Pigeonhole,
+    )
+}
+
+/// Which band-sharing pairs a similarity pass hands to `verify`.
+#[derive(Debug, Clone, Copy)]
+enum Candidates {
+    /// Only pairs sharing at least the pigeonhole floor of bands.
+    Pigeonhole,
+    /// Every pair sharing any band: the oracle the floor must agree with.
+    #[cfg(test)]
+    Unfiltered,
+}
+
+impl Candidates {
+    /// Bands a pair must share, given the pass's pigeonhole floor.
+    fn floor(self, pigeonhole: usize) -> usize {
+        match self {
+            Candidates::Pigeonhole => pigeonhole,
+            #[cfg(test)]
+            Candidates::Unfiltered => 1,
+        }
+    }
+}
+
+fn apply_filtered(
+    collected: &[CollectedTweet],
+    rest: &RestApi<'_>,
+    config: &ClusteringConfig,
+    exec: &ExecConfig,
+    labels: &mut LabeledCollection,
+    candidates: Candidates,
 ) -> ClusterReport {
     debug_assert_eq!(collected.len(), labels.tweet_labels.len());
     let _span = ph_telemetry::span("clustering");
@@ -112,16 +156,16 @@ pub fn apply_with(
     authors.dedup();
     let mut account_uf = UnionFind::new(authors.len());
 
-    cluster_by_image(&authors, rest, config, exec, &mut account_uf);
+    cluster_by_image(&authors, rest, config, exec, candidates, &mut account_uf);
     cluster_by_name(&authors, rest, config, exec, &mut account_uf);
-    cluster_by_description(&authors, rest, config, exec, &mut account_uf);
+    cluster_by_description(&authors, rest, config, exec, candidates, &mut account_uf);
 
     let account_groups = account_uf.components_with_min_size(2);
     report.account_groups = account_groups.len();
 
     // ---- Tweet universe ----------------------------------------------------
     let mut tweet_uf = UnionFind::new(collected.len());
-    cluster_tweets(collected, config, exec, &mut tweet_uf);
+    cluster_tweets(collected, config, exec, candidates, &mut tweet_uf);
     let tweet_groups = tweet_uf.components_with_min_size(2);
     report.tweet_groups = tweet_groups.len();
 
@@ -262,12 +306,14 @@ pub fn merge_candidate_pairs<F>(
 
 /// Image clustering: 8-band LSH over the 128-bit dHash. A pair within
 /// Hamming distance < 5 differs in ≤ 4 bits, so at least 4 of the 8
-/// 16-bit bands match exactly — banding is recall-lossless here.
+/// 16-bit bands match exactly — only pairs sharing 4 bands are verified
+/// (the floor follows the configured threshold).
 fn cluster_by_image(
     authors: &[AccountId],
     rest: &RestApi<'_>,
     config: &ClusteringConfig,
     exec: &ExecConfig,
+    candidates: Candidates,
     uf: &mut UnionFind,
 ) {
     let rest = *rest;
@@ -295,11 +341,12 @@ fn cluster_by_image(
         let bits = ((h.horizontal_bits() as u128) << 64) | h.vertical_bits() as u128;
         index.insert(i, bands_of_u128(bits, 8));
     }
+    let floor = hamming_band_floor(8, config.image_distance_threshold);
     merge_candidate_pairs(
         exec,
         "clustering.image_merge",
         authors.len(),
-        index.candidate_pairs(),
+        index.candidates(candidates.floor(floor)),
         |i, j| match (hashes[i], hashes[j]) {
             (Some(hi), Some(hj)) => hi.hamming_distance(hj) < config.image_distance_threshold,
             _ => false,
@@ -355,12 +402,14 @@ fn cluster_by_name(
 }
 
 /// Description MinHash grouping: 16 bands × 4 rows, verified at the
-/// configured similarity.
+/// configured similarity (the default 0.9 needs 58 of 64 minima, so a
+/// match shares at least 10 bands).
 fn cluster_by_description(
     authors: &[AccountId],
     rest: &RestApi<'_>,
     config: &ClusteringConfig,
     exec: &ExecConfig,
+    candidates: Candidates,
     uf: &mut UnionFind,
 ) {
     let hasher = MinHasher::new(config.minhash_width, config.minhash_seed);
@@ -387,11 +436,12 @@ fn cluster_by_description(
         let Some(s) = sig else { continue };
         index.insert(i, bands_of_signature(s.as_slice(), 4));
     }
+    let floor = jaccard_band_floor(config.minhash_width, 4, config.description_similarity);
     merge_candidate_pairs(
         exec,
         "clustering.description_merge",
         authors.len(),
-        index.candidate_pairs(),
+        index.candidates(candidates.floor(floor)),
         |i, j| match (&signatures[i], &signatures[j]) {
             (Some(si), Some(sj)) => si.estimate_jaccard(sj) >= config.description_similarity,
             _ => false,
@@ -400,11 +450,14 @@ fn cluster_by_description(
     );
 }
 
-/// Near-duplicate tweets inside rolling 1-day windows, MinHash-verified.
+/// Near-duplicate tweets inside rolling 1-day windows, MinHash-verified
+/// (the default 0.8 needs 52 of 64 minima, so a match shares at least 4
+/// bands).
 fn cluster_tweets(
     collected: &[CollectedTweet],
     config: &ClusteringConfig,
     exec: &ExecConfig,
+    candidates: Candidates,
     uf: &mut UnionFind,
 ) {
     let hasher = MinHasher::new(config.minhash_width, config.minhash_seed ^ 0x5eed);
@@ -428,7 +481,7 @@ fn cluster_tweets(
         },
     );
     // The 1-day window participates in the band key so only same-window
-    // tweets become candidates.
+    // tweets become candidates; equal bands in one window keep equal keys.
     let mut index = BandIndex::new();
     for (i, sig) in signatures.iter().enumerate() {
         let Some(sig) = sig else { continue };
@@ -436,15 +489,15 @@ fn cluster_tweets(
         index.insert(
             i,
             bands_of_signature(sig.as_slice(), 4)
-                .into_iter()
                 .map(|(band, key)| (band, key ^ window.wrapping_mul(0x9e37_79b9))),
         );
     }
+    let floor = jaccard_band_floor(config.minhash_width, 4, config.tweet_similarity);
     merge_candidate_pairs(
         exec,
         "clustering.tweet_merge",
         collected.len(),
-        index.candidate_pairs(),
+        index.candidates(candidates.floor(floor)),
         |i, j| {
             // Same-window check: the band-key mixing makes cross-window
             // collisions unlikely but not impossible.
@@ -590,6 +643,39 @@ mod tests {
         );
         assert_eq!(par_report, seq_report);
         assert_eq!(par_labels, seq_labels);
+    }
+
+    #[test]
+    fn pigeonhole_candidates_label_exactly_like_the_unfiltered_pass() {
+        let (engine, collected) = monitored_engine();
+        let mut seeded = LabeledCollection {
+            tweet_labels: vec![None; collected.len()],
+            ..Default::default()
+        };
+        suspended::apply(&collected, &engine.rest(), &mut seeded);
+        let config = ClusteringConfig::default();
+        let mut oracle_labels = seeded.clone();
+        let oracle_report = apply_filtered(
+            &collected,
+            &engine.rest(),
+            &config,
+            &ExecConfig::sequential(),
+            &mut oracle_labels,
+            Candidates::Unfiltered,
+        );
+        assert!(oracle_report.tweet_groups > 0 && oracle_report.account_groups > 0);
+        for threads in [1, 4] {
+            let mut labels = seeded.clone();
+            let report = apply_with(
+                &collected,
+                &engine.rest(),
+                &config,
+                &ExecConfig::with_threads(threads),
+                &mut labels,
+            );
+            assert_eq!(report, oracle_report, "threads {threads}");
+            assert_eq!(labels, oracle_labels, "threads {threads}");
+        }
     }
 
     #[test]

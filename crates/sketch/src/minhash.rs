@@ -8,8 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::shingle::trigram_shingles;
-
 /// Default number of hash functions in a signature.
 pub const DEFAULT_NUM_HASHES: usize = 64;
 
@@ -82,23 +80,54 @@ impl MinHasher {
     {
         let mut mins = vec![u64::MAX; self.num_hashes()];
         for shingle in shingles {
-            let base = fnv1a(shingle.as_ref().as_bytes());
-            for (i, min) in mins.iter_mut().enumerate() {
-                let h = (base ^ self.masks[i]).wrapping_mul(self.multipliers[i]);
-                if h < *min {
-                    *min = h;
-                }
-            }
+            self.absorb(&mut mins, shingle.as_ref().as_bytes());
         }
         MinHashSignature { mins }
     }
 
-    /// Signature of raw text: tri-gram shingles over the text as-is.
+    /// Signature of raw text: tri-gram shingles over the text as-is —
+    /// bit-identical to `signature(trigram_shingles(text))`.
+    ///
+    /// Each character 3-gram is hashed straight out of `text` as a UTF-8
+    /// byte slice, so the only allocation is the signature itself. A
+    /// repeated 3-gram is hashed again, which cannot change a minimum.
+    /// Texts of one or two characters are a single whole-text shingle,
+    /// and the empty text has none, as in
+    /// [`trigram_shingles`](crate::shingle::trigram_shingles).
     ///
     /// Callers that need the paper's normalization should pass the text
     /// through [`crate::shingle::normalize`] first.
     pub fn signature_of_text(&self, text: &str) -> MinHashSignature {
-        self.signature(trigram_shingles(text))
+        let mut mins = vec![u64::MAX; self.num_hashes()];
+        // `starts[k % 3]` holds the byte offset of char boundary k until
+        // boundary k + 3 closes the 3-gram that begins there.
+        let mut starts = [0usize; 3];
+        let mut boundaries = 0usize;
+        let ends = text.char_indices().map(|(at, _)| at).chain([text.len()]);
+        for at in ends {
+            let slot = boundaries % 3;
+            if boundaries >= 3 {
+                self.absorb(&mut mins, &text.as_bytes()[starts[slot]..at]);
+            }
+            starts[slot] = at;
+            boundaries += 1;
+        }
+        // One or two characters: three boundaries at most, no full 3-gram.
+        if (2..=3).contains(&boundaries) {
+            self.absorb(&mut mins, text.as_bytes());
+        }
+        MinHashSignature { mins }
+    }
+
+    /// Folds one shingle's bytes into the running minima.
+    fn absorb(&self, mins: &mut [u64], shingle: &[u8]) {
+        let base = fnv1a(shingle);
+        for ((min, &mask), &multiplier) in mins.iter_mut().zip(&self.masks).zip(&self.multipliers) {
+            let h = (base ^ mask).wrapping_mul(multiplier);
+            if h < *min {
+                *min = h;
+            }
+        }
     }
 }
 
@@ -208,6 +237,37 @@ mod tests {
         let h = MinHasher::new(8, 1);
         let s = h.signature_of_text("");
         assert!(s.as_slice().iter().all(|&m| m == u64::MAX));
+    }
+
+    #[test]
+    fn text_path_equals_shingle_set_path_on_edge_cases() {
+        let texts = [
+            "",
+            "a",
+            "ab",
+            "abc",
+            "abcd",
+            "é",
+            "éß",
+            "中文字",
+            "🚀",
+            "🚀😀",
+            "a🚀b",
+            "🚀🚀🚀🚀🚀",
+            "aaaaaaaaaa",
+            "abababababab",
+            "e\u{301}e\u{301}",
+        ];
+        for width in [1, 16, 64] {
+            let h = MinHasher::new(width, 5);
+            for text in texts {
+                assert_eq!(
+                    h.signature_of_text(text),
+                    h.signature(trigram_shingles(text)),
+                    "width {width}, text {text:?}"
+                );
+            }
+        }
     }
 
     #[test]

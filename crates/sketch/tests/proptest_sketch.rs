@@ -121,6 +121,38 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&est));
     }
 
+    /// The allocation-free text path is bit-identical to hashing the
+    /// materialised shingle set, for arbitrary Unicode: empty and 1–3-char
+    /// texts, multi-byte chars, emoji, and heavily repeated trigrams.
+    #[test]
+    fn signature_of_text_matches_shingle_set(
+        picks in proptest::collection::vec(any::<u32>(), 0..40),
+        alphabet_size in 1usize..12,
+        arbitrary_chars: bool,
+        seed: u64,
+    ) {
+        // A small alphabet forces repeated trigrams; otherwise the code
+        // points are drawn from all of Unicode.
+        const ALPHABET: [char; 11] = ['a', 'b', ' ', 'é', 'ß', '中', '文', '🚀', '😀', '\u{301}', '\0'];
+        let text: String = picks
+            .iter()
+            .map(|&p| {
+                if arbitrary_chars {
+                    char::from_u32(p % 0x11_0000).unwrap_or('\u{fffd}')
+                } else {
+                    ALPHABET[p as usize % alphabet_size.min(ALPHABET.len())]
+                }
+            })
+            .collect();
+        for width in [1usize, 16, 64] {
+            let hasher = MinHasher::new(width, seed);
+            prop_assert_eq!(
+                hasher.signature_of_text(&text),
+                hasher.signature(trigram_shingles(&text))
+            );
+        }
+    }
+
     /// MinHash estimate correlates with true Jaccard for word-ish strings:
     /// equal sets estimate 1.0, disjoint sets estimate low.
     #[test]
