@@ -179,12 +179,25 @@ fn margin_histogram() -> std::sync::Arc<ph_telemetry::Histogram> {
 
 /// The trained production detector.
 pub struct SpamDetector {
-    model: Box<dyn Classifier>,
-    /// The concrete flat forest when the algorithm is RF — the
-    /// explanation path needs direct access to the tree structure that
-    /// `Box<dyn Classifier>` erases.
-    forest: Option<FlatForest>,
+    model: Model,
     tau: f64,
+}
+
+/// The deployed classifier. RF keeps its concrete flat forest — the
+/// explanation path needs the tree structure that `dyn Classifier`
+/// erases — and stores it once.
+enum Model {
+    Forest(FlatForest),
+    Other(Box<dyn Classifier>),
+}
+
+impl Model {
+    fn classifier(&self) -> &dyn Classifier {
+        match self {
+            Model::Forest(forest) => forest,
+            Model::Other(model) => model.as_ref(),
+        }
+    }
 }
 
 impl std::fmt::Debug for SpamDetector {
@@ -200,16 +213,15 @@ impl SpamDetector {
     pub fn train(config: &DetectorConfig, data: &Dataset) -> Self {
         let _span = ph_telemetry::span("ml.train");
         let _phase = ph_trace::phase("ml.train");
-        let (model, flat): (Box<dyn Classifier>, Option<FlatForest>) = match config.algorithm {
+        let model = match config.algorithm {
             PaperAlgorithm::RandomForest => {
-                // Train on the pointer forest, deploy the flattened SoA
-                // layout: bit-identical predictions, no per-level enum
-                // branch or pointer chase on the classify hot path.
+                // Train on the pointer forest, deploy the flattened
+                // packed layout: bit-identical predictions, no per-level
+                // enum branch or pointer chase on the classify hot path.
                 let forest = RandomForest::fit(&config.forest, data, config.seed);
-                let flat = FlatForest::from_forest(&forest);
-                (Box::new(flat.clone()), Some(flat))
+                Model::Forest(FlatForest::from_forest(&forest))
             }
-            other => (Algorithm::from(other).fit_default(data, config.seed), None),
+            other => Model::Other(Algorithm::from(other).fit_default(data, config.seed)),
         };
         if crate::observe::is_enabled() {
             // Capture the per-feature reference histograms this model
@@ -219,7 +231,6 @@ impl SpamDetector {
         }
         Self {
             model,
-            forest: flat,
             tau: config.tau,
         }
     }
@@ -258,7 +269,7 @@ impl SpamDetector {
         for item in stream {
             let c = item.borrow();
             let features = extractor.extract(c, &rest);
-            let (spam, score) = self.model.predict_with_score(&features);
+            let (spam, score) = self.model.classifier().predict_with_score(&features);
             confidence.record(score);
             margin.record((2.0 * score - 1.0).abs());
             extractor.record_verdict(c.slot, spam);
@@ -321,7 +332,10 @@ impl SpamDetector {
         // node-value table is only built for observed batches.
         let observing = crate::observe::is_enabled();
         let explainer = if observing {
-            self.forest.as_ref().map(FlatForest::explainer)
+            match &self.model {
+                Model::Forest(forest) => Some(forest.explainer()),
+                Model::Other(_) => None,
+            }
         } else {
             None
         };
@@ -329,7 +343,7 @@ impl SpamDetector {
         for (i, c) in collected.iter().enumerate() {
             extractor.finish_into(c, matrix.row_mut(i));
             let row = matrix.row(i);
-            let (spam, score) = self.model.predict_with_score(row);
+            let (spam, score) = self.model.classifier().predict_with_score(row);
             confidence.record(score);
             margin.record((2.0 * score - 1.0).abs());
             if observing {
@@ -351,7 +365,7 @@ impl SpamDetector {
 
     /// Classifies one pre-extracted feature vector.
     pub fn predict(&self, features: &[f64]) -> bool {
-        self.model.predict(features)
+        self.model.classifier().predict(features)
     }
 }
 

@@ -4,13 +4,22 @@
 //! nodes behind a `DecisionTree` box: good for growing, bad for the hot
 //! predict path (an enum discriminant branch plus a pointer chase per
 //! level, per tree, per tweet). [`FlatForest`] flattens all trees into one
-//! contiguous struct-of-arrays arena:
+//! contiguous array of 16-byte `PackedNode`s, so a level reads one cache
+//! line:
 //!
-//! - `feature[i]` — split feature index, or [`LEAF`] for a leaf,
-//! - `threshold[i]` — split threshold, or the leaf's mean target,
-//! - `left[i]` — left-child index; the right child is always `left[i] + 1`
-//!   (children are allocated consecutively during flattening), so a level
-//!   step is the branchless `left[i] + (value > threshold) as usize`.
+//! - a split holds its `threshold`, its `feature` and its `left` child;
+//!   the right child is always `left + 1` (children are allocated
+//!   consecutively during flattening), so a level step is the branchless
+//!   `left + !(row[feature] <= threshold)`;
+//! - a leaf is a self-loop: `threshold = NaN`, `feature = 0`, `left` one
+//!   below its own index (wrapping at node 0). `!(x <= NaN)` holds for
+//!   every `x`, so the same step lands on `left + 1`, the leaf itself.
+//!   Leaf values sit in a side array read once per tree.
+//!
+//! Because a finished walk stands still, [`FlatForest::predict_probability`]
+//! advances `LANES` trees per step and stops when no lane moved: the
+//! lanes' loads are independent, so their cache misses overlap instead of
+//! chaining tree after tree.
 //!
 //! Predictions are bit-identical to the pointer forest: each tree lands in
 //! the same leaf (same `<=` comparisons, same NaN routing via the negated
@@ -28,14 +37,55 @@ use crate::forest::RandomForest;
 use crate::tree::{Node, TreeCore};
 use crate::Classifier;
 
-/// Sentinel in `feature` marking a leaf node.
+/// Sentinel in the byte codec's `feature` array marking a leaf node.
 const LEAF: u32 = u32::MAX;
 
 /// Magic prefix of the byte codec (`b"PHFF"`, version 1).
 const MAGIC: [u8; 4] = *b"PHFF";
 const VERSION: u32 = 1;
 
-/// All trees of a random forest flattened into contiguous node arrays.
+/// Trees walked side by side per row: enough independent loads to overlap
+/// their latency. Much wider groups spill the lane state out of registers
+/// (16 lanes lose the gain; DESIGN.md §14).
+const LANES: usize = 8;
+
+/// One flattened node: a split, or a self-looping leaf (see the module
+/// docs).
+#[derive(Debug, Clone, Copy)]
+struct PackedNode {
+    threshold: f64,
+    feature: u32,
+    left: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedNode>() == 16);
+
+impl PackedNode {
+    /// The self-loop stored at leaf index `at`.
+    fn leaf(at: u32) -> Self {
+        Self {
+            threshold: f64::NAN,
+            feature: 0,
+            left: at.wrapping_sub(1),
+        }
+    }
+
+    /// One level of the walk: the child `row` routes to, or the leaf
+    /// itself. `!(x <= t)` is load-bearing, not a clumsy `x > t`: NaN must
+    /// fail the comparison and take the right child, as the pointer walk
+    /// does, and every value fails against a leaf's NaN threshold.
+    ///
+    /// A zero-width forest is all leaves and reads no feature, so the
+    /// missing column reads as NaN there.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[inline(always)]
+    fn step(self, row: &[f64]) -> u32 {
+        let x = row.get(self.feature as usize).copied().unwrap_or(f64::NAN);
+        self.left.wrapping_add(u32::from(!(x <= self.threshold)))
+    }
+}
+
+/// All trees of a random forest flattened into one contiguous node array.
 ///
 /// # Example
 ///
@@ -56,18 +106,26 @@ const VERSION: u32 = 1;
 /// );
 /// # Ok::<(), ph_ml::data::DatasetError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlatForest {
     num_features: u32,
     /// Root node index of each tree.
     roots: Vec<u32>,
-    /// Split feature per node ([`LEAF`] for leaves).
-    feature: Vec<u32>,
-    /// Split threshold per node (leaf mean for leaves).
-    threshold: Vec<f64>,
-    /// Left-child index per node (0 for leaves); right child = left + 1.
-    left: Vec<u32>,
+    nodes: Vec<PackedNode>,
+    /// Leaf value (mean target) per node; 0.0 at splits.
+    leaf_value: Vec<f64>,
 }
+
+/// Bitwise equality: the byte codec is a lossless image of the forest,
+/// so two forests are equal when they encode to the same bytes. (A
+/// derived `==` would call every leaf's NaN threshold unequal to itself.)
+impl PartialEq for FlatForest {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_bytes() == other.to_bytes()
+    }
+}
+
+impl Eq for FlatForest {}
 
 impl FlatForest {
     /// Flattens a fitted pointer forest.
@@ -84,9 +142,8 @@ impl FlatForest {
         let mut flat = Self {
             num_features: 0,
             roots: Vec::with_capacity(forest.num_trees()),
-            feature: Vec::new(),
-            threshold: Vec::new(),
-            left: Vec::new(),
+            nodes: Vec::new(),
+            leaf_value: Vec::new(),
         };
         for tree in forest.trees() {
             let core = tree.core();
@@ -105,8 +162,7 @@ impl FlatForest {
         while let Some((old, new)) = stack.pop() {
             match &core.nodes[old] {
                 Node::Leaf { value } => {
-                    self.feature[new as usize] = LEAF;
-                    self.threshold[new as usize] = *value;
+                    self.leaf_value[new as usize] = *value;
                 }
                 Node::Split {
                     feature,
@@ -117,9 +173,11 @@ impl FlatForest {
                     let lnew = self.alloc();
                     let rnew = self.alloc();
                     debug_assert_eq!(rnew, lnew + 1);
-                    self.feature[new as usize] = *feature as u32;
-                    self.threshold[new as usize] = *threshold;
-                    self.left[new as usize] = lnew;
+                    self.nodes[new as usize] = PackedNode {
+                        threshold: *threshold,
+                        feature: *feature as u32,
+                        left: lnew,
+                    };
                     stack.push((*right, rnew));
                     stack.push((*left, lnew));
                 }
@@ -128,12 +186,18 @@ impl FlatForest {
         root
     }
 
+    /// Appends a node, a leaf until its split (if any) is written.
     fn alloc(&mut self) -> u32 {
-        let at = self.feature.len() as u32;
-        self.feature.push(LEAF);
-        self.threshold.push(0.0);
-        self.left.push(0);
+        let at = self.nodes.len() as u32;
+        self.nodes.push(PackedNode::leaf(at));
+        self.leaf_value.push(0.0);
         at
+    }
+
+    /// Whether node `at` is a leaf: only a leaf's `left + 1` is itself
+    /// (a split's children lie strictly after it).
+    fn is_leaf(&self, at: usize) -> bool {
+        self.nodes[at].left.wrapping_add(1) as usize == at
     }
 
     /// Number of trees.
@@ -148,25 +212,37 @@ impl FlatForest {
 
     /// Total node count across all trees.
     pub fn num_nodes(&self) -> usize {
-        self.feature.len()
+        self.nodes.len()
     }
 
-    /// Walks one tree to its leaf value for `row`.
-    // `!(x <= t)` is load-bearing, not a clumsy `x > t`: NaN must fail
-    // the comparison and take the right child, as the pointer walk does.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    /// Positive votes for `row`: walks the trees [`LANES`] at a time,
+    /// stepping every lane each round until none moved (a lane parked on
+    /// its leaf steps onto itself). A short last group pads its idle lanes
+    /// with its first tree and counts only the real ones.
     #[inline]
-    fn leaf_value(&self, root: u32, row: &[f64]) -> f64 {
-        let mut at = root as usize;
-        loop {
-            let f = self.feature[at];
-            if f == LEAF {
-                return self.threshold[at];
+    fn votes(&self, row: &[f64]) -> usize {
+        let nodes = self.nodes.as_slice();
+        let mut votes = 0;
+        for trees in self.roots.chunks(LANES) {
+            let mut at = [trees[0]; LANES];
+            at[..trees.len()].copy_from_slice(trees);
+            loop {
+                let mut moved = false;
+                for lane in &mut at {
+                    let next = nodes[*lane as usize].step(row);
+                    moved |= next != *lane;
+                    *lane = next;
+                }
+                if !moved {
+                    break;
+                }
             }
-            // `!(x <= t)` (not `x > t`) keeps the pointer tree's NaN
-            // routing: NaN fails `<=` and goes right.
-            at = self.left[at] as usize + usize::from(!(row[f as usize] <= self.threshold[at]));
+            votes += at[..trees.len()]
+                .iter()
+                .filter(|&&leaf| self.leaf_value[leaf as usize] >= 0.5)
+                .count();
         }
+        votes
     }
 
     /// Fraction of trees voting positive — bit-identical to
@@ -181,59 +257,64 @@ impl FlatForest {
             self.num_features as usize,
             "feature width mismatch with training data"
         );
-        let votes = self
-            .roots
-            .iter()
-            .filter(|&&root| self.leaf_value(root, features) >= 0.5)
-            .count();
-        votes as f64 / self.roots.len() as f64
+        self.votes(features) as f64 / self.roots.len() as f64
     }
 
-    /// Batch kernel over a contiguous row-major matrix: `data` holds
-    /// `n_rows` rows of `num_features()` values each. Evaluates tree-outer
-    /// / row-inner so each tree's node arrays stay hot in cache, and
-    /// returns one vote-fraction probability per row (bit-identical to
-    /// calling [`Self::predict_probability`] per row).
+    /// Batch predict over a contiguous row-major matrix: `data` holds
+    /// `n_rows` rows of `num_features()` values each. Walks row by row
+    /// through the same lane kernel as [`Self::predict_probability`], so
+    /// it times and returns exactly what the deployed per-row path does.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != n_rows * num_features()`.
     pub fn predict_batch(&self, data: &[f64], n_rows: usize) -> Vec<f64> {
+        let width = self.num_features as usize;
         assert_eq!(
             data.len(),
-            n_rows * self.num_features as usize,
+            n_rows * width,
             "feature width mismatch with training data"
         );
-        let mut votes = vec![0u32; n_rows];
-        let width = self.num_features as usize;
-        for &root in &self.roots {
-            for (row, vote) in data.chunks_exact(width.max(1)).zip(votes.iter_mut()) {
-                *vote += u32::from(self.leaf_value(root, row) >= 0.5);
-            }
-        }
         let num_trees = self.roots.len() as f64;
-        votes.into_iter().map(|v| v as f64 / num_trees).collect()
+        (0..n_rows)
+            .map(|i| self.votes(&data[i * width..(i + 1) * width]) as f64 / num_trees)
+            .collect()
     }
 
-    /// Serializes to the versioned little-endian byte format.
+    /// Node `at` as the byte codec's `(feature, threshold, left)` triple:
+    /// `(LEAF, leaf value, 0)` for a leaf.
+    fn v1_node(&self, at: usize) -> (u32, f64, u32) {
+        if self.is_leaf(at) {
+            (LEAF, self.leaf_value[at], 0)
+        } else {
+            let node = self.nodes[at];
+            (node.feature, node.threshold, node.left)
+        }
+    }
+
+    /// Serializes to the versioned little-endian byte format: the
+    /// header, the roots, then v1's `feature` (`u32::MAX` at leaves),
+    /// `threshold` (the leaf value at leaves) and `left` (0 at leaves)
+    /// arrays.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.roots.len() * 4 + self.feature.len() * 16);
+        let mut out = Vec::with_capacity(24 + self.roots.len() * 4 + self.nodes.len() * 16);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&self.num_features.to_le_bytes());
         out.extend_from_slice(&(self.roots.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.feature.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
         for &r in &self.roots {
             out.extend_from_slice(&r.to_le_bytes());
         }
-        for &f in &self.feature {
-            out.extend_from_slice(&f.to_le_bytes());
+        let n = self.nodes.len();
+        for (feature, _, _) in (0..n).map(|i| self.v1_node(i)) {
+            out.extend_from_slice(&feature.to_le_bytes());
         }
-        for &t in &self.threshold {
-            out.extend_from_slice(&t.to_le_bytes());
+        for (_, threshold, _) in (0..n).map(|i| self.v1_node(i)) {
+            out.extend_from_slice(&threshold.to_le_bytes());
         }
-        for &l in &self.left {
-            out.extend_from_slice(&l.to_le_bytes());
+        for (_, _, left) in (0..n).map(|i| self.v1_node(i)) {
+            out.extend_from_slice(&left.to_le_bytes());
         }
         out
     }
@@ -294,8 +375,12 @@ impl FlatForest {
                 return Err(Structural("root index out of range"));
             }
         }
+        let mut nodes = Vec::with_capacity(num_nodes);
+        let mut leaf_value = vec![0.0; num_nodes];
         for i in 0..num_nodes {
             if feature[i] == LEAF {
+                nodes.push(PackedNode::leaf(i as u32));
+                leaf_value[i] = threshold[i];
                 continue;
             }
             if feature[i] >= num_features {
@@ -307,13 +392,17 @@ impl FlatForest {
             if l <= i || l + 1 >= num_nodes {
                 return Err(Structural("child index out of range"));
             }
+            nodes.push(PackedNode {
+                threshold: threshold[i],
+                feature: feature[i],
+                left: left[i],
+            });
         }
         Ok(Self {
             num_features,
             roots,
-            feature,
-            threshold,
-            left,
+            nodes,
+            leaf_value,
         })
     }
 }
@@ -365,15 +454,15 @@ impl FlatForest {
     /// after their parent (and the byte decoder enforces `left > node`),
     /// so both child values exist by the time a split is folded.
     pub fn explainer(&self) -> ForestExplainer<'_> {
-        let n = self.feature.len();
+        let n = self.nodes.len();
         let mut value = vec![0.0f64; n];
         let mut leaves = vec![0u64; n];
         for i in (0..n).rev() {
-            if self.feature[i] == LEAF {
-                value[i] = f64::from(self.threshold[i] >= 0.5);
+            if self.is_leaf(i) {
+                value[i] = f64::from(self.leaf_value[i] >= 0.5);
                 leaves[i] = 1;
             } else {
-                let l = self.left[i] as usize;
+                let l = self.nodes[i].left as usize;
                 let (wl, wr) = (leaves[l] as f64, leaves[l + 1] as f64);
                 leaves[i] = leaves[l] + leaves[l + 1];
                 value[i] = (value[l] * wl + value[l + 1] * wr) / (wl + wr);
@@ -395,14 +484,13 @@ impl ForestExplainer<'_> {
         self.baseline
     }
 
-    /// Explains one prediction: walks every tree exactly like
-    /// [`FlatForest::predict_probability`], crediting each level's
-    /// expected-vote change to the split feature.
+    /// Explains one prediction: walks every tree with the predict path's
+    /// step, one tree at a time, crediting each level's expected-vote
+    /// change to the split feature.
     ///
     /// # Panics
     ///
     /// Panics if `row.len()` differs from the training width.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn explain(&self, row: &[f64]) -> Explanation {
         let forest = self.forest;
         assert_eq!(
@@ -416,16 +504,14 @@ impl ForestExplainer<'_> {
         for &root in &forest.roots {
             let mut at = root as usize;
             loop {
-                let f = forest.feature[at];
-                if f == LEAF {
+                let node = forest.nodes[at];
+                let next = node.step(row) as usize;
+                if next == at {
                     // Same comparison as the predict walk's vote test.
-                    votes += usize::from(forest.threshold[at] >= 0.5);
+                    votes += usize::from(forest.leaf_value[at] >= 0.5);
                     break;
                 }
-                // Same NaN-goes-right step as `leaf_value`.
-                let next = forest.left[at] as usize
-                    + usize::from(!(row[f as usize] <= forest.threshold[at]));
-                contributions[f as usize] += (self.value[next] - self.value[at]) * inv;
+                contributions[node.feature as usize] += (self.value[next] - self.value[at]) * inv;
                 at = next;
             }
         }
@@ -549,6 +635,71 @@ mod tests {
         assert_eq!(flat, back);
     }
 
+    /// The v1 byte image of a fixed forest, pinned by length and CRC-32:
+    /// the in-memory node layout may change, the wire format may not.
+    #[test]
+    fn byte_codec_matches_the_v1_golden_image() {
+        fn crc32(bytes: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &b in bytes {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        }
+        let (forest, _) = fitted(60, 5, 11);
+        let bytes = FlatForest::from_forest(&forest).to_bytes();
+        assert_eq!(bytes.len(), 344);
+        assert_eq!(crc32(&bytes), 0xcfb2_6312);
+        // Leaves keep v1's sentinel, leaf value and zero child.
+        let n = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+        let (features_at, thresholds_at) = (40, 40 + 4 * n);
+        let lefts_at = thresholds_at + 8 * n;
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let leaves: Vec<usize> = (0..n)
+            .filter(|&i| word(features_at + 4 * i) == LEAF)
+            .collect();
+        assert!(!leaves.is_empty());
+        for i in leaves {
+            assert_eq!(word(lefts_at + 4 * i), 0);
+            let t = f64::from_le_bytes(bytes[thresholds_at + 8 * i..][..8].try_into().unwrap());
+            assert!((0.0..=1.0).contains(&t), "leaf value {t}");
+        }
+    }
+
+    /// Every split probed at its exact threshold and at the adjacent
+    /// floats on both sides: the `<=` boundary routes as the pointer
+    /// walk's does, in the lane kernel, the batch path and the explainer.
+    #[test]
+    fn split_thresholds_and_their_neighbours_route_like_the_pointer_forest() {
+        let (forest, data) = fitted(150, 12, 7);
+        let flat = FlatForest::from_forest(&forest);
+        let explainer = flat.explainer();
+        let base = data.row(75).to_vec();
+        let mut probes = Vec::new();
+        for i in (0..flat.num_nodes()).filter(|&i| !flat.is_leaf(i)) {
+            let PackedNode {
+                threshold, feature, ..
+            } = flat.nodes[i];
+            for x in [threshold.next_down(), threshold, threshold.next_up()] {
+                let mut row = base.clone();
+                row[feature as usize] = x;
+                probes.push(row);
+            }
+        }
+        assert!(probes.len() >= 30);
+        let matrix: Vec<f64> = probes.concat();
+        let batch = flat.predict_batch(&matrix, probes.len());
+        for (row, p) in probes.iter().zip(batch) {
+            let expected = forest.predict_probability(row).to_bits();
+            assert_eq!(flat.predict_probability(row).to_bits(), expected);
+            assert_eq!(p.to_bits(), expected);
+            assert_eq!(explainer.explain(row).probability.to_bits(), expected);
+        }
+    }
+
     #[test]
     fn decode_rejects_corruption() {
         let (forest, _) = fitted(40, 3, 2);
@@ -578,20 +729,20 @@ mod tests {
 
     #[test]
     fn decode_never_builds_a_walkable_cycle() {
-        // A split whose child points at itself must be rejected.
+        // A split whose child points at itself or backward must be
+        // rejected: the walk would never reach a leaf.
         let (forest, _) = fitted(40, 3, 2);
         let flat = FlatForest::from_forest(&forest);
-        let mut bytes = flat.to_bytes();
-        // Find the first split node and corrupt its left child to 0.
-        let num_roots = flat.roots.len();
-        let nodes_at = 20 + num_roots * 4 + flat.feature.len() * 12;
-        let split = flat.feature.iter().position(|&f| f != LEAF).unwrap();
-        bytes[nodes_at + split * 4..nodes_at + split * 4 + 4]
-            .copy_from_slice(&(split as u32).to_le_bytes());
-        assert!(matches!(
-            FlatForest::from_bytes(&bytes),
-            Err(FlatForestDecodeError::Structural(_))
-        ));
+        let lefts_at = 20 + flat.roots.len() * 4 + flat.num_nodes() * 12;
+        let split = (1..flat.num_nodes()).find(|&i| !flat.is_leaf(i)).unwrap();
+        for child in [split, split - 1] {
+            let mut bytes = flat.to_bytes();
+            bytes[lefts_at + split * 4..][..4].copy_from_slice(&(child as u32).to_le_bytes());
+            assert!(matches!(
+                FlatForest::from_bytes(&bytes),
+                Err(FlatForestDecodeError::Structural(_))
+            ));
+        }
     }
 
     #[test]
@@ -653,11 +804,9 @@ mod tests {
         let flat = FlatForest::from_forest(&forest);
         let explainer = flat.explainer();
         assert!((0.0..=1.0).contains(&explainer.baseline()));
-        let split_features: std::collections::HashSet<u32> = flat
-            .feature
-            .iter()
-            .copied()
-            .filter(|&f| f != LEAF)
+        let split_features: std::collections::HashSet<u32> = (0..flat.num_nodes())
+            .filter(|&i| !flat.is_leaf(i))
+            .map(|i| flat.nodes[i].feature)
             .collect();
         let e = explainer.explain(&[70.0, 1.0]);
         for (f, &c) in e.contributions.iter().enumerate() {

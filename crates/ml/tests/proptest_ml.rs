@@ -209,20 +209,30 @@ proptest! {
         }
     }
 
-    /// The flattened SoA forest agrees bit-for-bit with the pointer forest
-    /// on arbitrary fitted forests and query rows: per-row probabilities,
-    /// the batch kernel over a contiguous matrix, and the byte codec all
-    /// preserve exact `f64` bits.
+    /// Every flat-forest entry point agrees bit for bit with the pointer
+    /// forest: per-row probabilities, `predict_with_score`, both batch
+    /// paths, the explainer's probability and the byte codec. Forest sizes
+    /// sit around the 8-tree lane width, constant labels grow single-leaf
+    /// trees (the first root is a leaf at node 0, whose self-loop wraps),
+    /// and query rows mix arbitrary values with NaN, ±inf, ±0.0, ±1e300
+    /// and exact training values.
     #[test]
     fn flat_forest_is_bit_identical(
         data in dataset_strategy(),
         seed: u64,
-        trees in 1usize..9,
+        size in 0usize..6,
+        constant in 0u8..3,
         queries in proptest::collection::vec(
-            proptest::collection::vec(-1e3f64..1e3, 5),
+            proptest::collection::vec((-1e3f64..1e3, 0usize..16), 5),
             1..12,
         ),
     ) {
+        let trees = [1, 7, 8, 9, 16, 70][size];
+        // 0: the strategy's mixed labels; 1, 2: all ham, all spam.
+        let data = match constant {
+            0 => data,
+            c => Dataset::new(data.rows().to_vec(), vec![c == 2; data.len()]).unwrap(),
+        };
         let forest = RandomForest::fit(
             &RandomForestConfig { num_trees: trees, parallel: false, ..Default::default() },
             &data,
@@ -230,28 +240,49 @@ proptest! {
         );
         let flat = FlatForest::from_forest(&forest);
         let width = flat.num_features();
+        let hostile = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e300,
+            -1e300,
+            data.row(0)[0],
+        ];
         // Query rows trimmed to the training width; training rows too.
         let rows: Vec<Vec<f64>> = data
             .rows()
             .iter()
             .cloned()
-            .chain(queries.into_iter().map(|q| q[..width].to_vec()))
+            .chain(queries.into_iter().map(|q| {
+                q[..width]
+                    .iter()
+                    .map(|&(x, k)| hostile.get(k).copied().unwrap_or(x))
+                    .collect()
+            }))
             .collect();
-        let mut matrix = Vec::with_capacity(rows.len() * width);
-        for row in &rows {
-            matrix.extend_from_slice(row);
-        }
+        let matrix: Vec<f64> = rows.concat();
         let batch = flat.predict_batch(&matrix, rows.len());
+        let verdicts = Classifier::predict_batch(&flat, &rows);
+        let explainer = flat.explainer();
         let decoded = FlatForest::from_bytes(&flat.to_bytes()).unwrap();
         prop_assert_eq!(&decoded, &flat, "byte codec round-trip diverged");
-        for (row, &p_batch) in rows.iter().zip(&batch) {
+        for (i, row) in rows.iter().enumerate() {
             let expected = forest.predict_probability(row);
             prop_assert_eq!(flat.predict_probability(row).to_bits(), expected.to_bits());
-            prop_assert_eq!(p_batch.to_bits(), expected.to_bits());
+            let (spam, score) = flat.predict_with_score(row);
+            prop_assert_eq!((spam, score.to_bits()), (expected >= 0.5, expected.to_bits()));
+            prop_assert_eq!(verdicts[i], expected >= 0.5);
+            prop_assert_eq!(batch[i].to_bits(), expected.to_bits());
+            prop_assert_eq!(explainer.explain(row).probability.to_bits(), expected.to_bits());
             prop_assert_eq!(
                 decoded.predict_probability(row).to_bits(),
                 expected.to_bits()
             );
+        }
+        if constant != 0 {
+            prop_assert_eq!(flat.num_nodes(), trees, "constant labels grow single-leaf trees");
         }
     }
 
