@@ -15,7 +15,7 @@ use ph_twitter_sim::engine::Engine;
 use ph_twitter_sim::AccountId;
 use serde::{Deserialize, Serialize};
 
-use crate::features::{self, FeatureExtractor};
+use crate::features::{self, FeatureExtractor, ProfileLookup};
 use crate::labeling::LabeledCollection;
 use crate::monitor::CollectedTweet;
 
@@ -317,15 +317,14 @@ impl SpamDetector {
     /// *caller's* extractor — which is what lets the streaming classifier
     /// carry extractor state across hourly batches while the batch path
     /// uses a fresh one.
-    fn classify_fold(
+    fn classify_fold<P: ProfileLookup + ?Sized>(
         &self,
         extractor: &mut FeatureExtractor,
         collected: &[CollectedTweet],
-        engine: &Engine,
+        profiles: &P,
         exec: &ExecConfig,
     ) -> Vec<Verdict> {
-        let rest = engine.rest();
-        let mut matrix = features::pure_batch_matrix(collected, &rest, exec);
+        let mut matrix = features::pure_batch_matrix(collected, profiles, exec);
         let confidence = confidence_histogram();
         let margin = margin_histogram();
         // Zero-cost when off: one relaxed load decides; the explainer's
@@ -410,18 +409,20 @@ impl StreamClassifier {
     /// Classifies one hour's collected batch in delivery order, carrying
     /// the environment-score state forward. Emits the same
     /// `detect.classify` span and `detect.tweets_classified` /
-    /// `detect.spam_predicted` counters as the batch path.
-    pub fn classify_hour(
+    /// `detect.spam_predicted` counters as the batch path. Profiles come
+    /// from `profiles` — the engine itself, or a copy of its directory
+    /// (see [`ProfileLookup`]).
+    pub fn classify_hour<P: ProfileLookup + ?Sized>(
         &mut self,
         collected: &[CollectedTweet],
-        engine: &Engine,
+        profiles: &P,
         exec: &ExecConfig,
     ) -> Vec<Verdict> {
         let _span = ph_telemetry::span("detect.classify");
         let _phase = ph_trace::phase("detect.classify");
         let verdicts = self
             .detector
-            .classify_fold(&mut self.extractor, collected, engine, exec);
+            .classify_fold(&mut self.extractor, collected, profiles, exec);
         ph_telemetry::cached_counter!("detect.tweets_classified").add(verdicts.len() as u64);
         ph_telemetry::cached_counter!("detect.spam_predicted")
             .add(verdicts.iter().filter(|v| v.spam).count() as u64);
@@ -588,6 +589,78 @@ mod tests {
             i = j;
         }
         assert_eq!(predictions, batch.predictions);
+    }
+
+    /// The daemon classifies from its own copy of the replica's profile
+    /// directory, extended by the accounts each hour creates. Under heavy
+    /// suspension and replacement churn that copy must give the engine's
+    /// verdicts bit for bit, every hour.
+    #[test]
+    fn classify_hour_from_a_profile_copy_matches_the_engine() {
+        use crate::monitor::{MemorySink, StreamMonitor};
+        use ph_twitter_sim::Profile;
+
+        let (training_engine, collected, labels) = pipeline_run();
+        let (data, _) = build_training_data(&collected, &labels, &training_engine, 0.01);
+        let config = DetectorConfig {
+            forest: RandomForestConfig {
+                num_trees: 10,
+                ..DetectorConfig::default().forest
+            },
+            ..Default::default()
+        };
+        let mut from_engine = StreamClassifier::new(SpamDetector::train(&config, &data));
+        let mut from_copy = StreamClassifier::new(SpamDetector::train(&config, &data));
+
+        let mut live = Engine::new(SimConfig {
+            seed: 72,
+            num_organic: 600,
+            num_campaigns: 4,
+            accounts_per_campaign: 8,
+            suspension_rate_per_hour: 0.5,
+            campaign_replenishment_rate: 1.0,
+            ..Default::default()
+        });
+        let streaming = live.streaming();
+        let firehose =
+            streaming.firehose_with_capacity(ph_twitter_sim::api::DEFAULT_QUEUE_CAPACITY);
+        let mut profiles: Vec<Profile> = live.rest().profiles().cloned().collect();
+        let initial_accounts = profiles.len();
+        let runner = Runner::new(RunnerConfig {
+            slots: vec![
+                SampleAttribute::profile(ProfileAttribute::ListsPerDay, 1.0),
+                SampleAttribute::profile(ProfileAttribute::FollowersCount, 10_000.0),
+            ],
+            switch_interval_hours: 1,
+            ..Default::default()
+        });
+        let exec = ExecConfig::with_threads(2);
+        let mut monitor = StreamMonitor::new(runner, 12);
+        let mut classified = 0;
+        while !monitor.complete() {
+            monitor.begin_hour(&mut live);
+            let delivered = streaming.poll(firehose).unwrap();
+            let batch = monitor.finish_hour(delivered, 0, &mut MemorySink).unwrap();
+            let known = profiles.len();
+            profiles.extend(live.rest().profiles().skip(known).cloned());
+            let expected = from_engine.classify_hour(&batch, &live, &exec);
+            let got = from_copy.classify_hour(&batch, profiles.as_slice(), &exec);
+            let bits = |v: &[Verdict]| -> Vec<(bool, u64)> {
+                v.iter().map(|v| (v.spam, v.score.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(&got),
+                bits(&expected),
+                "hour {} diverged",
+                monitor.state().next_hour - 1
+            );
+            classified += batch.len();
+        }
+        assert!(classified > 0, "nothing was classified");
+        assert!(
+            profiles.len() > initial_accounts,
+            "churn created no accounts"
+        );
     }
 
     #[test]

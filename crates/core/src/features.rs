@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use ph_exec::ExecConfig;
-use ph_twitter_sim::engine::RestApi;
+use ph_twitter_sim::engine::{Engine, RestApi};
 use ph_twitter_sim::{AccountId, Profile, SimTime, Tweet, TweetKind};
 use serde::{Deserialize, Serialize};
 
@@ -26,6 +26,38 @@ pub const FEATURE_COUNT: usize = 58;
 /// Default τ — the environment score assigned while an attribute group has
 /// produced no spam yet.
 pub const DEFAULT_TAU: f64 = 0.01;
+
+/// Where the pure feature phase looks up author profiles.
+///
+/// Profiles never change once an account exists, and the engine only ever
+/// appends accounts (campaign replacements at the end of an hour), so a
+/// directory copied from an engine and extended with each hour's new
+/// accounts answers exactly as the engine does — the daemon classifies
+/// from such a copy while its replica engine steps ahead on another
+/// thread.
+pub trait ProfileLookup: Sync {
+    /// The public profile of `id`, if the account exists.
+    fn profile(&self, id: AccountId) -> Option<&Profile>;
+}
+
+impl ProfileLookup for RestApi<'_> {
+    fn profile(&self, id: AccountId) -> Option<&Profile> {
+        RestApi::profile(self, id)
+    }
+}
+
+impl ProfileLookup for Engine {
+    fn profile(&self, id: AccountId) -> Option<&Profile> {
+        self.rest().profile(id)
+    }
+}
+
+/// A profile directory indexed by account id (`profiles[id]` is `id`'s).
+impl ProfileLookup for [Profile] {
+    fn profile(&self, id: AccountId) -> Option<&Profile> {
+        self.get(id.index())
+    }
+}
 
 /// Sentinel mention time (minutes) when a tweet carries no reaction
 /// context; one full day, i.e. "slower than any real reaction we track".
@@ -347,7 +379,7 @@ impl Default for FeatureExtractor {
 /// profiles, content shape, and mention time computed; every
 /// stream-order-dependent slot left at 0.0 for
 /// [`FeatureExtractor::finish`] to fill. Because [`pure_features`] reads
-/// only the tweet and the REST facade — never extractor state — it can run
+/// only the tweet and a [`ProfileLookup`] — never extractor state — it can run
 /// on any worker thread in any order.
 ///
 /// Stored as a fixed `[f64; 58]` array: the pure phase performs **zero**
@@ -366,15 +398,22 @@ impl PureFeatures {
 
 /// Computes the pure (stateless) phase of feature extraction for one
 /// collected tweet. See [`PureFeatures`].
-pub fn pure_features(collected: &CollectedTweet, rest: &RestApi<'_>) -> PureFeatures {
+pub fn pure_features<P: ProfileLookup + ?Sized>(
+    collected: &CollectedTweet,
+    profiles: &P,
+) -> PureFeatures {
     let mut features = [0.0f64; FEATURE_COUNT];
-    fill_pure_features(collected, rest, &mut features);
+    fill_pure_features(collected, profiles, &mut features);
     PureFeatures(features)
 }
 
 /// Writes the pure phase into a caller-owned row (every slot is assigned,
 /// so rows may be reused without re-zeroing).
-fn fill_pure_features(collected: &CollectedTweet, rest: &RestApi<'_>, features: &mut [f64]) {
+fn fill_pure_features<P: ProfileLookup + ?Sized>(
+    collected: &CollectedTweet,
+    profiles: &P,
+    features: &mut [f64],
+) {
     debug_assert_eq!(features.len(), FEATURE_COUNT);
     let tweet = &collected.tweet;
     let sender_id = tweet.author;
@@ -383,12 +422,12 @@ fn fill_pure_features(collected: &CollectedTweet, rest: &RestApi<'_>, features: 
     let receiver_id = (collected.node != sender_id).then_some(collected.node);
 
     // Sender profile (16).
-    match rest.profile(sender_id) {
+    match profiles.profile(sender_id) {
         Some(p) => write_profile(&mut features[0..16], p),
         None => features[0..16].fill(0.0),
     }
     // Receiver profile (16).
-    match receiver_id.and_then(|id| rest.profile(id)) {
+    match receiver_id.and_then(|id| profiles.profile(id)) {
         Some(p) => write_profile(&mut features[16..32], p),
         None => features[16..32].fill(0.0),
     }
@@ -422,19 +461,18 @@ fn fill_pure_features(collected: &CollectedTweet, rest: &RestApi<'_>, features: 
 /// The stage is pure and CPU-heavy, so it declares
 /// [`ph_exec::StageWeight::CpuBound`]: records deal round-robin across
 /// every worker instead of collapsing onto the author-hash shards.
-pub fn pure_batch(
+pub fn pure_batch<P: ProfileLookup + ?Sized>(
     collected: &[CollectedTweet],
-    rest: &RestApi<'_>,
+    profiles: &P,
     exec: &ExecConfig,
 ) -> Vec<PureFeatures> {
-    let rest = *rest;
     ph_exec::run_weighted(
         exec,
         "features.pure",
         ph_exec::StageWeight::CpuBound,
         collected.iter().collect(),
         |c: &&CollectedTweet| u64::from(c.tweet.author.0),
-        |_worker| move |c: &CollectedTweet| pure_features(c, &rest),
+        |_worker| move |c: &CollectedTweet| pure_features(c, profiles),
     )
 }
 
@@ -477,12 +515,12 @@ impl FeatureMatrix {
 
 /// [`pure_batch`] assembled into one contiguous [`FeatureMatrix`]: a single
 /// batch-sized allocation instead of one `Vec` per tweet.
-pub fn pure_batch_matrix(
+pub fn pure_batch_matrix<P: ProfileLookup + ?Sized>(
     collected: &[CollectedTweet],
-    rest: &RestApi<'_>,
+    profiles: &P,
     exec: &ExecConfig,
 ) -> FeatureMatrix {
-    let pure = pure_batch(collected, rest, exec);
+    let pure = pure_batch(collected, profiles, exec);
     let mut data = Vec::with_capacity(pure.len() * FEATURE_COUNT);
     for p in &pure {
         data.extend_from_slice(&p.0);

@@ -445,7 +445,7 @@ impl Runner {
             if self.stop_requested() {
                 break;
             }
-            if hour_index % self.config.switch_interval_hours.max(1) == 0 {
+            if self.switch_due(hour_index) {
                 let switch_span = ph_telemetry::span("switch");
                 let _switch_phase = ph_trace::phase("monitor.switch");
                 let network = make_network(engine, state.round);
@@ -505,6 +505,53 @@ impl Runner {
         finish_segment_telemetry(&segment, self.config.buffer_capacity);
         streaming.close(subscription);
         Ok(segment)
+    }
+
+    /// Whether run-relative hour `hour_index` opens a switch round.
+    fn switch_due(&self, hour_index: u64) -> bool {
+        hour_index.is_multiple_of(self.config.switch_interval_hours.max(1))
+    }
+
+    /// The engine side of opening run-relative hour `hour_index`: selects
+    /// switch round `round`'s network if one is due (on `engine` *before*
+    /// stepping, like the batch loop), then steps `engine` into the hour.
+    /// Returns the network and the absolute hour stepped through — what
+    /// [`StreamMonitor::begin_hour_with`] takes.
+    ///
+    /// Telemetry lands on the calling thread, wherever that is: the
+    /// `switch` span, the `monitor.switch_latency_ms` histogram and the
+    /// `monitor.switch` / `sim.step_hour` trace phases, which are flushed
+    /// to the trace sink before returning so a dedicated thread needs no
+    /// teardown of its own.
+    pub fn open_hour(
+        &self,
+        engine: &mut Engine,
+        hour_index: u64,
+        round: u64,
+    ) -> (Option<PseudoHoneypotNetwork>, u64) {
+        let network = self.switch_due(hour_index).then(|| {
+            let switch_span = ph_telemetry::span("switch");
+            let _switch_phase = ph_trace::phase("monitor.switch");
+            let network = select_network(
+                engine,
+                &self.config.slots,
+                &self.config.selector,
+                self.config.seed.wrapping_add(round),
+            );
+            ph_telemetry::histogram(
+                "monitor.switch_latency_ms",
+                &ph_telemetry::default_latency_buckets_ms(),
+            )
+            .record(switch_span.elapsed_ms());
+            network
+        });
+        let hour = engine.now().whole_hours();
+        {
+            let _step_phase = ph_trace::phase("sim.step_hour");
+            engine.step_hour();
+        }
+        ph_trace::flush_thread();
+        (network, hour)
     }
 
     /// The standard selection strategy as a `make_network` closure: slot
@@ -572,10 +619,13 @@ struct CategorizeCtx {
 /// subscription poll, and running the categorize stage on a persistent
 /// [`LongLivedStage`] worker pool instead of a per-hour scoped pool.
 ///
-/// The engine passed to [`begin_hour`](StreamMonitor::begin_hour) is the
-/// daemon's *replica*: a deterministic re-simulation stepped once per
-/// wire-marked hour so that network selection and REST lookups see exactly
-/// the state the producer's engine had. Because the shared
+/// The engine behind each hour is the daemon's *replica*: a deterministic
+/// re-simulation stepped once per wire-marked hour so that network
+/// selection and REST lookups see exactly the state the producer's engine
+/// had. [`begin_hour`](StreamMonitor::begin_hour) selects on and steps it
+/// in place; the daemon does both ahead of time on the replica's own
+/// thread and opens the hour with
+/// [`begin_hour_with`](StreamMonitor::begin_hour_with). Because the shared
 /// [`apply_switch`] / [`record_hour_telemetry`] helpers do the bookkeeping,
 /// the journal, series, and checkpoint stream are shaped identically to a
 /// batch run — `inspect` works on a serve store unchanged.
@@ -654,54 +704,60 @@ impl StreamMonitor {
         self.state.next_hour >= self.total_hours
     }
 
-    /// Opens the next hour: performs the switch round if one is due
-    /// (selecting on `engine` *before* stepping, like the batch loop) and
-    /// steps the engine into the hour. Call exactly once before each
-    /// [`finish_hour`](StreamMonitor::finish_hour); the window between the
-    /// two is where the daemon re-labels evaluation sidecars from the
-    /// freshly stepped replica.
+    /// Opens the next hour on `engine`: [`Runner::open_hour`] (select if a
+    /// switch is due, then step) followed by
+    /// [`begin_hour_with`](StreamMonitor::begin_hour_with). Call exactly
+    /// once before each [`finish_hour`](StreamMonitor::finish_hour); the
+    /// window between the two is where the daemon re-labels evaluation
+    /// sidecars from the freshly stepped replica.
     ///
     /// # Panics
     ///
     /// Panics if the run is already complete or an hour is already open.
     pub fn begin_hour(&mut self, engine: &mut Engine) {
+        let (network, hour) = self
+            .runner
+            .open_hour(engine, self.state.next_hour, self.state.round);
+        self.begin_hour_with(network, hour);
+    }
+
+    /// Opens the next hour from work done elsewhere: `network` is this
+    /// hour's selection (present exactly when a switch round is due,
+    /// selected for round [`RunState::round`]) and `hour` the absolute
+    /// engine hour being collected. Applies the switch to the cursor —
+    /// membership, `AttributeSwitch` journal event, node-hours — and arms
+    /// categorization. The daemon runs [`Runner::open_hour`] on its
+    /// replica's own thread, ahead of time, and calls this at the
+    /// boundary, so the cursor only ever advances here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is already complete, an hour is already open, or
+    /// `network` is present when no switch is due (or absent when one is).
+    pub fn begin_hour_with(&mut self, network: Option<PseudoHoneypotNetwork>, hour: u64) {
         assert!(
             !self.mid_hour,
             "begin_hour called twice without finish_hour"
         );
         assert!(!self.complete(), "begin_hour past the end of the run");
         let hour_index = self.state.next_hour;
-        let config = self.runner.config().clone();
-        if hour_index.is_multiple_of(config.switch_interval_hours.max(1)) {
-            let switch_span = ph_telemetry::span("switch");
-            let _switch_phase = ph_trace::phase("monitor.switch");
-            let network = select_network(
-                engine,
-                &config.slots,
-                &config.selector,
-                config.seed.wrapping_add(self.state.round),
-            );
-            let membership = apply_switch(
-                &config,
+        assert_eq!(
+            network.is_some(),
+            self.runner.switch_due(hour_index),
+            "a network must be supplied exactly when hour {hour_index} opens a switch round"
+        );
+        let mut ctx = self.ctx.write().expect("categorize context poisoned");
+        if let Some(network) = network {
+            ctx.membership = apply_switch(
+                self.runner.config(),
                 &mut self.state,
                 &mut self.segment,
                 &network,
                 hour_index,
                 self.total_hours,
             );
-            self.ctx
-                .write()
-                .expect("categorize context poisoned")
-                .membership = membership;
-            ph_telemetry::histogram(
-                "monitor.switch_latency_ms",
-                &ph_telemetry::default_latency_buckets_ms(),
-            )
-            .record(switch_span.elapsed_ms());
         }
-        let hour = engine.now().whole_hours();
-        engine.step_hour();
-        self.ctx.write().expect("categorize context poisoned").hour = hour;
+        ctx.hour = hour;
         self.mid_hour = true;
     }
 

@@ -16,12 +16,35 @@
 //!    replica *before* stepping into the hour, exactly like the batch
 //!    runner.
 //! 2. **REST context**: feature extraction and classification look up
-//!    author profiles on the replica.
+//!    author profiles in the replica's profile directory.
 //! 3. **Evaluation sidecars**: ground-truth labels never cross the wire
 //!    (decoded tweets always arrive unlabeled), so each hour the daemon
 //!    polls its replica's own firehose and re-stamps the delivered
 //!    tweets from the replica's oracle before they are stored — stored
 //!    bytes match a batch run's exactly.
+//!
+//! # Replica look-ahead
+//!
+//! None of that depends on what the wire delivers, so the replica runs on
+//! its own thread ahead of the hour loop. For each hour it selects the
+//! network when a switch is due, steps, and turns its firehose tap into
+//! the hour's `TweetId → spam` truth map; the result travels to the hour
+//! loop as a [`ReplicaHour`] plan over a channel of [`LOOKAHEAD_HOURS`].
+//! At a boundary the hour loop only applies the plan
+//! ([`StreamMonitor::begin_hour_with`]), re-stamps, categorizes, stores,
+//! classifies and writes verdicts. Classification reads profiles from the
+//! hour loop's own copy of the directory — profiles never change after an
+//! account is created and accounts are only ever appended, so each plan
+//! carries the profiles its hour created and the copy stays exact.
+//!
+//! The run cursor ([`RunState`]) still advances only at the boundary, on
+//! the hour loop's thread: checkpoints, `AttributeSwitch`/`HourTick`
+//! journal events and `--resume` never see a look-ahead hour. What does
+//! run ahead is the replica's own telemetry — the `switch` span, the
+//! `monitor.switch_latency_ms` histogram and the `simulate.*` counters
+//! are recorded on the replica thread when it does the work, so a drained
+//! session's `simulate.*` counters include up to two hours (one plan
+//! queued, one waiting to be) that the hour loop never consumed.
 //!
 //! # Restart equivalence
 //!
@@ -42,7 +65,9 @@ use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ph_core::detector::{build_training_data_with, DetectorConfig, SpamDetector, StreamClassifier};
@@ -51,12 +76,14 @@ use ph_core::labeling::pipeline::{label_collection_with, PipelineConfig};
 use ph_core::monitor::{
     CollectedTweet, MonitorReport, RunState, Runner, RunnerConfig, StreamMonitor,
 };
+use ph_core::network::PseudoHoneypotNetwork;
 use ph_exec::ExecConfig;
 use ph_store::{Manifest, Store, StoreConfig, StoreWriter};
 use ph_telemetry::{log_info, log_warn, TelemetryEvent};
 use ph_twitter_sim::engine::{Engine, SimConfig};
 use ph_twitter_sim::tweet::{Tweet, TweetId};
 use ph_twitter_sim::wire::StreamFrame;
+use ph_twitter_sim::Profile;
 
 use crate::http::MetricsServer;
 use crate::listener::{BindAddr, Listener};
@@ -81,6 +108,131 @@ impl Drop for HourDone<'_> {
     fn drop(&mut self) {
         self.0.end_batch();
     }
+}
+
+/// Hour plans the replica may finish before the hour loop asks for them.
+/// With one more held by the replica thread while it waits to send, the
+/// replica engine runs at most `LOOKAHEAD_HOURS + 1` hours ahead of the
+/// run cursor. One plan is all an hour boundary can use; deeper buffering
+/// would only hold more engine state in memory, so this is not a knob.
+const LOOKAHEAD_HOURS: usize = 1;
+
+/// One hour of replica work, done ahead on the replica thread and applied
+/// by the hour loop at that hour's boundary.
+struct ReplicaHour {
+    /// Absolute engine hour the replica stepped through.
+    hour: u64,
+    /// The switch round's network, when this hour opens one.
+    network: Option<PseudoHoneypotNetwork>,
+    /// Ground truth of every tweet the replica's firehose saw this hour.
+    truth: HashMap<TweetId, bool>,
+    /// Profiles of the accounts created this hour, in id order.
+    new_profiles: Vec<Profile>,
+}
+
+/// The replica engine's thread and the channel its plans arrive on.
+/// Every way out of [`run`] joins the thread: dropping this disconnects
+/// the channel, so a replica blocked on a full channel stops, and waits
+/// for it.
+struct Replica {
+    plans: Option<Receiver<ReplicaHour>>,
+    thread: Option<JoinHandle<io::Result<()>>>,
+}
+
+impl Replica {
+    /// Runs `body` on its own thread, handing it the sending end of a
+    /// [`LOOKAHEAD_HOURS`]-deep plan channel.
+    fn start<F>(body: F) -> io::Result<Self>
+    where
+        F: FnOnce(SyncSender<ReplicaHour>) -> io::Result<()> + Send + 'static,
+    {
+        let (send, plans) = mpsc::sync_channel(LOOKAHEAD_HOURS);
+        let thread = std::thread::Builder::new()
+            .name("serve-replica".to_string())
+            .spawn(move || body(send))?;
+        Ok(Self {
+            plans: Some(plans),
+            thread: Some(thread),
+        })
+    }
+
+    /// The next hour's plan. If the replica thread ended without one, its
+    /// error — or its panic, as an `io::Error` — comes back instead.
+    fn next(&mut self) -> io::Result<ReplicaHour> {
+        if let Some(plan) = self.plans.as_ref().and_then(|plans| plans.recv().ok()) {
+            return Ok(plan);
+        }
+        self.join()?;
+        Err(io::Error::other("the replica stopped before the run ended"))
+    }
+
+    /// Disconnects the channel and waits for the thread, surfacing its
+    /// error or panic. Idempotent.
+    fn join(&mut self) -> io::Result<()> {
+        self.plans = None;
+        match self.thread.take().map(JoinHandle::join) {
+            None | Some(Ok(Ok(()))) => Ok(()),
+            Some(Ok(Err(e))) => Err(e),
+            Some(Err(panic)) => {
+                let what = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string payload");
+                Err(io::Error::other(format!("replica thread panicked: {what}")))
+            }
+        }
+    }
+}
+
+impl Drop for Replica {
+    fn drop(&mut self) {
+        let _ = self.join();
+    }
+}
+
+/// The replica thread's loop: from the session's restored cursor to the
+/// end of the run, select (when a switch is due), step, and send the
+/// hour's plan. A closed channel means the hour loop drained — a normal
+/// stop.
+fn replica_hours(
+    mut engine: Engine,
+    runner: &Runner,
+    state: &RunState,
+    manifest: &Manifest,
+    plans: &SyncSender<ReplicaHour>,
+) -> io::Result<()> {
+    let _span = ph_telemetry::span("serve.replica");
+    // The replica's own firehose tap, opened only now so neither the
+    // ground-truth window nor replayed hours leak into it.
+    let streaming = engine.streaming();
+    let tap = streaming.firehose_with_capacity(manifest.buffer_capacity as usize);
+    let mut round = state.round;
+    let mut known_accounts = engine.rest().num_accounts();
+    for hour_index in state.next_hour..manifest.hours {
+        let (network, hour) = runner.open_hour(&mut engine, hour_index, round);
+        round += u64::from(network.is_some());
+        let tweets = streaming.poll(tap).map_err(io::Error::other)?;
+        let oracle = engine.ground_truth();
+        let truth = tweets.iter().map(|t| (t.id, oracle.is_spam(t))).collect();
+        let new_profiles: Vec<Profile> = engine
+            .rest()
+            .profiles()
+            .skip(known_accounts)
+            .cloned()
+            .collect();
+        known_accounts += new_profiles.len();
+        let plan = ReplicaHour {
+            hour,
+            network,
+            truth,
+            new_profiles,
+        };
+        if plans.send(plan).is_err() {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// In-daemon load generation settings.
@@ -352,11 +504,6 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
         VerdictWriter::create(&verdict_path)?
     };
 
-    // The replica's own firehose tap, opened only now so neither the
-    // ground-truth window nor replayed hours leak into it.
-    let streaming = engine.streaming();
-    let tap = streaming.firehose_with_capacity(manifest.buffer_capacity as usize);
-
     let queue = Arc::new(IngestQueue::new(manifest.buffer_capacity as usize));
     let mut listener = Listener::spawn(&config.listen, Arc::clone(&queue))?;
     let http = match &config.http {
@@ -406,6 +553,14 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
     // inside classify/flush trips the watchdog like any exec stage.
     let hour_hb = ph_exec::heartbeat("serve.hour");
 
+    // The hour loop's copy of the replica's profile directory, extended
+    // from each plan; the engine itself moves to the replica thread,
+    // which starts once set-up is done.
+    let mut profiles: Vec<Profile> = engine.rest().profiles().cloned().collect();
+    let mut replica = {
+        let (runner, state) = (runner.clone(), state.clone());
+        Replica::start(move |plans| replica_hours(engine, &runner, &state, &manifest, &plans))?
+    };
     let mut monitor = StreamMonitor::resume(runner, manifest.hours, state);
     let session_start_hour = monitor.state().next_hour;
     let mut stopped_early = false;
@@ -483,19 +638,15 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                                     std::thread::sleep(Duration::from_millis(throttle.ms));
                                 }
                             }
-                            monitor.begin_hour(&mut engine);
+                            let plan = replica.next()?;
+                            monitor.begin_hour_with(plan.network, plan.hour);
                             // Re-stamp evaluation sidecars from the
                             // replica's oracle — the wire carries none.
-                            let replica_tweets = streaming.poll(tap).map_err(io::Error::other)?;
-                            let oracle = engine.ground_truth();
-                            let truth: HashMap<TweetId, bool> = replica_tweets
-                                .iter()
-                                .map(|t| (t.id, oracle.is_spam(t)))
-                                .collect();
                             for tweet in &mut buffered {
-                                let spam = truth.get(&tweet.id).copied().unwrap_or(false);
+                                let spam = plan.truth.get(&tweet.id).copied().unwrap_or(false);
                                 tweet.set_evaluation_sidecar_spam(spam);
                             }
+                            profiles.extend(plan.new_profiles);
                             let shed = queue.take_shed();
                             if shed > 0 {
                                 ph_telemetry::counter("serve.ingest.shed").add(shed);
@@ -503,7 +654,8 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                             let delivered = std::mem::take(&mut buffered);
                             let batch = monitor.finish_hour(delivered, shed, &mut writer)?;
                             let start_seq = verdicts.next_seq();
-                            let hour_verdicts = classifier.classify_hour(&batch, &engine, &exec);
+                            let hour_verdicts =
+                                classifier.classify_hour(&batch, profiles.as_slice(), &exec);
                             let explanations = if config.explain {
                                 ph_core::observe::explanations_from(start_seq)
                             } else {
@@ -567,7 +719,10 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
             // A partial hour is discarded — its boundary never arrived,
             // so the producer re-sends the whole hour after resume. The
             // forced checkpoint is what lets a between-intervals stop
-            // resume from the last *completed* hour.
+            // resume from the last *completed* hour. A cursor the store's
+            // own cadence already checkpointed (or this session resumed
+            // from) gets no duplicate, so a drained and resumed store's
+            // checkpoint log equals an uninterrupted run's.
             if !buffered.is_empty() {
                 log_info!(
                     "serve: discarding {} tweets of the unfinished hour (re-sent on resume)",
@@ -575,16 +730,24 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                 );
                 buffered.clear();
             }
-            writer.checkpoint_now(monitor.state(), monitor.segment())?;
+            let next_hour = monitor.state().next_hour;
+            let checkpointed = if next_hour == session_start_hour {
+                config.resume
+            } else {
+                next_hour.is_multiple_of(config.store.checkpoint_interval_hours.max(1))
+            };
+            if !checkpointed {
+                writer.checkpoint_now(monitor.state(), monitor.segment())?;
+            }
         }
     }
+    replica.join()?;
     monitor.finish(manifest.buffer_capacity as usize);
     if let Some(dog) = watchdog.as_mut() {
         dog.shutdown();
     }
     listener.shutdown();
     drop(http);
-    streaming.close(tap);
     store.sync()?;
 
     // The durable observability record, shaped exactly like a batch
@@ -628,4 +791,77 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
         }
     );
     Ok(outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn empty_plan() -> ReplicaHour {
+        ReplicaHour {
+            hour: 0,
+            network: None,
+            truth: HashMap::new(),
+            new_profiles: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn plans_arrive_in_order_then_the_end_is_an_error() {
+        let mut replica = Replica::start(|plans| {
+            for hour in 0..3 {
+                let plan = ReplicaHour {
+                    hour,
+                    ..empty_plan()
+                };
+                plans.send(plan).map_err(io::Error::other)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        for hour in 0..3 {
+            assert_eq!(replica.next().unwrap().hour, hour);
+        }
+        let err = replica.next().err().expect("no fourth plan");
+        assert!(err.to_string().contains("stopped before"), "{err}");
+        replica.join().unwrap();
+    }
+
+    #[test]
+    fn a_replica_error_comes_back_from_next() {
+        let mut replica = Replica::start(|_| Err(io::Error::other("tap closed"))).unwrap();
+        let err = replica.next().err().expect("the replica failed");
+        assert_eq!(err.to_string(), "tap closed");
+    }
+
+    #[test]
+    fn a_replica_panic_comes_back_as_an_io_error() {
+        let mut replica = Replica::start(|_| panic!("selection blew up")).unwrap();
+        let err = replica.next().err().expect("the replica panicked");
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        assert!(err.to_string().contains("selection blew up"), "{err}");
+    }
+
+    #[test]
+    fn dropping_the_hour_loop_stops_a_replica_blocked_on_a_full_channel() {
+        let (sent, delivered) = mpsc::channel();
+        let replica = Replica::start(move |plans| {
+            while plans.send(empty_plan()).is_ok() {
+                sent.send(()).map_err(io::Error::other)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        // The channel holds LOOKAHEAD_HOURS plans; the next send blocks
+        // until the drop below disconnects it.
+        for _ in 0..LOOKAHEAD_HOURS {
+            delivered.recv().unwrap();
+        }
+        drop(replica);
+        assert_eq!(
+            delivered.try_iter().count(),
+            0,
+            "a plan went past a full channel"
+        );
+    }
 }

@@ -15,6 +15,8 @@
 //!   simulation the producer runs, stepped once per wire-marked hour, so
 //!   network selection, REST lookups, and ground-truth sidecars see
 //!   exactly the producer's world without any labels crossing the wire.
+//!   The replica selects and steps on its own thread, an hour ahead, so
+//!   an hour boundary only categorizes, stores and classifies.
 //! - [`verdict`] streams one NDJSON verdict line per stored tweet with a
 //!   monotone sequence number that survives restarts.
 //! - [`http`] serves the existing Prometheus registry at `/metrics`

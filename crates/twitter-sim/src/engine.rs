@@ -960,6 +960,41 @@ mod tests {
         assert_eq!(engine.rest().num_accounts(), before);
     }
 
+    /// The profile directory is append-only: a copy taken at any hour,
+    /// extended with the accounts later hours create, equals the live
+    /// directory — what lets a consumer classify from a copy while the
+    /// engine steps ahead on another thread.
+    #[test]
+    fn profile_directory_only_grows_under_churn() {
+        let mut engine = Engine::new(SimConfig {
+            suspension_rate_per_hour: 0.5,
+            organic_suspension_rate_per_hour: 0.05,
+            campaign_replenishment_rate: 1.0,
+            ..small_config(35)
+        });
+        let directory = |engine: &Engine| -> Vec<String> {
+            engine.rest().profiles().map(|p| format!("{p:?}")).collect()
+        };
+        let mut snapshots = vec![directory(&engine)];
+        for _ in 0..12 {
+            engine.step_hour();
+            snapshots.push(directory(&engine));
+        }
+        assert!(
+            snapshots.last().unwrap().len() > snapshots[0].len(),
+            "churn registered no replacement accounts"
+        );
+        for (h, earlier) in snapshots.iter().enumerate() {
+            for later in &snapshots[h..] {
+                assert_eq!(
+                    &later[..earlier.len()],
+                    &earlier[..],
+                    "a profile present at hour {h} changed later"
+                );
+            }
+        }
+    }
+
     #[test]
     fn stealth_shift_applies_to_live_members() {
         use crate::drift::{DriftSchedule, StealthShift};

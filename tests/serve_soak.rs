@@ -6,15 +6,18 @@
 //! **byte-identical** to a never-interrupted run's — determinism survives
 //! process death.
 
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use ph_exec::ExecConfig;
-use pseudo_honeypot::serve::daemon::{run, LoadgenConfig, ServeConfig};
+use pseudo_honeypot::core::monitor::RunState;
+use pseudo_honeypot::serve::daemon::{run, LoadgenConfig, ServeConfig, ENDPOINTS_FILE};
 use pseudo_honeypot::serve::BindAddr;
-use pseudo_honeypot::store::{Manifest, StoreConfig, CHECKPOINT_FILE};
+use pseudo_honeypot::sim::wire::{write_stream_frame, StreamFrame};
+use pseudo_honeypot::store::{CheckpointLog, Manifest, StoreConfig, CHECKPOINT_FILE};
 
 fn manifest() -> Manifest {
     Manifest {
@@ -109,6 +112,102 @@ fn drained_and_resumed_serve_matches_an_uninterrupted_run_byte_for_byte() {
         "restart broke segment-log byte identity"
     );
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The run cursor of every checkpoint in a store, in append order.
+fn checkpointed_states(dir: &Path) -> Vec<RunState> {
+    let (_, checkpoints) = CheckpointLog::open(&dir.join(CHECKPOINT_FILE)).unwrap();
+    checkpoints.into_iter().map(|c| c.state).collect()
+}
+
+/// The daemon's replica runs up to two hours ahead of the run cursor, so
+/// a drain after `k` of `hours` hours lands with the replica 0, 1 or 2
+/// hours past the cursor. Whatever it had done ahead must be invisible:
+/// for every `k`, the restored cursor equals the uninterrupted run's at
+/// hour `k`, and drain + resume reproduces the uninterrupted verdict
+/// stream, segment log and checkpoint log byte for byte.
+#[test]
+fn draining_at_every_hour_resumes_to_an_uninterrupted_run() {
+    let base = std::env::temp_dir().join(format!("ph-serve-lookahead-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let hours = manifest().hours;
+    let control = base.join("uninterrupted");
+    run(config(&control, false, None)).unwrap();
+    let control_states = checkpointed_states(&control);
+    assert_eq!(
+        control_states.len() as u64,
+        hours,
+        "one checkpoint per hour"
+    );
+
+    for k in 1..hours {
+        let dir = base.join(format!("drained-{k}"));
+        let first = run(config(&dir, false, Some(k))).unwrap();
+        assert!(first.stopped_early);
+        assert_eq!(first.hours_done, k);
+        let restored = checkpointed_states(&dir).pop().unwrap();
+        let expected = &control_states[k as usize - 1];
+        assert_eq!(restored.next_hour, k);
+        assert_eq!(
+            restored.round, expected.round,
+            "round after a drain at hour {k}"
+        );
+        assert_eq!(
+            restored.membership, expected.membership,
+            "membership after a drain at hour {k}"
+        );
+
+        let second = run(config(&dir, true, None)).unwrap();
+        assert!(!second.stopped_early);
+        assert_eq!(second.hours_done, hours);
+        for file in ["verdicts.ndjson", CHECKPOINT_FILE] {
+            assert!(
+                std::fs::read(dir.join(file)).unwrap()
+                    == std::fs::read(control.join(file)).unwrap(),
+                "a drain at hour {k} broke {file} byte identity"
+            );
+        }
+        assert!(
+            segment_bytes(&dir) == segment_bytes(&control),
+            "a drain at hour {k} broke segment-log byte identity"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A producer that skips an hour marker violates the protocol: the
+/// session must fail with `InvalidData` and return — the replica thread,
+/// possibly blocked on a full plan channel, must not keep it alive.
+#[test]
+fn an_hour_marker_gap_fails_the_session_and_returns() {
+    let dir = std::env::temp_dir().join(format!("ph-serve-gap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = ServeConfig {
+        loadgen: None,
+        ..config(&dir, false, None)
+    };
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || done.send(run(session)));
+
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !dir.join(ENDPOINTS_FILE).exists() {
+        assert!(
+            Instant::now() < deadline,
+            "the daemon never started accepting"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut producer = UnixStream::connect(dir.join("ingest.sock")).unwrap();
+    write_stream_frame(&mut producer, &StreamFrame::HourBoundary { hour: 1 }).unwrap();
+
+    let result = outcome
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the daemon hung after an hour-marker gap");
+    let err = result.expect_err("an hour-marker gap must fail the session");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    drop(producer);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
