@@ -383,6 +383,9 @@ grep -q "slo_breach" "$SMOKE/flight.out" \
     || { echo "the breach is missing from the flight timeline"; exit 1; }
 echo "    flight recorder dumped on SIGQUIT and renders offline"
 
+echo "==> cargo doc --workspace (broken or private intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

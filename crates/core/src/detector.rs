@@ -244,59 +244,20 @@ impl SpamDetector {
         collected: &[CollectedTweet],
         engine: &Engine,
     ) -> ClassificationOutcome {
-        self.classify_stream(collected, engine)
+        self.classify_batch(collected, engine, &ExecConfig::sequential())
     }
 
-    /// Classifies tweets delivered one at a time — the streaming twin of
-    /// [`SpamDetector::classify_collection`], O(1) in memory, for reading
-    /// straight out of `ph-store`'s segment log without materializing the
-    /// collection. Order matters: the environment-score feedback makes
-    /// classification stream-order-dependent, so feed records in
-    /// collection order (the log's append order).
-    pub fn classify_stream<I>(&self, stream: I, engine: &Engine) -> ClassificationOutcome
-    where
-        I: IntoIterator,
-        I::Item: std::borrow::Borrow<CollectedTweet>,
-    {
-        use std::borrow::Borrow as _;
-        let _span = ph_telemetry::span("detect.classify");
-        let _phase = ph_trace::phase("detect.classify");
-        let rest = engine.rest();
-        let confidence = confidence_histogram();
-        let margin = margin_histogram();
-        let mut extractor = FeatureExtractor::with_tau(self.tau);
-        let mut outcome = ClassificationOutcome::default();
-        for item in stream {
-            let c = item.borrow();
-            let features = extractor.extract(c, &rest);
-            let (spam, score) = self.model.classifier().predict_with_score(&features);
-            confidence.record(score);
-            margin.record((2.0 * score - 1.0).abs());
-            extractor.record_verdict(c.slot, spam);
-            outcome.predictions.push(spam);
-            if spam {
-                outcome.spammers.insert(c.tweet.author);
-            }
-        }
-        ph_telemetry::cached_counter!("detect.tweets_classified")
-            .add(outcome.predictions.len() as u64);
-        ph_telemetry::cached_counter!("detect.spam_predicted").add(outcome.num_spam() as u64);
-        outcome
-    }
-
-    /// Classifies a monitored collection with the pure feature phase
-    /// sharded across `exec`'s workers. The predict + environment-score
-    /// fold stays sequential — verdict feedback makes classification
-    /// inherently stream-ordered — so the outcome equals
-    /// [`SpamDetector::classify_collection`] exactly at any thread count.
+    /// [`classify_collection`](Self::classify_collection) with the pure
+    /// feature phase sharded across `exec`'s workers. The predict +
+    /// environment-score fold stays sequential — verdict feedback makes
+    /// classification inherently stream-ordered — so the outcome is
+    /// identical at any thread count.
     pub fn classify_batch(
         &self,
         collected: &[CollectedTweet],
         engine: &Engine,
         exec: &ExecConfig,
     ) -> ClassificationOutcome {
-        let _span = ph_telemetry::span("detect.classify");
-        let _phase = ph_trace::phase("detect.classify");
         let mut extractor = FeatureExtractor::with_tau(self.tau);
         let verdicts = self.classify_fold(&mut extractor, collected, engine, exec);
         let mut outcome = ClassificationOutcome::default();
@@ -306,17 +267,15 @@ impl SpamDetector {
                 outcome.spammers.insert(c.tweet.author);
             }
         }
-        ph_telemetry::cached_counter!("detect.tweets_classified")
-            .add(outcome.predictions.len() as u64);
-        ph_telemetry::cached_counter!("detect.spam_predicted").add(outcome.num_spam() as u64);
         outcome
     }
 
-    /// The shared classify fold: sharded pure-feature phase, then the
+    /// The one classify fold: sharded pure-feature phase, then the
     /// sequential predict + environment-score feedback loop against the
     /// *caller's* extractor — which is what lets the streaming classifier
     /// carry extractor state across hourly batches while the batch path
-    /// uses a fresh one.
+    /// uses a fresh one. Owns the `detect.classify` span/phase and the
+    /// `detect.tweets_classified` / `detect.spam_predicted` counters.
     fn classify_fold<P: ProfileLookup + ?Sized>(
         &self,
         extractor: &mut FeatureExtractor,
@@ -324,6 +283,8 @@ impl SpamDetector {
         profiles: &P,
         exec: &ExecConfig,
     ) -> Vec<Verdict> {
+        let _span = ph_telemetry::span("detect.classify");
+        let _phase = ph_trace::phase("detect.classify");
         let mut matrix = features::pure_batch_matrix(collected, profiles, exec);
         let confidence = confidence_histogram();
         let margin = margin_histogram();
@@ -359,12 +320,10 @@ impl SpamDetector {
             extractor.record_verdict(c.slot, spam);
             verdicts.push(Verdict { spam, score });
         }
+        ph_telemetry::cached_counter!("detect.tweets_classified").add(verdicts.len() as u64);
+        ph_telemetry::cached_counter!("detect.spam_predicted")
+            .add(verdicts.iter().filter(|v| v.spam).count() as u64);
         verdicts
-    }
-
-    /// Classifies one pre-extracted feature vector.
-    pub fn predict(&self, features: &[f64]) -> bool {
-        self.model.classifier().predict(features)
     }
 }
 
@@ -407,26 +366,18 @@ impl StreamClassifier {
     }
 
     /// Classifies one hour's collected batch in delivery order, carrying
-    /// the environment-score state forward. Emits the same
-    /// `detect.classify` span and `detect.tweets_classified` /
-    /// `detect.spam_predicted` counters as the batch path. Profiles come
-    /// from `profiles` — the engine itself, or a copy of its directory
-    /// (see [`ProfileLookup`]).
+    /// the environment-score state forward through the same fold as
+    /// [`SpamDetector::classify_batch`]. Profiles come from `profiles` —
+    /// the engine itself, or a copy of its directory (see
+    /// [`ProfileLookup`]).
     pub fn classify_hour<P: ProfileLookup + ?Sized>(
         &mut self,
         collected: &[CollectedTweet],
         profiles: &P,
         exec: &ExecConfig,
     ) -> Vec<Verdict> {
-        let _span = ph_telemetry::span("detect.classify");
-        let _phase = ph_trace::phase("detect.classify");
-        let verdicts = self
-            .detector
-            .classify_fold(&mut self.extractor, collected, profiles, exec);
-        ph_telemetry::cached_counter!("detect.tweets_classified").add(verdicts.len() as u64);
-        ph_telemetry::cached_counter!("detect.spam_predicted")
-            .add(verdicts.iter().filter(|v| v.spam).count() as u64);
-        verdicts
+        self.detector
+            .classify_fold(&mut self.extractor, collected, profiles, exec)
     }
 }
 
@@ -498,26 +449,6 @@ mod tests {
         let accuracy = correct as f64 / collected.len() as f64;
         assert!(accuracy > 0.9, "detector accuracy {accuracy:.3}");
         assert!(outcome.num_spammers() > 0);
-    }
-
-    #[test]
-    fn classify_stream_equals_classify_collection() {
-        let (engine, collected, labels) = pipeline_run();
-        let (data, _) = build_training_data(&collected, &labels, &engine, 0.01);
-        let detector = SpamDetector::train(
-            &DetectorConfig {
-                forest: RandomForestConfig {
-                    num_trees: 10,
-                    ..DetectorConfig::default().forest
-                },
-                ..Default::default()
-            },
-            &data,
-        );
-        let batch = detector.classify_collection(&collected, &engine);
-        // Owned one-at-a-time stream, as a segment-log reader yields.
-        let streamed = detector.classify_stream(collected.iter().cloned(), &engine);
-        assert_eq!(streamed, batch);
     }
 
     #[test]

@@ -283,33 +283,13 @@ impl FeatureExtractor {
         }
     }
 
-    /// Extracts the 58-feature vector for one collected tweet, then folds
-    /// the tweet into the rolling aggregates. Must be called in stream
-    /// order.
-    ///
-    /// Equivalent to [`pure_features`] followed by
-    /// [`FeatureExtractor::finish`] — the split the sharded pipeline uses
-    /// to move the profile/content work onto worker threads.
-    pub fn extract(&mut self, collected: &CollectedTweet, rest: &RestApi<'_>) -> Vec<f64> {
-        self.finish(collected, pure_features(collected, rest))
-    }
-
-    /// Completes a [`PureFeatures`] vector into the full 58-feature vector
-    /// by filling the stream-order-dependent slots (repeated-content flag,
-    /// reciprocity, kind/source distributions, average interval,
-    /// environment score), then folds the tweet into the rolling
-    /// aggregates. Must be called in stream order with the same
+    /// Completes a row that already holds the pure phase (a
+    /// [`FeatureMatrix`] row from [`pure_batch_matrix`]) **in place** into
+    /// the full 58-feature vector: fills the stream-order-dependent slots
+    /// (repeated-content flag, reciprocity, kind/source distributions,
+    /// average interval, environment score), then folds the tweet into the
+    /// rolling aggregates. Must be called in stream order with the same
     /// `collected` the pure phase saw.
-    pub fn finish(&mut self, collected: &CollectedTweet, pure: PureFeatures) -> Vec<f64> {
-        let mut features = pure.0.to_vec();
-        self.finish_into(collected, &mut features);
-        features
-    }
-
-    /// [`finish`](Self::finish) operating **in place** on a row that
-    /// already holds the pure phase (e.g. a [`FeatureMatrix`] row): fills
-    /// the stream-order-dependent slots and folds the tweet into the
-    /// rolling aggregates without allocating a per-tweet vector.
     ///
     /// # Panics
     ///
@@ -375,40 +355,13 @@ impl Default for FeatureExtractor {
     }
 }
 
-/// The order-independent slice of a feature vector: sender/receiver
-/// profiles, content shape, and mention time computed; every
-/// stream-order-dependent slot left at 0.0 for
-/// [`FeatureExtractor::finish`] to fill. Because [`pure_features`] reads
-/// only the tweet and a [`ProfileLookup`] — never extractor state — it can run
-/// on any worker thread in any order.
-///
-/// Stored as a fixed `[f64; 58]` array: the pure phase performs **zero**
-/// heap allocations per tweet (the old `Vec` layout paid one per vector),
-/// which is what drops `prof.alloc.features.pure` from one-per-tweet to a
-/// couple per exec chunk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PureFeatures(pub(crate) [f64; FEATURE_COUNT]);
-
-impl PureFeatures {
-    /// The 58 values in feature order.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.0
-    }
-}
-
-/// Computes the pure (stateless) phase of feature extraction for one
-/// collected tweet. See [`PureFeatures`].
-pub fn pure_features<P: ProfileLookup + ?Sized>(
-    collected: &CollectedTweet,
-    profiles: &P,
-) -> PureFeatures {
-    let mut features = [0.0f64; FEATURE_COUNT];
-    fill_pure_features(collected, profiles, &mut features);
-    PureFeatures(features)
-}
-
-/// Writes the pure phase into a caller-owned row (every slot is assigned,
-/// so rows may be reused without re-zeroing).
+/// Writes the order-independent slice of a feature vector into a
+/// caller-owned row: sender/receiver profiles, content shape and mention
+/// time computed; every stream-order-dependent slot left at 0.0 for
+/// [`FeatureExtractor::finish_into`] to fill. It reads only the tweet and
+/// a [`ProfileLookup`] — never extractor state — so it can run on any
+/// worker thread in any order. Every slot is assigned, so rows may be
+/// reused without re-zeroing.
 fn fill_pure_features<P: ProfileLookup + ?Sized>(
     collected: &CollectedTweet,
     profiles: &P,
@@ -453,29 +406,6 @@ fn fill_pure_features<P: ProfileLookup + ?Sized>(
     features[57] = 0.0; // b_environment_score
 }
 
-/// Runs the pure extraction phase over a whole batch, sharded across
-/// `exec`'s workers; output order matches `collected` order, so
-/// `pure_batch(..)` zipped with [`FeatureExtractor::finish`] in stream
-/// order reproduces per-tweet [`FeatureExtractor::extract`] exactly.
-///
-/// The stage is pure and CPU-heavy, so it declares
-/// [`ph_exec::StageWeight::CpuBound`]: records deal round-robin across
-/// every worker instead of collapsing onto the author-hash shards.
-pub fn pure_batch<P: ProfileLookup + ?Sized>(
-    collected: &[CollectedTweet],
-    profiles: &P,
-    exec: &ExecConfig,
-) -> Vec<PureFeatures> {
-    ph_exec::run_weighted(
-        exec,
-        "features.pure",
-        ph_exec::StageWeight::CpuBound,
-        collected.iter().collect(),
-        |c: &&CollectedTweet| u64::from(c.tweet.author.0),
-        |_worker| move |c: &CollectedTweet| pure_features(c, profiles),
-    )
-}
-
 /// A contiguous row-major feature matrix: `rows × FEATURE_COUNT` values in
 /// one allocation, the columnar block the batch classifier kernels consume
 /// without per-row pointer chasing.
@@ -513,17 +443,38 @@ impl FeatureMatrix {
     }
 }
 
-/// [`pure_batch`] assembled into one contiguous [`FeatureMatrix`]: a single
-/// batch-sized allocation instead of one `Vec` per tweet.
+/// Runs the pure extraction phase over a whole batch, sharded across
+/// `exec`'s workers, into one contiguous [`FeatureMatrix`] in `collected`
+/// order; completing its rows with [`FeatureExtractor::finish_into`] in
+/// stream order gives the same vectors at any thread count.
+///
+/// The stage is pure and CPU-heavy, so it declares
+/// [`ph_exec::StageWeight::CpuBound`]: records deal round-robin across
+/// every worker instead of collapsing onto the author-hash shards. Each
+/// worker fills a stack `[f64; 58]` (no heap allocation per tweet); the
+/// rows are then copied into one batch-sized allocation.
 pub fn pure_batch_matrix<P: ProfileLookup + ?Sized>(
     collected: &[CollectedTweet],
     profiles: &P,
     exec: &ExecConfig,
 ) -> FeatureMatrix {
-    let pure = pure_batch(collected, profiles, exec);
+    let pure = ph_exec::run_weighted(
+        exec,
+        "features.pure",
+        ph_exec::StageWeight::CpuBound,
+        collected.iter().collect(),
+        |c: &&CollectedTweet| u64::from(c.tweet.author.0),
+        |_worker| {
+            move |c: &CollectedTweet| {
+                let mut row = [0.0f64; FEATURE_COUNT];
+                fill_pure_features(c, profiles, &mut row);
+                row
+            }
+        },
+    );
     let mut data = Vec::with_capacity(pure.len() * FEATURE_COUNT);
-    for p in &pure {
-        data.extend_from_slice(&p.0);
+    for row in &pure {
+        data.extend_from_slice(row);
     }
     FeatureMatrix {
         data,
@@ -582,6 +533,15 @@ mod tests {
         })
     }
 
+    /// One tweet through the production path: a one-row pure phase, then
+    /// the in-place stream-order finish.
+    fn extract(fx: &mut FeatureExtractor, c: &CollectedTweet, engine: &Engine) -> Vec<f64> {
+        let mut matrix =
+            pure_batch_matrix(std::slice::from_ref(c), engine, &ExecConfig::sequential());
+        fx.finish_into(c, matrix.row_mut(0));
+        matrix.row(0).to_vec()
+    }
+
     fn slot() -> SampleAttribute {
         SampleAttribute::profile(ProfileAttribute::FriendsCount, 100.0)
     }
@@ -613,7 +573,7 @@ mod tests {
         assert_eq!(feature_names().len(), FEATURE_COUNT);
         let e = engine();
         let mut fx = FeatureExtractor::new();
-        let v = fx.extract(&collected(1, 2, 100, "hello world"), &e.rest());
+        let v = extract(&mut fx, &collected(1, 2, 100, "hello world"), &e);
         assert_eq!(v.len(), FEATURE_COUNT);
         assert!(v.iter().all(|x| x.is_finite()));
     }
@@ -622,8 +582,8 @@ mod tests {
     fn repeated_content_flag_flips_on_second_sight() {
         let e = engine();
         let mut fx = FeatureExtractor::new();
-        let v1 = fx.extract(&collected(1, 2, 100, "same text"), &e.rest());
-        let v2 = fx.extract(&collected(3, 2, 105, "same text"), &e.rest());
+        let v1 = extract(&mut fx, &collected(1, 2, 100, "same text"), &e);
+        let v2 = extract(&mut fx, &collected(3, 2, 105, "same text"), &e);
         assert_eq!(v1[32], 0.0, "first sighting should not be repeated");
         assert_eq!(v2[32], 1.0, "second sighting should be repeated");
     }
@@ -632,9 +592,9 @@ mod tests {
     fn reciprocity_counts_prior_conversations() {
         let e = engine();
         let mut fx = FeatureExtractor::new();
-        let first = fx.extract(&collected(1, 2, 100, "a"), &e.rest());
-        let second = fx.extract(&collected(1, 2, 110, "b"), &e.rest());
-        let third = fx.extract(&collected(2, 1, 120, "c"), &e.rest());
+        let first = extract(&mut fx, &collected(1, 2, 100, "a"), &e);
+        let second = extract(&mut fx, &collected(1, 2, 110, "b"), &e);
+        let third = extract(&mut fx, &collected(2, 1, 120, "c"), &e);
         assert_eq!(first[40], 0.0);
         assert_eq!(second[40], 1.0);
         // Pair key is unordered: the reply sees both prior tweets.
@@ -645,7 +605,7 @@ mod tests {
     fn mention_time_is_reaction_gap() {
         let e = engine();
         let mut fx = FeatureExtractor::new();
-        let v = fx.extract(&collected(1, 2, 100, "x"), &e.rest());
+        let v = extract(&mut fx, &collected(1, 2, 100, "x"), &e);
         assert_eq!(v[55], 3.0, "mention time should be the reaction gap");
     }
 
@@ -653,9 +613,9 @@ mod tests {
     fn average_interval_tracks_sender_gaps() {
         let e = engine();
         let mut fx = FeatureExtractor::new();
-        fx.extract(&collected(1, 2, 100, "a"), &e.rest());
-        fx.extract(&collected(1, 2, 110, "b"), &e.rest());
-        let v = fx.extract(&collected(1, 2, 130, "c"), &e.rest());
+        extract(&mut fx, &collected(1, 2, 100, "a"), &e);
+        extract(&mut fx, &collected(1, 2, 110, "b"), &e);
+        let v = extract(&mut fx, &collected(1, 2, 130, "c"), &e);
         // Gaps so far: 10 → average 10.
         assert_eq!(v[56], 10.0);
     }
@@ -664,11 +624,11 @@ mod tests {
     fn environment_score_starts_at_tau_and_updates() {
         let e = engine();
         let mut fx = FeatureExtractor::with_tau(0.05);
-        let v1 = fx.extract(&collected(1, 2, 100, "a"), &e.rest());
+        let v1 = extract(&mut fx, &collected(1, 2, 100, "a"), &e);
         assert_eq!(v1[57], 0.05);
         fx.record_verdict(slot(), true);
         fx.record_verdict(slot(), false);
-        let v2 = fx.extract(&collected(3, 2, 140, "b"), &e.rest());
+        let v2 = extract(&mut fx, &collected(3, 2, 140, "b"), &e);
         assert!((v2[57] - 0.5).abs() < 1e-12);
     }
 
@@ -676,14 +636,14 @@ mod tests {
     fn source_distribution_accumulates() {
         let e = engine();
         let mut fx = FeatureExtractor::new();
-        fx.extract(&collected(1, 2, 100, "a"), &e.rest());
-        let v = fx.extract(&collected(1, 2, 110, "b"), &e.rest());
+        extract(&mut fx, &collected(1, 2, 100, "a"), &e);
+        let v = extract(&mut fx, &collected(1, 2, 110, "b"), &e);
         // The one prior tweet was ThirdParty → sender source dist = [0,0,1,0].
         assert_eq!(&v[47..51], &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
-    fn pure_batch_plus_finish_matches_extract_at_any_thread_count() {
+    fn sharded_pure_phase_matches_row_by_row_at_any_thread_count() {
         let e = engine();
         let batch: Vec<CollectedTweet> = (0u32..40)
             .map(|i| {
@@ -696,15 +656,18 @@ mod tests {
             })
             .collect();
         let mut seq_fx = FeatureExtractor::new();
-        let expected: Vec<Vec<f64>> = batch.iter().map(|c| seq_fx.extract(c, &e.rest())).collect();
+        let expected: Vec<Vec<f64>> = batch.iter().map(|c| extract(&mut seq_fx, c, &e)).collect();
         for threads in [1, 4] {
             let exec = ExecConfig::with_threads(threads);
-            let pure = pure_batch(&batch, &e.rest(), &exec);
+            let mut matrix = pure_batch_matrix(&batch, &e.rest(), &exec);
             let mut fx = FeatureExtractor::new();
             let got: Vec<Vec<f64>> = batch
                 .iter()
-                .zip(pure)
-                .map(|(c, p)| fx.finish(c, p))
+                .enumerate()
+                .map(|(i, c)| {
+                    fx.finish_into(c, matrix.row_mut(i));
+                    matrix.row(i).to_vec()
+                })
                 .collect();
             assert_eq!(got, expected, "{threads}-thread pure phase diverged");
         }
@@ -717,7 +680,7 @@ mod tests {
         let mut c = collected(2, 2, 100, "self post");
         c.category = TweetCategory::NodeActivity;
         c.tweet.mentions.clear();
-        let v = fx.extract(&c, &e.rest());
+        let v = extract(&mut fx, &c, &e);
         assert!(v[16..32].iter().all(|&x| x == 0.0));
     }
 }

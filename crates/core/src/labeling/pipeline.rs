@@ -101,50 +101,6 @@ pub fn label_collection_with(
     GroundTruthDataset { labels, summary }
 }
 
-/// Labels a collection delivered record-by-record by a fallible stream —
-/// e.g. `ph-store`'s segment-log reader during `replay`.
-///
-/// Labeling is inherently batch (clustering compares tweets across the
-/// whole collection), so the stream is materialized once here and then
-/// labeled exactly as [`label_collection`]; the value is that log-replay
-/// callers get the buffering and error plumbing in one place. Returns the
-/// materialized collection alongside the dataset, since downstream
-/// training needs the tweets in the same order the labels refer to.
-///
-/// # Errors
-///
-/// Returns the stream's first error, before any labeling runs.
-pub fn label_collection_stream<I, E>(
-    stream: I,
-    engine: &Engine,
-    config: &PipelineConfig,
-) -> Result<(Vec<CollectedTweet>, GroundTruthDataset), E>
-where
-    I: IntoIterator<Item = Result<CollectedTweet, E>>,
-{
-    label_collection_stream_with(stream, engine, config, &ExecConfig::sequential())
-}
-
-/// [`label_collection_stream`] with the clustering pass sharded across
-/// `exec`'s workers (see [`label_collection_with`]).
-///
-/// # Errors
-///
-/// Returns the stream's first error, before any labeling runs.
-pub fn label_collection_stream_with<I, E>(
-    stream: I,
-    engine: &Engine,
-    config: &PipelineConfig,
-    exec: &ExecConfig,
-) -> Result<(Vec<CollectedTweet>, GroundTruthDataset), E>
-where
-    I: IntoIterator<Item = Result<CollectedTweet, E>>,
-{
-    let collected: Vec<CollectedTweet> = stream.into_iter().collect::<Result<_, E>>()?;
-    let dataset = label_collection_with(&collected, engine, config, exec);
-    Ok((collected, dataset))
-}
-
 /// Renders the Table III summary as aligned text rows.
 pub fn format_table3(summary: &LabelingSummary) -> String {
     let mut out = String::new();
@@ -251,28 +207,6 @@ mod tests {
         let (_, _, dataset) = run_pipeline();
         let methods: Vec<LabelMethod> = dataset.summary.rows.iter().map(|r| r.method).collect();
         assert_eq!(methods, LabelMethod::ALL.to_vec());
-    }
-
-    #[test]
-    fn streamed_labeling_equals_batch() {
-        let (engine, collected, dataset) = run_pipeline();
-        let stream = collected.iter().cloned().map(Ok::<_, std::io::Error>);
-        let (streamed_collection, streamed) =
-            label_collection_stream(stream, &engine, &PipelineConfig::default()).unwrap();
-        assert_eq!(streamed_collection, collected);
-        assert_eq!(streamed, dataset);
-    }
-
-    #[test]
-    fn streamed_labeling_propagates_stream_errors() {
-        let (engine, collected, _) = run_pipeline();
-        let stream = collected
-            .iter()
-            .cloned()
-            .map(Ok)
-            .chain([Err(std::io::Error::other("torn log"))]);
-        let result = label_collection_stream(stream, &engine, &PipelineConfig::default());
-        assert_eq!(result.unwrap_err().to_string(), "torn log");
     }
 
     #[test]

@@ -626,7 +626,7 @@ struct CategorizeCtx {
 /// in place; the daemon does both ahead of time on the replica's own
 /// thread and opens the hour with
 /// [`begin_hour_with`](StreamMonitor::begin_hour_with). Because the shared
-/// [`apply_switch`] / [`record_hour_telemetry`] helpers do the bookkeeping,
+/// `apply_switch` / `record_hour_telemetry` helpers do the bookkeeping,
 /// the journal, series, and checkpoint stream are shaped identically to a
 /// batch run — `inspect` works on a serve store unchanged.
 ///

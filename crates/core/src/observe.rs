@@ -46,7 +46,7 @@ pub const DRIFT_INTERIOR_BINS: usize = 10;
 /// Total histogram bins per feature (interior + underflow + overflow).
 pub const DRIFT_BINS: usize = DRIFT_INTERIOR_BINS + 2;
 
-/// PSI above which a feature's hourly window raises a [`DriftAlarm`]
+/// PSI above which a feature's hourly window raises a [`DriftAlarm`](TelemetryEvent::DriftAlarm)
 /// journal event. 0.25 is the conventional "significant shift" rule of
 /// thumb for the population stability index.
 pub const PSI_ALARM_THRESHOLD: f64 = 0.25;

@@ -35,7 +35,7 @@ pub struct SelectorConfig {
     /// (the paper uses the provider's top 10).
     pub top_k: usize,
     /// Prefer candidates drawing the most recent mention attention — the
-    /// paper's portability strategy of "smartly drop[ping] the ineffective
+    /// paper's portability strategy of "smartly drop\[ping\] the ineffective
     /// ones, always keeping those that attract spammers' interests the
     /// most" (§III-A/D). When false, candidates are picked uniformly.
     pub rank_by_attention: bool,

@@ -29,7 +29,7 @@
 //! its own thread ahead of the hour loop. For each hour it selects the
 //! network when a switch is due, steps, and turns its firehose tap into
 //! the hour's `TweetId → spam` truth map; the result travels to the hour
-//! loop as a [`ReplicaHour`] plan over a channel of [`LOOKAHEAD_HOURS`].
+//! loop as a `ReplicaHour` plan over a channel of `LOOKAHEAD_HOURS`.
 //! At a boundary the hour loop only applies the plan
 //! ([`StreamMonitor::begin_hour_with`]), re-stamps, categorizes, stores,
 //! classifies and writes verdicts. Classification reads profiles from the

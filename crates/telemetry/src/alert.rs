@@ -208,13 +208,7 @@ pub fn alert_evaluate(hour: u64) -> Vec<TelemetryEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    // The engine is process-global; serialize the tests that reset it.
-    fn lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::test_lock as lock;
 
     fn threshold(limit: f64) -> AlertRule {
         AlertRule {

@@ -100,7 +100,7 @@ pub enum TelemetryEvent {
         depth: u64,
     },
     /// An installed alert rule's condition became true at an hour
-    /// boundary (see [`crate::alert`]). Carries wall-clock-derived
+    /// boundary (see the `alert` module). Carries wall-clock-derived
     /// quantities (e.g. latency quantiles), so diagnostic only — never
     /// persisted.
     SloBreach {
@@ -285,13 +285,7 @@ pub fn journal_reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    // The journal is process-global; serialize the tests that reset it.
-    fn lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::test_lock as lock;
 
     #[test]
     fn sequence_numbers_are_monotone_and_match_order() {

@@ -78,13 +78,7 @@ pub fn flight_reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    // The ring is process-global; serialize the tests that reset it.
-    fn lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::test_lock as lock;
 
     #[test]
     fn notes_accumulate_in_order_with_nondecreasing_stamps() {

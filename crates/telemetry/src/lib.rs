@@ -111,6 +111,16 @@ macro_rules! cached_counter {
     }};
 }
 
+/// Serializes the unit tests that reset or read the process-global
+/// journal, flight ring and alert engine. One lock covers all three
+/// because they feed each other: an alert evaluation emits journal
+/// events, and every journal event lands in the flight ring.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,7 +57,7 @@ use pseudo_honeypot::core::attributes::{AttributeKind, ProfileAttribute, SampleA
 use pseudo_honeypot::core::baselines::run_random_baseline;
 use pseudo_honeypot::core::detector::{build_training_data_with, DetectorConfig, SpamDetector};
 use pseudo_honeypot::core::labeling::pipeline::{
-    format_table3, label_collection_stream_with, label_collection_with, PipelineConfig,
+    format_table3, label_collection_with, PipelineConfig,
 };
 use pseudo_honeypot::core::monitor::{
     CollectedTweet, MonitorReport, RunState, Runner, RunnerConfig,
@@ -1054,13 +1054,13 @@ fn replay(args: &Args) {
     engine.run_hours(resumed.state.next_hour);
 
     log_info!("labeling the stored collection…");
-    let reader = resumed
+    let collected = resumed
         .store
         .reader()
-        .unwrap_or_else(|e| die("cannot read store", e));
-    let (collected, dataset) =
-        label_collection_stream_with(reader, &engine, &PipelineConfig::default(), &exec)
-            .unwrap_or_else(|e| die("stored record unreadable", e));
+        .unwrap_or_else(|e| die("cannot read store", e))
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap_or_else(|e| die("stored record unreadable", e));
+    let dataset = label_collection_with(&collected, &engine, &PipelineConfig::default(), &exec);
     println!("{}", format_table3(&dataset.summary));
 
     log_info!("classifying the stored collection…");

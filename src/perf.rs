@@ -33,7 +33,7 @@ use std::time::Instant;
 use ph_exec::ExecConfig;
 use ph_prof::{bench_file_name, compare, BenchMeta, BenchReport, DiffConfig, Verdict};
 use pseudo_honeypot::core::detector::{build_training_data_with, DetectorConfig, SpamDetector};
-use pseudo_honeypot::core::features::{pure_batch, FeatureExtractor, DEFAULT_TAU};
+use pseudo_honeypot::core::features::{pure_batch_matrix, FeatureExtractor, DEFAULT_TAU};
 use pseudo_honeypot::core::labeling::clustering::{
     apply_with, merge_candidate_pairs, ClusteringConfig,
 };
@@ -427,15 +427,14 @@ fn run_scenario(
         "feature_extraction" => {
             let fixture = fx();
             measure(warmup, samples, || {
-                let pure = pure_batch(&fixture.collected, &fixture.engine.rest(), &exec);
+                let mut matrix =
+                    pure_batch_matrix(&fixture.collected, &fixture.engine.rest(), &exec);
                 let mut extractor = FeatureExtractor::with_tau(DEFAULT_TAU);
                 let mut acc = 0.0f64;
-                for (collected, pure) in fixture.collected.iter().zip(pure) {
-                    acc += extractor
-                        .finish(collected, pure)
-                        .first()
-                        .copied()
-                        .unwrap_or(0.0);
+                for (i, collected) in fixture.collected.iter().enumerate() {
+                    let row = matrix.row_mut(i);
+                    extractor.finish_into(collected, row);
+                    acc += row[0];
                 }
                 black_box(acc);
             })

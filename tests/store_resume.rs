@@ -8,9 +8,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use pseudo_honeypot::core::detector::{build_training_data, DetectorConfig, SpamDetector};
-use pseudo_honeypot::core::labeling::pipeline::{
-    label_collection, label_collection_stream, PipelineConfig,
-};
+use pseudo_honeypot::core::labeling::pipeline::{label_collection, PipelineConfig};
 use pseudo_honeypot::core::monitor::{
     CollectedTweet, MonitorReport, RunState, Runner, RunnerConfig,
 };
@@ -200,15 +198,15 @@ fn downstream_pipeline_from_the_log_matches_in_memory() {
     let batch = detector.classify_collection(&full.collected, &eng);
 
     // Candidate: the same window run through a crash + resume, with every
-    // downstream stage streaming from the recovered segment log.
+    // downstream stage reading the recovered segment log.
     let dir = temp_dir("pipeline");
     let (store, _) = crashed_then_resumed_run(&dir);
-    let (stored_collection, stored_dataset) =
-        label_collection_stream(store.reader().unwrap(), &eng, &PipelineConfig::default()).unwrap();
+    let stored_collection = read_all(&store);
     assert_eq!(stored_collection, full.collected);
+    let stored_dataset = label_collection(&stored_collection, &eng, &PipelineConfig::default());
     assert_eq!(stored_dataset, dataset);
-    let streamed = detector.classify_stream(store.reader().unwrap().map(|r| r.unwrap()), &eng);
-    assert_eq!(streamed, batch);
+    let stored = detector.classify_collection(&stored_collection, &eng);
+    assert_eq!(stored, batch);
 
     // The sidecar ground-truth bit survived the log round-trip.
     let gt = eng.ground_truth();
