@@ -27,17 +27,12 @@ fn main() {
     // "Without": zero the environment-score column (the last feature), so
     // dimensionality and splits stay comparable.
     let env_column = FEATURE_COUNT - 1;
-    let rows_without: Vec<Vec<f64>> = with_env
-        .rows()
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
-            r[env_column] = 0.0;
-            r
-        })
-        .collect();
-    let without_env =
-        Dataset::new(rows_without, with_env.labels().to_vec()).expect("same shape as the original");
+    let mut values_without = with_env.values().to_vec();
+    for row in values_without.chunks_exact_mut(FEATURE_COUNT) {
+        row[env_column] = 0.0;
+    }
+    let without_env = Dataset::new(values_without, FEATURE_COUNT, with_env.labels().to_vec())
+        .expect("same shape as the original");
 
     let folds = 5;
     let trees = scale.forest_trees;

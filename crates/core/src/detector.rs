@@ -118,19 +118,20 @@ pub fn build_training_data_with(
     let rest = engine.rest();
     let mut matrix = features::pure_batch_matrix(collected, &rest, exec);
     let mut extractor = FeatureExtractor::with_tau(tau);
-    let mut rows = Vec::new();
+    let mut values = Vec::new();
     let mut ys = Vec::new();
     let mut indices = Vec::new();
     for (i, c) in collected.iter().enumerate() {
         extractor.finish_into(c, matrix.row_mut(i));
         if let Some(label) = labels.tweet_labels[i] {
-            rows.push(matrix.row(i).to_vec());
+            values.extend_from_slice(matrix.row(i));
             ys.push(label.spam);
             indices.push(i);
             extractor.record_verdict(c.slot, label.spam);
         }
     }
-    let dataset = Dataset::new(rows, ys).expect("labeled collection is non-empty and rectangular");
+    let dataset = Dataset::new(values, features::FEATURE_COUNT, ys)
+        .expect("labeled collection is non-empty and finite");
     (dataset, indices)
 }
 

@@ -134,12 +134,12 @@ impl AdaptiveDetector {
             engine,
             self.config.detector.tau,
         );
-        let psi_before = crate::observe::mean_psi_of(data.rows());
+        let psi_before = crate::observe::mean_psi_of(&data);
         // Training installs the fresh reference when observability is on.
         self.detector = Some(SpamDetector::train(&self.config.detector, &data));
         self.retrain_count += 1;
         if crate::observe::is_enabled() {
-            let psi_after = crate::observe::mean_psi_of(data.rows()).unwrap_or(0.0);
+            let psi_after = crate::observe::mean_psi_of(&data).unwrap_or(0.0);
             ph_telemetry::journal_emit(ph_telemetry::TelemetryEvent::DriftRetrain {
                 hour,
                 round: self.retrain_count as u64,

@@ -451,8 +451,8 @@ impl FeatureMatrix {
 /// The stage is pure and CPU-heavy, so it declares
 /// [`ph_exec::StageWeight::CpuBound`]: records deal round-robin across
 /// every worker instead of collapsing onto the author-hash shards. Each
-/// worker fills a stack `[f64; 58]` (no heap allocation per tweet); the
-/// rows are then copied into one batch-sized allocation.
+/// worker fills a stack `[f64; 58]` (no heap allocation per tweet), and
+/// the merged batch of rows is flattened in place into the matrix.
 pub fn pure_batch_matrix<P: ProfileLookup + ?Sized>(
     collected: &[CollectedTweet],
     profiles: &P,
@@ -472,13 +472,9 @@ pub fn pure_batch_matrix<P: ProfileLookup + ?Sized>(
             }
         },
     );
-    let mut data = Vec::with_capacity(pure.len() * FEATURE_COUNT);
-    for row in &pure {
-        data.extend_from_slice(row);
-    }
     FeatureMatrix {
-        data,
         rows: pure.len(),
+        data: pure.into_flattened(),
     }
 }
 

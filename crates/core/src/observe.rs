@@ -154,14 +154,13 @@ impl FeatureReference {
     /// Panics if `data` is empty (a trained detector always has rows).
     #[must_use]
     pub fn from_dataset(data: &Dataset) -> Self {
-        let rows = data.rows();
-        assert!(!rows.is_empty(), "cannot capture a reference from no rows");
+        assert!(!data.is_empty(), "cannot capture a reference from no rows");
         let width = data.num_features();
         let mut bounds = Vec::with_capacity(width);
-        let mut column = Vec::with_capacity(rows.len());
+        let mut column = Vec::with_capacity(data.len());
         for f in 0..width {
             column.clear();
-            column.extend(rows.iter().map(|r| r[f]));
+            column.extend(data.rows().map(|r| r[f]));
             column.sort_by(f64::total_cmp);
             let lo = quantile(&column, 0.01);
             let mut hi = quantile(&column, 0.99);
@@ -173,7 +172,7 @@ impl FeatureReference {
             bounds.push((lo, hi));
         }
         let mut counts = vec![[0u64; DRIFT_BINS]; width];
-        for row in rows {
+        for row in data.rows() {
             for (f, &(lo, hi)) in bounds.iter().enumerate() {
                 counts[f][bin_of(lo, hi, row[f])] += 1;
             }
@@ -181,7 +180,7 @@ impl FeatureReference {
         Self {
             bounds,
             counts,
-            total: rows.len() as u64,
+            total: data.len() as u64,
         }
     }
 
@@ -201,19 +200,20 @@ impl FeatureReference {
         psi
     }
 
-    /// Mean PSI across all features of `rows` treated as one window —
-    /// the summary the adaptive detector journals around a retrain.
+    /// Mean PSI across all features of `data`'s rows treated as one
+    /// window — the summary the adaptive detector journals around a
+    /// retrain.
     #[must_use]
-    pub fn mean_psi(&self, rows: &[Vec<f64>]) -> f64 {
+    pub fn mean_psi(&self, data: &Dataset) -> f64 {
         let width = self.bounds.len();
         let mut live = vec![[0u64; DRIFT_BINS]; width];
-        for row in rows {
+        for row in data.rows() {
             for (f, &(lo, hi)) in self.bounds.iter().enumerate() {
                 live[f][bin_of(lo, hi, row[f])] += 1;
             }
         }
         (0..width)
-            .map(|f| self.psi(f, &live[f], rows.len() as u64))
+            .map(|f| self.psi(f, &live[f], data.len() as u64))
             .sum::<f64>()
             / width as f64
     }
@@ -403,11 +403,11 @@ pub fn drift_finalize() {
 /// Mean PSI of pre-extracted rows against the currently installed
 /// reference, if any — the retrain before/after summary.
 #[must_use]
-pub fn mean_psi_of(rows: &[Vec<f64>]) -> Option<f64> {
+pub fn mean_psi_of(data: &Dataset) -> Option<f64> {
     lock()
         .monitor
         .as_ref()
-        .map(|m| m.reference().mean_psi(rows))
+        .map(|m| m.reference().mean_psi(data))
 }
 
 /// Copies out every explained verdict in classification order.
@@ -448,11 +448,11 @@ mod tests {
     use super::*;
 
     fn toy_dataset(shift: f64, n: usize) -> Dataset {
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![i as f64 % 10.0 + shift, 1.0, (i % 3) as f64])
+        let values: Vec<f64> = (0..n)
+            .flat_map(|i| [i as f64 % 10.0 + shift, 1.0, (i % 3) as f64])
             .collect();
         let labels: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-        Dataset::new(rows, labels).unwrap()
+        Dataset::new(values, 3, labels).unwrap()
     }
 
     #[test]
@@ -471,7 +471,7 @@ mod tests {
     fn identical_window_scores_near_zero_shifted_scores_high() {
         let data = toy_dataset(0.0, 500);
         let reference = FeatureReference::from_dataset(&data);
-        let same = reference.mean_psi(data.rows());
+        let same = reference.mean_psi(&data);
         assert!(same < 0.01, "self-PSI {same} should be ~0");
         let shifted = toy_dataset(40.0, 500);
         // Feature 0 moved far outside the reference range.
@@ -493,7 +493,7 @@ mod tests {
         let data = toy_dataset(0.0, 400);
         let mut monitor = DriftMonitor::new(FeatureReference::from_dataset(&data));
         // Hour 0: in-distribution. Hour 1: feature 0 shifted far out.
-        for row in data.rows().iter().take(100) {
+        for row in data.rows().take(100) {
             monitor.observe(0, row);
         }
         for row in toy_dataset(40.0, 100).rows() {

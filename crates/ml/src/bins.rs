@@ -21,8 +21,10 @@
 //! right side of — so the `f64` tree walk routes training rows exactly as
 //! their codes did while growing.
 //!
-//! `-0.0` and `+0.0` compare equal and share a bin. Non-finite values are
-//! rejected ([`crate::Dataset::new`] already refuses them).
+//! `-0.0` and `+0.0` compare equal and share a bin. Non-finite values
+//! never reach the binner: [`Dataset::new`] refuses them.
+
+use crate::data::Dataset;
 
 /// Most bins one feature is quantised into (codes are `u8`).
 pub const MAX_BINS: usize = 256;
@@ -34,12 +36,14 @@ pub const MAX_BINS: usize = 256;
 ///
 /// ```
 /// use ph_ml::bins::BinnedMatrix;
+/// use ph_ml::data::Dataset;
 ///
-/// let rows = vec![vec![3.0], vec![-1.0], vec![3.0], vec![7.5]];
-/// let bins = BinnedMatrix::new(&rows);
+/// let data = Dataset::new(vec![3.0, -1.0, 3.0, 7.5], 1, vec![false; 4])?;
+/// let bins = BinnedMatrix::new(&data);
 /// assert_eq!(bins.num_bins(0), 3); // one bin per distinct value
 /// assert_eq!(bins.column(0), &[1, 0, 1, 2]);
 /// assert_eq!(bins.bin_range(0, 2), (7.5, 7.5));
+/// # Ok::<(), ph_ml::data::DatasetError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMatrix {
@@ -56,24 +60,19 @@ pub struct BinnedMatrix {
 }
 
 impl BinnedMatrix {
-    /// Bins every column of a row-major matrix.
+    /// Bins every column of a dataset, reading each as a strided column
+    /// of the row-major matrix.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` is empty, ragged, wider than `u32::MAX` rows, or
-    /// holds a non-finite value.
-    pub fn new(rows: &[Vec<f64>]) -> Self {
-        assert!(!rows.is_empty(), "cannot bin an empty matrix");
+    /// Panics if the dataset holds more than `u32::MAX` rows.
+    pub fn new(data: &Dataset) -> Self {
+        let num_rows = data.len();
         assert!(
-            u32::try_from(rows.len()).is_ok(),
-            "too many rows to bin: {}",
-            rows.len()
+            u32::try_from(num_rows).is_ok(),
+            "too many rows to bin: {num_rows}"
         );
-        let num_rows = rows.len();
-        let num_features = rows[0].len();
-        if let Some(r) = rows.iter().position(|row| row.len() != num_features) {
-            panic!("row {r} is ragged");
-        }
+        let num_features = data.num_features();
         let mut binned = Self {
             num_rows,
             num_features,
@@ -86,13 +85,7 @@ impl BinnedMatrix {
         let mut sorted = Vec::with_capacity(num_rows);
         for f in 0..num_features {
             column.clear();
-            for (r, row) in rows.iter().enumerate() {
-                assert!(
-                    row[f].is_finite(),
-                    "non-finite value at row {r}, column {f}"
-                );
-                column.push(row[f]);
-            }
+            column.extend(data.values().iter().skip(f).step_by(num_features));
             sorted.clear();
             sorted.extend_from_slice(&column);
             sorted.sort_unstable_by(f64::total_cmp);
@@ -178,8 +171,8 @@ mod tests {
     use super::*;
 
     fn single(values: &[f64]) -> BinnedMatrix {
-        let rows: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
-        BinnedMatrix::new(&rows)
+        let labels = vec![false; values.len()];
+        BinnedMatrix::new(&Dataset::new(values.to_vec(), 1, labels).unwrap())
     }
 
     #[test]
@@ -221,11 +214,5 @@ mod tests {
         let bins = single(&values);
         assert_eq!(bins.num_bins(0), MAX_BINS);
         assert_eq!(bins.bin_range(0, 0), (0.0, 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite")]
-    fn rejects_nan() {
-        let _ = single(&[1.0, f64::NAN]);
     }
 }

@@ -52,9 +52,9 @@ impl Default for BoostConfig {
 /// use ph_ml::data::Dataset;
 /// use ph_ml::Classifier;
 ///
-/// let rows: Vec<Vec<f64>> = (0..80).map(|i| vec![(i % 40) as f64]).collect();
-/// let labels: Vec<bool> = rows.iter().map(|r| r[0] >= 20.0).collect();
-/// let data = Dataset::new(rows, labels)?;
+/// let values: Vec<f64> = (0..80).map(|i| (i % 40) as f64).collect();
+/// let labels: Vec<bool> = values.iter().map(|&x| x >= 20.0).collect();
+/// let data = Dataset::new(values, 1, labels)?;
 /// let model = GradientBoosting::fit(&BoostConfig::default(), &data, 2);
 /// assert!(model.predict(&[35.0]));
 /// assert!(!model.predict(&[3.0]));
@@ -98,7 +98,7 @@ impl GradientBoosting {
         let mut stages = Vec::with_capacity(config.num_stages);
         let sample_size = ((n as f64 * config.subsample) as usize).clamp(1, n);
         // Bin once; each stage fits on a list of row indices into it.
-        let bins = BinnedMatrix::new(data.rows());
+        let bins = BinnedMatrix::new(data);
         let mut order: Vec<u32> = (0..n as u32).collect();
         for _ in 0..config.num_stages {
             // Residuals of the logistic loss: r_i = y_i − σ(F(x_i)).
@@ -164,12 +164,12 @@ mod tests {
 
     fn stripes() -> Dataset {
         // Positive iff floor(x / 10) is odd — nonlinear, needs an ensemble.
-        let rows: Vec<Vec<f64>> = (0..200).map(|i| vec![(i % 40) as f64]).collect();
-        let labels: Vec<bool> = rows
+        let values: Vec<f64> = (0..200).map(|i| (i % 40) as f64).collect();
+        let labels: Vec<bool> = values
             .iter()
-            .map(|r| ((r[0] / 10.0) as usize) % 2 == 1)
+            .map(|&x| ((x / 10.0) as usize) % 2 == 1)
             .collect();
-        Dataset::new(rows, labels).unwrap()
+        Dataset::new(values, 1, labels).unwrap()
     }
 
     #[test]
@@ -178,7 +178,6 @@ mod tests {
         let model = GradientBoosting::fit(&BoostConfig::default(), &data, 5);
         let correct = data
             .rows()
-            .iter()
             .zip(data.labels())
             .filter(|(r, &l)| model.predict(r) == l)
             .count();
@@ -197,7 +196,7 @@ mod tests {
     fn probability_in_bounds_and_monotone_in_stages() {
         let data = stripes();
         let model = GradientBoosting::fit(&BoostConfig::default(), &data, 1);
-        for row in data.rows().iter().take(10) {
+        for row in data.rows().take(10) {
             let p = model.predict_probability(row);
             assert!((0.0..=1.0).contains(&p));
         }
@@ -205,7 +204,7 @@ mod tests {
 
     #[test]
     fn single_class_dataset_predicts_that_class() {
-        let data = Dataset::new(vec![vec![1.0], vec![2.0]], vec![true, true]).unwrap();
+        let data = Dataset::new(vec![1.0, 2.0], 1, vec![true, true]).unwrap();
         let model = GradientBoosting::fit(&BoostConfig::default(), &data, 1);
         assert!(model.predict(&[1.5]));
         assert!(model.predict_probability(&[1.5]) > 0.9);

@@ -113,7 +113,7 @@ where
         let train = data.subset(&train_idx);
         let test = data.subset(test_idx);
         let model = fit(&train, seed.wrapping_add(k as u64));
-        let predictions = model.predict_batch(test.rows());
+        let predictions: Vec<bool> = test.rows().map(|row| model.predict(row)).collect();
         let matrix = ConfusionMatrix::from_predictions(&predictions, test.labels());
         pooled.merge(&matrix);
         fold_reports.push(matrix.report());
@@ -143,11 +143,11 @@ mod tests {
 
     fn dataset(n: usize) -> Dataset {
         // Separable-with-noise: positive iff x0 + small noise feature > n/2.
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![i as f64, ((i * 37) % 11) as f64])
+        let values: Vec<f64> = (0..n)
+            .flat_map(|i| [i as f64, ((i * 37) % 11) as f64])
             .collect();
         let labels: Vec<bool> = (0..n).map(|i| i > n / 2).collect();
-        Dataset::new(rows, labels).unwrap()
+        Dataset::new(values, 2, labels).unwrap()
     }
 
     #[test]

@@ -2,29 +2,20 @@
 
 use std::fmt;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Errors produced when constructing or manipulating a [`Dataset`].
+/// Errors produced when constructing a [`Dataset`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatasetError {
-    /// Feature matrix and label vector lengths differ.
+    /// The value buffer does not hold exactly one `width`-wide row per
+    /// label.
     LengthMismatch {
-        /// Number of feature rows supplied.
-        rows: usize,
+        /// Number of feature values supplied.
+        values: usize,
+        /// Row width the values were to be read at.
+        width: usize,
         /// Number of labels supplied.
         labels: usize,
-    },
-    /// Two feature rows have different widths.
-    RaggedRows {
-        /// Width of the first row.
-        expected: usize,
-        /// Index of the offending row.
-        row: usize,
-        /// Width of the offending row.
-        found: usize,
     },
     /// The dataset contains no rows.
     Empty,
@@ -40,19 +31,13 @@ pub enum DatasetError {
 impl fmt::Display for DatasetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DatasetError::LengthMismatch { rows, labels } => {
-                write!(
-                    f,
-                    "feature rows ({rows}) and labels ({labels}) differ in length"
-                )
-            }
-            DatasetError::RaggedRows {
-                expected,
-                row,
-                found,
+            DatasetError::LengthMismatch {
+                values,
+                width,
+                labels,
             } => write!(
                 f,
-                "row {row} has {found} features but the first row has {expected}"
+                "{values} feature values do not fill {labels} rows of width {width}"
             ),
             DatasetError::Empty => write!(f, "dataset contains no rows"),
             DatasetError::NonFinite { row, column } => {
@@ -64,68 +49,73 @@ impl fmt::Display for DatasetError {
 
 impl std::error::Error for DatasetError {}
 
-/// A dense binary-classification dataset: one `f64` feature row per example
-/// plus a boolean label (`true` = positive / spam).
+/// A dense binary-classification dataset: a row-major `f64` matrix with
+/// one `width`-wide row per example, plus a boolean label per example
+/// (`true` = positive / spam).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
-    rows: Vec<Vec<f64>>,
+    values: Vec<f64>,
+    width: usize,
     labels: Vec<bool>,
 }
 
 impl Dataset {
-    /// Builds a dataset, validating shape and finiteness.
+    /// Builds a dataset from a row-major value buffer holding one
+    /// `width`-wide row per label, validating shape and finiteness.
     ///
     /// # Errors
     ///
-    /// Returns a [`DatasetError`] when the matrix is empty, ragged, contains
-    /// non-finite values, or disagrees with the label count.
-    pub fn new(rows: Vec<Vec<f64>>, labels: Vec<bool>) -> Result<Self, DatasetError> {
-        if rows.len() != labels.len() {
+    /// Returns a [`DatasetError`] when there are no labels, when `values`
+    /// is not `labels.len() * width` long, or when a value is non-finite.
+    pub fn new(values: Vec<f64>, width: usize, labels: Vec<bool>) -> Result<Self, DatasetError> {
+        if labels.is_empty() {
+            return Err(DatasetError::Empty);
+        }
+        if labels.len().checked_mul(width) != Some(values.len()) {
             return Err(DatasetError::LengthMismatch {
-                rows: rows.len(),
+                values: values.len(),
+                width,
                 labels: labels.len(),
             });
         }
-        if rows.is_empty() {
-            return Err(DatasetError::Empty);
+        if let Some(at) = values.iter().position(|v| !v.is_finite()) {
+            return Err(DatasetError::NonFinite {
+                row: at / width,
+                column: at % width,
+            });
         }
-        let width = rows[0].len();
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != width {
-                return Err(DatasetError::RaggedRows {
-                    expected: width,
-                    row: i,
-                    found: row.len(),
-                });
-            }
-            for (j, &v) in row.iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(DatasetError::NonFinite { row: i, column: j });
-                }
-            }
-        }
-        Ok(Self { rows, labels })
+        Ok(Self {
+            values,
+            width,
+            labels,
+        })
     }
 
     /// Number of examples.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.labels.len()
     }
 
     /// True when the dataset holds no examples (unreachable for values
     /// produced by [`Dataset::new`], which rejects empty input).
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.labels.is_empty()
     }
 
     /// Number of features per example.
     pub fn num_features(&self) -> usize {
-        self.rows[0].len()
+        self.width
     }
 
-    /// Feature rows.
-    pub fn rows(&self) -> &[Vec<f64>] {
-        &self.rows
+    /// The whole row-major matrix: `len() * num_features()` values.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Feature rows, in order: `len()` slices of `num_features()` values
+    /// (empty slices at width 0).
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+        (0..self.len()).map(|i| self.row(i))
     }
 
     /// Labels (`true` = positive class).
@@ -137,9 +127,9 @@ impl Dataset {
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of bounds.
+    /// Panics if `index` is out of bounds and the width is nonzero.
     pub fn row(&self, index: usize) -> &[f64] {
-        &self.rows[index]
+        &self.values[index * self.width..(index + 1) * self.width]
     }
 
     /// One label.
@@ -161,37 +151,22 @@ impl Dataset {
         self.num_positive() as f64 / self.len() as f64
     }
 
-    /// Selects the sub-dataset at `indices` (cloning rows).
+    /// Selects the sub-dataset at `indices`, in that order (copying rows).
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds or `indices` is empty.
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         assert!(!indices.is_empty(), "subset must be non-empty");
+        let mut values = Vec::with_capacity(indices.len() * self.width);
+        for &i in indices {
+            values.extend_from_slice(self.row(i));
+        }
         Dataset {
-            rows: indices.iter().map(|&i| self.rows[i].clone()).collect(),
+            values,
+            width: self.width,
             labels: indices.iter().map(|&i| self.labels[i]).collect(),
         }
-    }
-
-    /// Splits into `(train, test)` with `test_fraction` of rows (rounded
-    /// down, at least 1) held out, after a seeded shuffle.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < test_fraction < 1` and both sides end up non-empty.
-    pub fn train_test_split(&self, test_fraction: f64, seed: u64) -> (Dataset, Dataset) {
-        assert!(
-            test_fraction > 0.0 && test_fraction < 1.0,
-            "test_fraction must be in (0, 1)"
-        );
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        indices.shuffle(&mut rng);
-        let test_len = ((self.len() as f64 * test_fraction) as usize).max(1);
-        assert!(test_len < self.len(), "both splits must be non-empty");
-        let (test_idx, train_idx) = indices.split_at(test_len);
-        (self.subset(train_idx), self.subset(test_idx))
     }
 
     /// Per-feature `(mean, standard deviation)` pairs. Degenerate features
@@ -201,7 +176,7 @@ impl Dataset {
         let n = self.len() as f64;
         let d = self.num_features();
         let mut moments = vec![(0.0, 0.0); d];
-        for row in &self.rows {
+        for row in self.rows() {
             for (j, &v) in row.iter().enumerate() {
                 moments[j].0 += v;
             }
@@ -209,7 +184,7 @@ impl Dataset {
         for m in &mut moments {
             m.0 /= n;
         }
-        for row in &self.rows {
+        for row in self.rows() {
             for (j, &v) in row.iter().enumerate() {
                 let d = v - moments[j].0;
                 moments[j].1 += d * d;
@@ -258,10 +233,27 @@ impl Standardizer {
             .collect()
     }
 
-    /// Scales every row of a dataset, preserving labels.
+    /// Scales every row of a dataset into one fresh matrix, preserving
+    /// labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset's width differs from the fitted
+    /// dimensionality.
     pub fn transform_dataset(&self, data: &Dataset) -> Dataset {
+        assert_eq!(
+            data.num_features(),
+            self.moments.len(),
+            "feature width mismatch"
+        );
         Dataset {
-            rows: data.rows().iter().map(|r| self.transform(r)).collect(),
+            values: data
+                .values()
+                .iter()
+                .zip(self.moments.iter().cycle())
+                .map(|(&v, &(mean, std))| (v - mean) / std)
+                .collect(),
+            width: data.width,
             labels: data.labels().to_vec(),
         }
     }
@@ -273,12 +265,8 @@ mod tests {
 
     fn toy() -> Dataset {
         Dataset::new(
-            vec![
-                vec![0.0, 10.0],
-                vec![1.0, 20.0],
-                vec![2.0, 30.0],
-                vec![3.0, 40.0],
-            ],
+            vec![0.0, 10.0, 1.0, 20.0, 2.0, 30.0, 3.0, 40.0],
+            2,
             vec![false, false, true, true],
         )
         .unwrap()
@@ -286,28 +274,54 @@ mod tests {
 
     #[test]
     fn new_validates_lengths() {
-        let err = Dataset::new(vec![vec![1.0]], vec![true, false]).unwrap_err();
-        assert!(matches!(err, DatasetError::LengthMismatch { .. }));
+        let err = Dataset::new(vec![1.0], 1, vec![true, false]).unwrap_err();
+        assert_eq!(
+            err,
+            DatasetError::LengthMismatch {
+                values: 1,
+                width: 1,
+                labels: 2
+            }
+        );
+    }
+
+    #[test]
+    fn new_rejects_a_length_that_is_not_a_multiple_of_the_width() {
+        let err = Dataset::new(vec![1.0, 2.0, 3.0], 2, vec![true, false]).unwrap_err();
+        assert!(matches!(
+            err,
+            DatasetError::LengthMismatch { values: 3, .. }
+        ));
     }
 
     #[test]
     fn new_rejects_empty() {
         assert_eq!(
-            Dataset::new(vec![], vec![]).unwrap_err(),
+            Dataset::new(vec![], 3, vec![]).unwrap_err(),
             DatasetError::Empty
         );
     }
 
     #[test]
-    fn new_rejects_ragged() {
-        let err = Dataset::new(vec![vec![1.0, 2.0], vec![3.0]], vec![true, false]).unwrap_err();
-        assert!(matches!(err, DatasetError::RaggedRows { row: 1, .. }));
+    fn new_rejects_nan() {
+        let err = Dataset::new(vec![f64::NAN], 1, vec![true]).unwrap_err();
+        assert_eq!(err, DatasetError::NonFinite { row: 0, column: 0 });
     }
 
     #[test]
-    fn new_rejects_nan() {
-        let err = Dataset::new(vec![vec![f64::NAN]], vec![true]).unwrap_err();
-        assert_eq!(err, DatasetError::NonFinite { row: 0, column: 0 });
+    fn non_finite_position_comes_from_the_flat_index() {
+        let err =
+            Dataset::new(vec![0.0, 1.0, 2.0, f64::INFINITY], 2, vec![true, false]).unwrap_err();
+        assert_eq!(err, DatasetError::NonFinite { row: 1, column: 1 });
+    }
+
+    #[test]
+    fn width_zero_dataset_yields_empty_rows() {
+        let d = Dataset::new(vec![], 0, vec![true, false, true]).unwrap();
+        assert_eq!(d.len(), 3);
+        assert_eq!(d.num_features(), 0);
+        assert_eq!(d.rows().len(), 3);
+        assert!(d.rows().all(<[f64]>::is_empty));
     }
 
     #[test]
@@ -320,28 +334,12 @@ mod tests {
     }
 
     #[test]
-    fn subset_selects_rows() {
+    fn subset_keeps_index_order() {
         let d = toy();
-        let s = d.subset(&[2, 0]);
-        assert_eq!(s.row(0), &[2.0, 30.0]);
-        assert!(!s.label(1));
-    }
-
-    #[test]
-    fn split_partitions_all_rows() {
-        let d = toy();
-        let (train, test) = d.train_test_split(0.25, 3);
-        assert_eq!(train.len() + test.len(), d.len());
-        assert_eq!(test.len(), 1);
-    }
-
-    #[test]
-    fn split_is_seed_deterministic() {
-        let d = toy();
-        let (a1, b1) = d.train_test_split(0.5, 9);
-        let (a2, b2) = d.train_test_split(0.5, 9);
-        assert_eq!(a1, a2);
-        assert_eq!(b1, b2);
+        let s = d.subset(&[2, 0, 3]);
+        assert_eq!(s.values(), &[2.0, 30.0, 0.0, 10.0, 3.0, 40.0]);
+        assert_eq!(s.labels(), &[true, false, true]);
+        assert_eq!(s.num_features(), 2);
     }
 
     #[test]
@@ -362,11 +360,14 @@ mod tests {
         let m = t.feature_moments();
         assert!(m[0].0.abs() < 1e-12);
         assert!((m[0].1 - 1.0).abs() < 1e-9);
+        for (scaled, row) in t.rows().zip(d.rows()) {
+            assert_eq!(scaled, s.transform(row).as_slice());
+        }
     }
 
     #[test]
     fn standardizer_handles_constant_feature() {
-        let d = Dataset::new(vec![vec![5.0], vec![5.0]], vec![true, false]).unwrap();
+        let d = Dataset::new(vec![5.0, 5.0], 1, vec![true, false]).unwrap();
         let s = Standardizer::fit(&d);
         assert_eq!(s.transform(&[5.0]), vec![0.0]);
     }

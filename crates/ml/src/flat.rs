@@ -94,9 +94,9 @@ impl PackedNode {
 /// use ph_ml::flat::FlatForest;
 /// use ph_ml::forest::{RandomForest, RandomForestConfig};
 ///
-/// let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+/// let values: Vec<f64> = (0..60).flat_map(|i| [i as f64, (i % 7) as f64]).collect();
 /// let labels: Vec<bool> = (0..60).map(|i| i >= 30).collect();
-/// let data = Dataset::new(rows, labels)?;
+/// let data = Dataset::new(values, 2, labels)?;
 /// let config = RandomForestConfig { num_trees: 15, ..Default::default() };
 /// let forest = RandomForest::fit(&config, &data, 11);
 /// let flat = FlatForest::from_forest(&forest);
@@ -567,12 +567,6 @@ impl Classifier for FlatForest {
         let p = self.predict_probability(features);
         (p >= 0.5, p)
     }
-
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<bool> {
-        rows.iter()
-            .map(|r| self.predict_probability(r) >= 0.5)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -582,11 +576,11 @@ mod tests {
     use crate::forest::RandomForestConfig;
 
     fn fitted(n: usize, trees: usize, seed: u64) -> (RandomForest, Dataset) {
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![i as f64, ((i * 31) % 17) as f64, ((i * 7) % 5) as f64])
+        let values: Vec<f64> = (0..n)
+            .flat_map(|i| [i as f64, ((i * 31) % 17) as f64, ((i * 7) % 5) as f64])
             .collect();
         let labels: Vec<bool> = (0..n).map(|i| i >= n / 2).collect();
-        let data = Dataset::new(rows, labels).unwrap();
+        let data = Dataset::new(values, 3, labels).unwrap();
         let forest = RandomForest::fit(
             &RandomForestConfig {
                 num_trees: trees,
@@ -614,14 +608,9 @@ mod tests {
     fn predict_batch_matches_per_row() {
         let (forest, data) = fitted(90, 9, 3);
         let flat = FlatForest::from_forest(&forest);
-        let width = flat.num_features();
-        let mut matrix = Vec::with_capacity(data.len() * width);
-        for row in data.rows() {
-            matrix.extend_from_slice(row);
-        }
-        let probs = flat.predict_batch(&matrix, data.len());
+        let probs = flat.predict_batch(data.values(), data.len());
         assert_eq!(probs.len(), data.len());
-        for (row, p) in data.rows().iter().zip(&probs) {
+        for (row, p) in data.rows().zip(&probs) {
             assert_eq!(p.to_bits(), forest.predict_probability(row).to_bits());
         }
     }
@@ -790,9 +779,9 @@ mod tests {
     fn baseline_is_a_probability_and_unsplit_features_get_zero() {
         // Only feature 0 separates the classes, so the trees should
         // never credit a feature the forest has no splits on.
-        let rows: Vec<Vec<f64>> = (0..80).map(|i| vec![i as f64, 1.0]).collect();
+        let values: Vec<f64> = (0..80).flat_map(|i| [i as f64, 1.0]).collect();
         let labels: Vec<bool> = (0..80).map(|i| i >= 40).collect();
-        let data = Dataset::new(rows, labels).unwrap();
+        let data = Dataset::new(values, 2, labels).unwrap();
         let forest = RandomForest::fit(
             &RandomForestConfig {
                 num_trees: 7,

@@ -45,9 +45,9 @@ impl Default for RandomForestConfig {
 /// use ph_ml::forest::{RandomForest, RandomForestConfig};
 /// use ph_ml::Classifier;
 ///
-/// let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+/// let values: Vec<f64> = (0..60).flat_map(|i| [i as f64, (i % 7) as f64]).collect();
 /// let labels: Vec<bool> = (0..60).map(|i| i >= 30).collect();
-/// let data = Dataset::new(rows, labels)?;
+/// let data = Dataset::new(values, 2, labels)?;
 /// let config = RandomForestConfig { num_trees: 15, ..Default::default() };
 /// let forest = RandomForest::fit(&config, &data, 11);
 /// assert!(forest.predict(&[55.0, 1.0]));
@@ -80,7 +80,7 @@ impl RandomForest {
         let mut seeder = StdRng::seed_from_u64(seed);
         let tree_seeds: Vec<u64> = (0..config.num_trees).map(|_| seeder.random()).collect();
         // Bin every feature once; all trees share the codes read-only.
-        let bins = BinnedMatrix::new(data.rows());
+        let bins = BinnedMatrix::new(data);
         let targets = label_targets(data.labels());
 
         let train_one = |tree_seed: u64| -> (DecisionTree, f64) {
@@ -176,11 +176,11 @@ mod tests {
     use super::*;
 
     fn linear_data(n: usize) -> Dataset {
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![i as f64, ((i * 31) % 17) as f64, ((i * 7) % 5) as f64])
+        let values: Vec<f64> = (0..n)
+            .flat_map(|i| [i as f64, ((i * 31) % 17) as f64, ((i * 7) % 5) as f64])
             .collect();
         let labels: Vec<bool> = (0..n).map(|i| i >= n / 2).collect();
-        Dataset::new(rows, labels).unwrap()
+        Dataset::new(values, 3, labels).unwrap()
     }
 
     #[test]

@@ -42,36 +42,39 @@ pub fn permutation_importance(
     assert!(repeats > 0, "need at least one repeat");
     let mut rng = StdRng::seed_from_u64(seed);
     let baseline = accuracy_of(model, data.rows(), data.labels());
-    let n = data.len();
-    let mut rows: Vec<Vec<f64>> = data.rows().to_vec();
-    let mut importances = Vec::with_capacity(data.num_features());
-    for feature in 0..data.num_features() {
-        let original: Vec<f64> = rows.iter().map(|r| r[feature]).collect();
+    let width = data.num_features();
+    let mut values = data.values().to_vec();
+    let mut importances = Vec::with_capacity(width);
+    for feature in 0..width {
+        let original: Vec<f64> = values.chunks_exact(width).map(|r| r[feature]).collect();
         let mut total_drop = 0.0;
         for _ in 0..repeats {
             let mut permuted = original.clone();
             permuted.shuffle(&mut rng);
-            for (row, &v) in rows.iter_mut().zip(&permuted) {
+            for (row, &v) in values.chunks_exact_mut(width).zip(&permuted) {
                 row[feature] = v;
             }
-            total_drop += baseline - accuracy_of(model, &rows, data.labels());
+            total_drop += baseline - accuracy_of(model, values.chunks_exact(width), data.labels());
         }
         // Restore the column.
-        for (row, &v) in rows.iter_mut().zip(&original) {
+        for (row, &v) in values.chunks_exact_mut(width).zip(&original) {
             row[feature] = v;
         }
         importances.push(FeatureImportance {
             feature,
             accuracy_drop: total_drop / repeats as f64,
         });
-        debug_assert_eq!(rows.len(), n);
     }
     importances.sort_by(|a, b| b.accuracy_drop.total_cmp(&a.accuracy_drop));
     importances
 }
 
-fn accuracy_of(model: &dyn Classifier, rows: &[Vec<f64>], labels: &[bool]) -> f64 {
-    let predictions = model.predict_batch(rows);
+fn accuracy_of<'a>(
+    model: &dyn Classifier,
+    rows: impl Iterator<Item = &'a [f64]>,
+    labels: &[bool],
+) -> f64 {
+    let predictions: Vec<bool> = rows.map(|row| model.predict(row)).collect();
     ConfusionMatrix::from_predictions(&predictions, labels).accuracy()
 }
 
@@ -82,11 +85,11 @@ mod tests {
 
     /// Dataset where only feature 0 matters; feature 1 is noise.
     fn signal_and_noise() -> Dataset {
-        let rows: Vec<Vec<f64>> = (0..200)
-            .map(|i| vec![i as f64, ((i * 7919) % 101) as f64])
+        let values: Vec<f64> = (0..200)
+            .flat_map(|i| [i as f64, ((i * 7919) % 101) as f64])
             .collect();
         let labels: Vec<bool> = (0..200).map(|i| i >= 100).collect();
-        Dataset::new(rows, labels).unwrap()
+        Dataset::new(values, 2, labels).unwrap()
     }
 
     #[test]

@@ -34,10 +34,7 @@ impl Default for KnnConfig {
 /// use ph_ml::knn::{KNearestNeighbors, KnnConfig};
 /// use ph_ml::Classifier;
 ///
-/// let data = Dataset::new(
-///     vec![vec![0.0], vec![0.1], vec![0.9], vec![1.0]],
-///     vec![false, false, true, true],
-/// )?;
+/// let data = Dataset::new(vec![0.0, 0.1, 0.9, 1.0], 1, vec![false, false, true, true])?;
 /// let model = KNearestNeighbors::fit(&KnnConfig { k: 3, standardize: false }, &data);
 /// assert!(model.predict(&[0.95]));
 /// # Ok::<(), ph_ml::data::DatasetError>(())
@@ -46,8 +43,8 @@ impl Default for KnnConfig {
 pub struct KNearestNeighbors {
     k: usize,
     scaler: Option<Standardizer>,
-    rows: Vec<Vec<f64>>,
-    labels: Vec<bool>,
+    /// The memorized training set, scaled when `scaler` is set.
+    data: Dataset,
 }
 
 impl KNearestNeighbors {
@@ -61,15 +58,14 @@ impl KNearestNeighbors {
     pub fn fit(config: &KnnConfig, data: &Dataset) -> Self {
         assert!(config.k > 0, "k must be positive");
         let scaler = config.standardize.then(|| Standardizer::fit(data));
-        let rows = match &scaler {
-            Some(s) => data.rows().iter().map(|r| s.transform(r)).collect(),
-            None => data.rows().to_vec(),
+        let data = match &scaler {
+            Some(s) => s.transform_dataset(data),
+            None => data.clone(),
         };
         Self {
             k: config.k.min(data.len()),
             scaler,
-            rows,
-            labels: data.labels().to_vec(),
+            data,
         }
     }
 
@@ -86,9 +82,9 @@ impl KNearestNeighbors {
         };
         // Partial selection of the k smallest squared distances.
         let mut dists: Vec<(f64, bool)> = self
-            .rows
-            .iter()
-            .zip(&self.labels)
+            .data
+            .rows()
+            .zip(self.data.labels())
             .map(|(row, &label)| (squared_distance(row, &query), label))
             .collect();
         dists.select_nth_unstable_by(self.k - 1, |a, b| a.0.total_cmp(&b.0));
@@ -129,7 +125,7 @@ mod tests {
 
     #[test]
     fn nearest_neighbour_wins_with_k1() {
-        let data = Dataset::new(vec![vec![0.0], vec![10.0]], vec![false, true]).unwrap();
+        let data = Dataset::new(vec![0.0, 10.0], 1, vec![false, true]).unwrap();
         let model = KNearestNeighbors::fit(
             &KnnConfig {
                 k: 1,
@@ -143,7 +139,7 @@ mod tests {
 
     #[test]
     fn k_is_clamped_to_dataset_size() {
-        let data = Dataset::new(vec![vec![0.0], vec![1.0]], vec![true, true]).unwrap();
+        let data = Dataset::new(vec![0.0, 1.0], 1, vec![true, true]).unwrap();
         let model = KNearestNeighbors::fit(
             &KnnConfig {
                 k: 50,
@@ -159,14 +155,9 @@ mod tests {
     fn standardization_rebalances_feature_scales() {
         // Feature 0 is the signal (range 0–1); feature 1 is noise with a
         // huge scale that swamps unscaled Euclidean distance.
-        let rows = vec![
-            vec![0.0, 50_000.0],
-            vec![0.1, -90_000.0],
-            vec![0.9, 80_000.0],
-            vec![1.0, -60_000.0],
-        ];
+        let values = vec![0.0, 50_000.0, 0.1, -90_000.0, 0.9, 80_000.0, 1.0, -60_000.0];
         let labels = vec![false, false, true, true];
-        let data = Dataset::new(rows, labels).unwrap();
+        let data = Dataset::new(values, 2, labels).unwrap();
         let scaled = KNearestNeighbors::fit(
             &KnnConfig {
                 k: 1,
@@ -180,11 +171,8 @@ mod tests {
 
     #[test]
     fn probability_counts_neighbour_votes() {
-        let data = Dataset::new(
-            vec![vec![0.0], vec![0.2], vec![0.4], vec![10.0]],
-            vec![true, true, false, false],
-        )
-        .unwrap();
+        let data =
+            Dataset::new(vec![0.0, 0.2, 0.4, 10.0], 1, vec![true, true, false, false]).unwrap();
         let model = KNearestNeighbors::fit(
             &KnnConfig {
                 k: 3,
@@ -198,7 +186,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
-        let data = Dataset::new(vec![vec![0.0]], vec![true]).unwrap();
+        let data = Dataset::new(vec![0.0], 1, vec![true]).unwrap();
         let _ = KNearestNeighbors::fit(
             &KnnConfig {
                 k: 0,
@@ -210,7 +198,7 @@ mod tests {
 
     #[test]
     fn tie_breaks_positive() {
-        let data = Dataset::new(vec![vec![0.0], vec![2.0]], vec![true, false]).unwrap();
+        let data = Dataset::new(vec![0.0, 2.0], 1, vec![true, false]).unwrap();
         let model = KNearestNeighbors::fit(
             &KnnConfig {
                 k: 2,

@@ -7,7 +7,7 @@
 //! depth cap 700) as the production spam detector.
 //!
 //! Rust's ML crate ecosystem is thin, so this crate implements all five from
-//! scratch over a shared [`Dataset`] representation:
+//! scratch over one shared row-major [`Dataset`]:
 //!
 //! - [`tree::DecisionTree`] — CART with Gini impurity (plus a regression
 //!   variant used by boosting), grown on a [`bins::BinnedMatrix`] that
@@ -29,9 +29,9 @@
 //! use ph_ml::Classifier;
 //!
 //! // Toy dataset: positive iff x0 > 0.5.
-//! let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 100.0, 0.0]).collect();
+//! let values: Vec<f64> = (0..100).flat_map(|i| [i as f64 / 100.0, 0.0]).collect();
 //! let labels: Vec<bool> = (0..100).map(|i| i >= 50).collect();
-//! let data = Dataset::new(rows, labels)?;
+//! let data = Dataset::new(values, 2, labels)?;
 //! let model = RandomForest::fit(&RandomForestConfig::default(), &data, 7);
 //! assert!(model.predict(&[0.9, 0.0]));
 //! assert!(!model.predict(&[0.1, 0.0]));
@@ -84,11 +84,6 @@ pub trait Classifier: Send + Sync {
     /// equal its squashed score's threshold at the boundary.
     fn predict_with_score(&self, features: &[f64]) -> (bool, f64) {
         (self.predict(features), self.predict_score(features))
-    }
-
-    /// Predicts every row of a feature matrix.
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<bool> {
-        rows.iter().map(|r| self.predict(r)).collect()
     }
 }
 

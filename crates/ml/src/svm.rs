@@ -43,9 +43,9 @@ impl Default for SvmConfig {
 /// use ph_ml::svm::{LinearSvm, SvmConfig};
 /// use ph_ml::Classifier;
 ///
-/// let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 50.0 - 1.0]).collect();
+/// let values: Vec<f64> = (0..100).map(|i| i as f64 / 50.0 - 1.0).collect();
 /// let labels: Vec<bool> = (0..100).map(|i| i >= 50).collect();
-/// let data = Dataset::new(rows, labels)?;
+/// let data = Dataset::new(values, 1, labels)?;
 /// let svm = LinearSvm::fit(&SvmConfig::default(), &data, 4);
 /// assert!(svm.predict(&[0.8]));
 /// assert!(!svm.predict(&[-0.8]));
@@ -69,10 +69,8 @@ impl LinearSvm {
         assert!(config.epochs > 0, "epochs must be positive");
         assert!(config.lambda > 0.0, "lambda must be positive");
         let scaler = config.standardize.then(|| Standardizer::fit(data));
-        let rows: Vec<Vec<f64>> = match &scaler {
-            Some(s) => data.rows().iter().map(|r| s.transform(r)).collect(),
-            None => data.rows().to_vec(),
-        };
+        let scaled = scaler.as_ref().map(|s| s.transform_dataset(data));
+        let train = scaled.as_ref().unwrap_or(data);
         let targets: Vec<f64> = data
             .labels()
             .iter()
@@ -80,7 +78,7 @@ impl LinearSvm {
             .collect();
 
         let d = data.num_features();
-        let n = rows.len();
+        let n = train.len();
         // Per-class example weights: minority-class hinge violations count
         // proportionally more, so the margin cannot collapse onto the
         // majority class.
@@ -103,7 +101,7 @@ impl LinearSvm {
                 t += 1;
                 let i = rng.random_range(0..n);
                 let eta = 1.0 / (config.lambda * t as f64);
-                let margin = targets[i] * (dot(&weights, &rows[i]) + bias);
+                let margin = targets[i] * (dot(&weights, train.row(i)) + bias);
                 // w ← (1 − ηλ) w  [+ η c_i y x when the hinge is active]
                 let shrink = 1.0 - eta * config.lambda;
                 for w in &mut weights {
@@ -116,7 +114,7 @@ impl LinearSvm {
                         1.0
                     };
                     let step = eta * targets[i] * class_weight;
-                    for (w, &x) in weights.iter_mut().zip(&rows[i]) {
+                    for (w, &x) in weights.iter_mut().zip(train.row(i)) {
                         *w += step * x;
                     }
                     bias += step;
@@ -176,15 +174,14 @@ mod tests {
 
     fn separable(n: usize) -> Dataset {
         // Positive iff 2*x0 + x1 > 3.
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                let x0 = (i % 20) as f64 / 5.0;
-                let x1 = ((i * 13) % 20) as f64 / 5.0;
-                vec![x0, x1]
-            })
+        let values: Vec<f64> = (0..n)
+            .flat_map(|i| [(i % 20) as f64 / 5.0, ((i * 13) % 20) as f64 / 5.0])
             .collect();
-        let labels: Vec<bool> = rows.iter().map(|r| 2.0 * r[0] + r[1] > 3.0).collect();
-        Dataset::new(rows, labels).unwrap()
+        let labels: Vec<bool> = values
+            .chunks_exact(2)
+            .map(|r| 2.0 * r[0] + r[1] > 3.0)
+            .collect();
+        Dataset::new(values, 2, labels).unwrap()
     }
 
     #[test]
@@ -193,7 +190,6 @@ mod tests {
         let svm = LinearSvm::fit(&SvmConfig::default(), &data, 1);
         let correct = data
             .rows()
-            .iter()
             .zip(data.labels())
             .filter(|(r, &l)| svm.predict(r) == l)
             .count();
@@ -216,7 +212,7 @@ mod tests {
     fn decision_value_sign_matches_prediction() {
         let data = separable(100);
         let svm = LinearSvm::fit(&SvmConfig::default(), &data, 7);
-        for row in data.rows().iter().take(20) {
+        for row in data.rows().take(20) {
             assert_eq!(svm.predict(row), svm.decision_value(row) > 0.0);
         }
     }
@@ -261,9 +257,9 @@ mod tests {
     #[test]
     fn class_balancing_rescues_imbalanced_data() {
         // 5% positives, linearly separable on x0.
-        let rows: Vec<Vec<f64>> = (0..400).map(|i| vec![i as f64 / 400.0]).collect();
+        let values: Vec<f64> = (0..400).map(|i| i as f64 / 400.0).collect();
         let labels: Vec<bool> = (0..400).map(|i| i >= 380).collect();
-        let data = Dataset::new(rows, labels).unwrap();
+        let data = Dataset::new(values, 1, labels).unwrap();
         let catches = |balance: bool| {
             let model = LinearSvm::fit(
                 &SvmConfig {
@@ -303,7 +299,6 @@ mod tests {
         );
         let correct = data
             .rows()
-            .iter()
             .zip(data.labels())
             .filter(|(r, &l)| svm.predict(r) == l)
             .count();

@@ -385,10 +385,7 @@ fn midpoint(lo: f64, hi: f64) -> f64 {
 /// use ph_ml::tree::{DecisionTree, DecisionTreeConfig};
 /// use ph_ml::Classifier;
 ///
-/// let data = Dataset::new(
-///     vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]],
-///     vec![false, false, true, true],
-/// )?;
+/// let data = Dataset::new(vec![0.0, 1.0, 2.0, 3.0], 1, vec![false, false, true, true])?;
 /// let tree = DecisionTree::fit(&DecisionTreeConfig::default(), &data);
 /// assert!(tree.predict(&[2.5]));
 /// assert!(!tree.predict(&[0.5]));
@@ -402,7 +399,7 @@ pub struct DecisionTree {
 impl DecisionTree {
     /// Fits a tree to the full dataset.
     pub fn fit(config: &DecisionTreeConfig, data: &Dataset) -> Self {
-        let bins = BinnedMatrix::new(data.rows());
+        let bins = BinnedMatrix::new(data);
         let rows: Vec<u32> = (0..data.len() as u32).collect();
         Self::fit_binned(config, &bins, &label_targets(data.labels()), rows, None, 0)
     }
@@ -489,18 +486,6 @@ pub struct RegressionTree {
 }
 
 impl RegressionTree {
-    /// Fits a regression tree on explicit targets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` and `targets` differ in length or are empty.
-    pub fn fit(config: &DecisionTreeConfig, rows: &[Vec<f64>], targets: &[f64]) -> Self {
-        assert_eq!(rows.len(), targets.len(), "rows/targets length mismatch");
-        assert!(!rows.is_empty(), "cannot fit on an empty dataset");
-        let bins = BinnedMatrix::new(rows);
-        Self::fit_binned(config, &bins, targets, (0..rows.len() as u32).collect())
-    }
-
     /// Fits a regression tree over the listed rows of a binned matrix —
     /// the entry point used by [`crate::boost::GradientBoosting`], which
     /// bins once and fits every stage on a subsample of row indices.
@@ -547,16 +532,16 @@ mod tests {
 
     fn stripes() -> Dataset {
         // Positive iff x in [1, 2) ∪ [3, 4): needs depth ≥ 2.
-        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 / 10.0]).collect();
+        let values: Vec<f64> = (0..40).map(|i| i as f64 / 10.0).collect();
         let labels: Vec<bool> = (0..40).map(|i| (i / 10) % 2 == 1).collect();
-        Dataset::new(rows, labels).unwrap()
+        Dataset::new(values, 1, labels).unwrap()
     }
 
     #[test]
     fn fits_axis_aligned_boundary_perfectly() {
         let data = stripes();
         let tree = DecisionTree::fit(&DecisionTreeConfig::default(), &data);
-        for (row, &label) in data.rows().iter().zip(data.labels()) {
+        for (row, &label) in data.rows().zip(data.labels()) {
             assert_eq!(tree.predict(row), label);
         }
         assert!(tree.depth() >= 2);
@@ -564,11 +549,7 @@ mod tests {
 
     #[test]
     fn depth_zero_tree_is_majority_vote() {
-        let data = Dataset::new(
-            vec![vec![0.0], vec![1.0], vec![2.0]],
-            vec![true, true, false],
-        )
-        .unwrap();
+        let data = Dataset::new(vec![0.0, 1.0, 2.0], 1, vec![true, true, false]).unwrap();
         let tree = DecisionTree::fit(
             &DecisionTreeConfig {
                 max_depth: 0,
@@ -583,7 +564,7 @@ mod tests {
 
     #[test]
     fn pure_node_stops_splitting() {
-        let data = Dataset::new(vec![vec![1.0], vec![2.0]], vec![true, true]).unwrap();
+        let data = Dataset::new(vec![1.0, 2.0], 1, vec![true, true]).unwrap();
         let tree = DecisionTree::fit(&DecisionTreeConfig::default(), &data);
         assert_eq!(tree.depth(), 0);
         assert!(tree.predict(&[0.0]));
@@ -606,34 +587,35 @@ mod tests {
 
     #[test]
     fn constant_features_produce_single_leaf() {
-        let data = Dataset::new(
-            vec![vec![3.0], vec![3.0], vec![3.0], vec![3.0]],
-            vec![true, false, true, false],
-        )
-        .unwrap();
+        let data = Dataset::new(vec![3.0; 4], 1, vec![true, false, true, false]).unwrap();
         let tree = DecisionTree::fit(&DecisionTreeConfig::default(), &data);
         assert_eq!(tree.depth(), 0);
     }
 
+    /// A regression tree over one feature whose value is the row index.
+    fn fit_regression(config: &DecisionTreeConfig, targets: &[f64]) -> RegressionTree {
+        let n = targets.len();
+        let values: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let bins = BinnedMatrix::new(&Dataset::new(values, 1, vec![false; n]).unwrap());
+        RegressionTree::fit_binned(config, &bins, targets, (0..n as u32).collect())
+    }
+
     #[test]
     fn regression_tree_fits_step_function() {
-        let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let targets: Vec<f64> = (0..20).map(|i| if i < 10 { 1.0 } else { 5.0 }).collect();
-        let tree = RegressionTree::fit(&DecisionTreeConfig::default(), &rows, &targets);
+        let tree = fit_regression(&DecisionTreeConfig::default(), &targets);
         assert!((tree.predict(&[3.0]) - 1.0).abs() < 1e-9);
         assert!((tree.predict(&[15.0]) - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn regression_tree_respects_depth_cap() {
-        let rows: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64]).collect();
         let targets: Vec<f64> = (0..64).map(|i| i as f64).collect();
-        let tree = RegressionTree::fit(
+        let tree = fit_regression(
             &DecisionTreeConfig {
                 max_depth: 3,
                 ..Default::default()
             },
-            &rows,
             &targets,
         );
         assert!(tree.depth() <= 3);
@@ -648,7 +630,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "feature width mismatch")]
     fn predict_with_wrong_width_panics() {
-        let data = Dataset::new(vec![vec![0.0], vec![1.0]], vec![false, true]).unwrap();
+        let data = Dataset::new(vec![0.0, 1.0], 1, vec![false, true]).unwrap();
         let tree = DecisionTree::fit(&DecisionTreeConfig::default(), &data);
         let _ = tree.predict(&[0.0, 1.0]);
     }
@@ -656,14 +638,9 @@ mod tests {
     #[test]
     fn two_feature_interaction() {
         // XOR-like pattern needs both features.
-        let rows = vec![
-            vec![0.0, 0.0],
-            vec![0.0, 1.0],
-            vec![1.0, 0.0],
-            vec![1.0, 1.0],
-        ];
+        let values = vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0];
         let labels = vec![false, true, true, false];
-        let data = Dataset::new(rows, labels).unwrap();
+        let data = Dataset::new(values, 2, labels).unwrap();
         let tree = DecisionTree::fit(&DecisionTreeConfig::default(), &data);
         assert!(!tree.predict(&[0.0, 0.0]));
         assert!(tree.predict(&[0.0, 1.0]));

@@ -24,23 +24,21 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as f64 / (1u64 << 31) as f64
         };
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..d).map(|_| next() * 10.0).collect())
-            .collect();
+        let values: Vec<f64> = (0..n * d).map(|_| next() * 10.0).collect();
         // Label: threshold on first feature, guaranteeing both classes by
         // flipping the first two rows deterministically.
-        let mut labels: Vec<bool> = rows.iter().map(|r| r[0] > 5.0).collect();
+        let mut labels: Vec<bool> = values.chunks_exact(d).map(|r| r[0] > 5.0).collect();
         labels[0] = true;
         labels[1] = false;
-        Dataset::new(rows, labels).unwrap()
+        Dataset::new(values, d, labels).unwrap()
     })
 }
 
-/// Strategy: a hostile feature matrix with labels. Cells mix duplicates,
+/// Strategy: a hostile labeled feature matrix. Cells mix duplicates,
 /// adjacent floats (`f64::from_bits(b + 1)`), `-0.0`/`+0.0`, ±1e300 and
 /// small integers with, in the denser modes, unique values — so some
 /// columns stay under 256 distinct values and some go well past it.
-fn hostile_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
+fn hostile_strategy() -> impl Strategy<Value = Dataset> {
     (1usize..700, 1usize..4, 0u64..4, any::<u64>()).prop_map(|(n, d, dense, seed)| {
         let mut state = seed;
         let mut next = move || {
@@ -72,9 +70,9 @@ fn hostile_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
                 pool[(next() % pool.len() as u64) as usize]
             }
         };
-        let rows: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| cell()).collect()).collect();
+        let values: Vec<f64> = (0..n * d).map(|_| cell()).collect();
         let labels: Vec<bool> = (0..n).map(|i| (seed >> (i % 64)) & 1 == 1).collect();
-        (rows, labels)
+        Dataset::new(values, d, labels).unwrap()
     })
 }
 
@@ -82,13 +80,13 @@ fn hostile_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
 /// label: identical rows that disagree leave 0.5 leaves in deep trees and
 /// tied votes in even-sized forests.
 fn with_conflicts(data: &Dataset, conflicts: usize) -> Dataset {
-    let mut rows = data.rows().to_vec();
+    let mut values = data.values().to_vec();
     let mut labels = data.labels().to_vec();
     for i in 0..conflicts.min(data.len()) {
-        rows.push(data.row(i).to_vec());
+        values.extend_from_slice(data.row(i));
         labels.push(!data.labels()[i]);
     }
-    Dataset::new(rows, labels).unwrap()
+    Dataset::new(values, data.num_features(), labels).unwrap()
 }
 
 /// Every family's one-call verdict, checked against its two-call form
@@ -120,10 +118,9 @@ proptest! {
     /// 256 distinct values.
     #[test]
     fn binning_is_monotone_bounded_and_exact_when_sparse(
-        case in hostile_strategy(),
+        data in hostile_strategy(),
     ) {
-        let (rows, _labels) = case;
-        let bins = BinnedMatrix::new(&rows);
+        let bins = BinnedMatrix::new(&data);
         for f in 0..bins.num_features() {
             let nb = bins.num_bins(f);
             prop_assert!((1..=MAX_BINS).contains(&nb), "feature {f}: {nb} bins");
@@ -133,7 +130,7 @@ proptest! {
                 prop_assert!(prev_max < min && min <= max, "bins {b} overlap");
             }
             let mut by_value: Vec<(f64, u8)> =
-                rows.iter().enumerate().map(|(r, row)| (row[f], bins.code(f, r))).collect();
+                data.rows().enumerate().map(|(r, row)| (row[f], bins.code(f, r))).collect();
             for &(v, code) in &by_value {
                 let (min, max) = bins.bin_range(f, code);
                 prop_assert!(min <= v && v <= max, "{v} outside bin {code} [{min}, {max}]");
@@ -163,13 +160,11 @@ proptest! {
     /// row's code is at most the split's bin.
     #[test]
     fn split_thresholds_route_training_rows_as_their_codes(
-        case in hostile_strategy(),
+        data in hostile_strategy(),
     ) {
-        let (rows, labels) = case;
-        let bins = BinnedMatrix::new(&rows);
-        let data = Dataset::new(rows, labels).unwrap();
+        let bins = BinnedMatrix::new(&data);
         let tree = DecisionTree::fit(&DecisionTreeConfig::default(), &data);
-        for (r, row) in data.rows().iter().enumerate() {
+        for (r, row) in data.rows().enumerate() {
             for (f, threshold) in tree.decision_path(row) {
                 let bin = split_bin(&bins, f, threshold);
                 prop_assert!(bin.is_some(), "threshold {threshold} below every bin of {f}");
@@ -190,7 +185,7 @@ proptest! {
     #[test]
     fn tree_memorizes_training_data(data in dataset_strategy()) {
         let tree = DecisionTree::fit(&DecisionTreeConfig::default(), &data);
-        for (row, &label) in data.rows().iter().zip(data.labels()) {
+        for (row, &label) in data.rows().zip(data.labels()) {
             prop_assert_eq!(tree.predict(row), label);
         }
     }
@@ -210,8 +205,8 @@ proptest! {
     }
 
     /// Every flat-forest entry point agrees bit for bit with the pointer
-    /// forest: per-row probabilities, `predict_with_score`, both batch
-    /// paths, the explainer's probability and the byte codec. Forest sizes
+    /// forest: per-row probabilities, `predict_with_score`, the batch
+    /// path, the explainer's probability and the byte codec. Forest sizes
     /// sit around the 8-tree lane width, constant labels grow single-leaf
     /// trees (the first root is a leaf at node 0, whose self-loop wraps),
     /// and query rows mix arbitrary values with NaN, ±inf, ±0.0, ±1e300
@@ -231,7 +226,8 @@ proptest! {
         // 0: the strategy's mixed labels; 1, 2: all ham, all spam.
         let data = match constant {
             0 => data,
-            c => Dataset::new(data.rows().to_vec(), vec![c == 2; data.len()]).unwrap(),
+            c => Dataset::new(data.values().to_vec(), data.num_features(), vec![c == 2; data.len()])
+                .unwrap(),
         };
         let forest = RandomForest::fit(
             &RandomForestConfig { num_trees: trees, parallel: false, ..Default::default() },
@@ -253,8 +249,7 @@ proptest! {
         // Query rows trimmed to the training width; training rows too.
         let rows: Vec<Vec<f64>> = data
             .rows()
-            .iter()
-            .cloned()
+            .map(<[f64]>::to_vec)
             .chain(queries.into_iter().map(|q| {
                 q[..width]
                     .iter()
@@ -264,7 +259,6 @@ proptest! {
             .collect();
         let matrix: Vec<f64> = rows.concat();
         let batch = flat.predict_batch(&matrix, rows.len());
-        let verdicts = Classifier::predict_batch(&flat, &rows);
         let explainer = flat.explainer();
         let decoded = FlatForest::from_bytes(&flat.to_bytes()).unwrap();
         prop_assert_eq!(&decoded, &flat, "byte codec round-trip diverged");
@@ -273,7 +267,6 @@ proptest! {
             prop_assert_eq!(flat.predict_probability(row).to_bits(), expected.to_bits());
             let (spam, score) = flat.predict_with_score(row);
             prop_assert_eq!((spam, score.to_bits()), (expected >= 0.5, expected.to_bits()));
-            prop_assert_eq!(verdicts[i], expected >= 0.5);
             prop_assert_eq!(batch[i].to_bits(), expected.to_bits());
             prop_assert_eq!(explainer.explain(row).probability.to_bits(), expected.to_bits());
             prop_assert_eq!(
@@ -305,8 +298,7 @@ proptest! {
         let width = data.num_features();
         let rows: Vec<Vec<f64>> = data
             .rows()
-            .iter()
-            .cloned()
+            .map(<[f64]>::to_vec)
             .chain(queries.into_iter().map(|q| q[..width].to_vec()))
             .collect();
         let forest = RandomForest::fit(
@@ -414,7 +406,7 @@ proptest! {
 /// The one-call verdict must still be `score >= 0.5`, as `predict` says.
 #[test]
 fn predict_with_score_agrees_on_exact_ties() {
-    let data = Dataset::new(vec![vec![0.0]; 4], vec![true, false, true, false]).unwrap();
+    let data = Dataset::new(vec![0.0; 4], 1, vec![true, false, true, false]).unwrap();
     let tie = [0.0];
     let forest = (0..64)
         .map(|seed| {

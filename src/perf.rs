@@ -476,9 +476,9 @@ fn run_scenario(
             })
         }
         "rf_classify_batch" => {
-            // The flat-forest batch predict in isolation: train once and
-            // copy the dataset into one contiguous row-major matrix
-            // outside the timed region, then time `predict_batch` alone.
+            // The flat-forest batch predict in isolation: train once
+            // outside the timed region, then time `predict_batch` alone
+            // over the dataset's own row-major matrix.
             let fixture = fx();
             let forest = ph_ml::forest::RandomForest::fit(
                 &sizes.detector_config().forest,
@@ -487,12 +487,8 @@ fn run_scenario(
             );
             let flat = ph_ml::flat::FlatForest::from_forest(&forest);
             let n_rows = fixture.dataset.len();
-            let mut matrix = Vec::with_capacity(n_rows * fixture.dataset.num_features());
-            for row in fixture.dataset.rows() {
-                matrix.extend_from_slice(row);
-            }
             measure(warmup, samples, || {
-                let probs = flat.predict_batch(&matrix, n_rows);
+                let probs = flat.predict_batch(fixture.dataset.values(), n_rows);
                 black_box(probs.len());
             })
         }
