@@ -25,18 +25,19 @@ BIN=target/release/pseudo-honeypot
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 
-echo "==> ML results gate (Table IV, feature importance, two ablations vs results/)"
-# These four bins print no wall-clock line, so their stdout must match the
+echo "==> results gate (Tables III, IV, VI, feature importance, three ablations vs results/)"
+# These seven bins print no wall-clock line, so their stdout must match the
 # committed tables byte for byte. They run with $SMOKE as the working
 # directory because each also writes results/<name>.metrics.json there.
 cargo build --release -q -p ph-bench
 REPO=$(pwd)
-for bin in table4_classifiers feature_importance ablation_env_score ablation_drift; do
+for bin in table3_labeling table4_classifiers table6_pge feature_importance \
+    ablation_env_score ablation_drift ablation_sketch; do
     (cd "$SMOKE" && "$REPO/target/release/$bin" --scale default > "$SMOKE/$bin.txt")
     diff "results/$bin.txt" "$SMOKE/$bin.txt" \
         || { echo "$bin output diverged from results/$bin.txt"; exit 1; }
 done
-echo "    4 ML result tables regenerate byte-identical"
+echo "    7 result tables regenerate byte-identical"
 
 echo "==> store crash / corrupt / resume / replay smoke"
 SNIFF_ARGS=(--seed 7 --organic 500 --campaigns 3 --gt-hours 6 --hours 8)

@@ -16,8 +16,9 @@ use ph_twitter_sim::AccountId;
 use serde::{Deserialize, Serialize};
 
 use crate::features::{self, FeatureExtractor, ProfileLookup};
+use crate::labeling::pipeline::{label_collection_with, GroundTruthDataset, PipelineConfig};
 use crate::labeling::LabeledCollection;
-use crate::monitor::CollectedTweet;
+use crate::monitor::{CollectedTweet, Runner};
 
 /// Detector configuration. Defaults follow the paper: RF with 70 trees,
 /// each capped at depth 700.
@@ -133,6 +134,40 @@ pub fn build_training_data_with(
     let dataset = Dataset::new(values, features::FEATURE_COUNT, ys)
         .expect("labeled collection is non-empty and finite");
     (dataset, indices)
+}
+
+/// Phases 1–2 of every sniffing run — fresh, resumed, replayed or served,
+/// which must all rebuild the *identical* detector: ground-truth
+/// collection over `gt_hours` on the standard network, the four labeling
+/// passes, and Random-Forest training on the labeled rows. Leaves
+/// `engine` stepped to the monitoring start.
+///
+/// Returns the labeled ground truth (its summary is Table III) and the
+/// trained detector.
+///
+/// # Panics
+///
+/// Panics if the ground-truth window labels no tweets.
+pub fn ground_truth_and_detector(
+    engine: &mut Engine,
+    runner: &Runner,
+    gt_hours: u64,
+    exec: &ExecConfig,
+) -> (GroundTruthDataset, SpamDetector) {
+    ph_telemetry::log_info!("phase 1: ground truth — standard network, {gt_hours} h…");
+    let report = runner.run(engine, gt_hours);
+    let ground_truth =
+        label_collection_with(&report.collected, engine, &PipelineConfig::default(), exec);
+    ph_telemetry::log_info!("phase 2: training the Random Forest detector…");
+    let (data, _) = build_training_data_with(
+        &report.collected,
+        &ground_truth.labels,
+        engine,
+        features::DEFAULT_TAU,
+        exec,
+    );
+    let detector = SpamDetector::train(&DetectorConfig::default(), &data);
+    (ground_truth, detector)
 }
 
 /// Cross-validates all five Table IV algorithms on a training set.

@@ -1,17 +1,19 @@
 //! Pseudo-honeypot monitoring (§III-E): hourly-switched streaming
 //! collection of the tweets crossing the node set.
 //!
-//! The runner owns the selection/switch/poll loop: every `switch_interval`
-//! hours it re-selects the node set (portability, §III-D), re-points the
-//! streaming filter, steps the engine, and tags every collected tweet with
-//! the slot of the node it crossed — the key that all per-attribute
-//! statistics (Tables V–VI, Figures 3–5) aggregate over.
+//! Every `switch_interval` hours the node set is re-selected
+//! (portability, §III-D); each hour the engine steps and every collected
+//! tweet is tagged with the slot of the node it crossed — the key that all
+//! per-attribute statistics (Tables V–VI, Figures 3–5) aggregate over.
+//! [`StreamMonitor`] is the one place an hour is accounted for: the
+//! batch [`Runner::run_segment`] drives it from a filtered subscription,
+//! the daemon from its ingest queue.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-use ph_exec::{ExecConfig, LongLivedStage};
+use ph_exec::ExecConfig;
 use ph_twitter_sim::engine::Engine;
 use ph_twitter_sim::{AccountId, Tweet};
 use serde::{Deserialize, Serialize};
@@ -171,7 +173,8 @@ pub trait MonitorSink {
     }
 
     /// Called at the end of every simulated hour with the updated cursor
-    /// and the segment report accumulated so far.
+    /// and the segment's counters so far (their `collected` is empty: the
+    /// tweets arrive through [`MonitorSink::on_batch`]).
     ///
     /// # Errors
     ///
@@ -212,92 +215,6 @@ fn per_hour_volume_buckets() -> Vec<f64> {
         decade *= 10.0;
     }
     buckets
-}
-
-/// Applies one switch round to the run cursor and segment accounting:
-/// membership replaced (sorted into the checkpointable cursor), the
-/// `AttributeSwitch` journal event emitted, node-hours accrued for the
-/// coming interval. Shared by the batch loop and the streaming monitor so
-/// both record the identical switch history.
-fn apply_switch(
-    config: &RunnerConfig,
-    state: &mut RunState,
-    segment: &mut MonitorReport,
-    network: &PseudoHoneypotNetwork,
-    hour_index: u64,
-    total_hours: u64,
-) -> HashMap<AccountId, SampleAttribute> {
-    state.round += 1;
-    let membership = network.membership();
-    state.membership = membership.iter().map(|(&a, &s)| (a, s)).collect();
-    state.membership.sort_by_key(|&(a, _)| a.0);
-    ph_telemetry::journal_emit(ph_telemetry::TelemetryEvent::AttributeSwitch {
-        hour: hour_index,
-        round: state.round - 1,
-        nodes: membership.len() as u64,
-    });
-    let interval = config
-        .switch_interval_hours
-        .max(1)
-        .min(total_hours - hour_index) as f64;
-    for (slot, count) in network.slot_sizes() {
-        *segment.node_hours.entry(slot).or_insert(0.0) += count as f64 * interval;
-    }
-    membership
-}
-
-/// Per-hour telemetry shared by the batch loop and the streaming monitor:
-/// collected counter, per-hour series, the `HourTick` journal event, and
-/// the live progress line.
-fn record_hour_telemetry(
-    hour_index: u64,
-    total_hours: u64,
-    collected_this_hour: u64,
-    dropped_this_hour: u64,
-    segment_collected: u64,
-    segment_dropped: u64,
-) {
-    ph_telemetry::cached_counter!("monitor.tweets_collected").add(collected_this_hour);
-    ph_telemetry::series("monitor.collected").add(hour_index, collected_this_hour as f64);
-    ph_telemetry::series("monitor.dropped").add(hour_index, dropped_this_hour as f64);
-    ph_telemetry::journal_emit(ph_telemetry::TelemetryEvent::HourTick {
-        hour: hour_index,
-        collected: collected_this_hour,
-        dropped: dropped_this_hour,
-    });
-    // Alert rules are evaluated at every hour boundary — batch and
-    // streaming alike. With none installed this is one relaxed atomic
-    // load; transitions are edge-triggered, so callers that re-evaluate
-    // after recording more per-hour data (the daemon does, once latency
-    // for the hour is known) see exactly one event per transition.
-    ph_telemetry::alert_evaluate(hour_index);
-    if ph_telemetry::progress_enabled() {
-        ph_telemetry::progress_update(&format!(
-            "{} hour {}/{} · {} tweets · {} shed",
-            ph_telemetry::progress_bar(hour_index + 1, total_hours, 24),
-            hour_index + 1,
-            total_hours,
-            segment_collected,
-            segment_dropped
-        ));
-    }
-}
-
-/// End-of-segment telemetry shared by the batch loop and the streaming
-/// monitor: total-dropped counter, shed warning, per-slot node-hour gauges.
-fn finish_segment_telemetry(segment: &MonitorReport, buffer_capacity: usize) {
-    ph_telemetry::progress_done();
-    ph_telemetry::cached_counter!("monitor.tweets_dropped").add(segment.dropped);
-    if segment.dropped > 0 {
-        ph_telemetry::log_warn!(
-            "streaming buffer shed {} tweets (capacity {})",
-            segment.dropped,
-            buffer_capacity
-        );
-    }
-    for (slot, node_hours) in &segment.node_hours {
-        ph_telemetry::gauge(&format!("monitor.node_hours.{slot}")).set(*node_hours);
-    }
 }
 
 /// The monitoring runner. See the module docs for the loop structure.
@@ -395,13 +312,19 @@ impl Runner {
     /// to hour `k` — produces, merged, exactly the report (and exactly the
     /// tweet stream) of an uninterrupted `run(N)`.
     ///
+    /// Each hour is one [`StreamMonitor`] step fed by an engine-side
+    /// filtered subscription: the filter is re-pointed at every switch, so
+    /// the monitor categorizes only tweets that crossed the node set.
+    ///
     /// Returns the report of **this segment only**; accumulate across
     /// segments with [`MonitorReport::merge`]. When the sink declines
     /// in-memory retention the returned `collected` stays empty.
     ///
     /// # Errors
     ///
-    /// Propagates sink I/O errors; the segment stops at the failed hour.
+    /// Propagates sink I/O errors; the segment stops at the failed hour,
+    /// with the subscription closed and `state` left where that hour put
+    /// it.
     pub fn run_segment<F, S>(
         &self,
         engine: &mut Engine,
@@ -417,94 +340,52 @@ impl Runner {
     {
         let _run_span = ph_telemetry::span("monitor.run");
         let _run_phase = ph_trace::phase("monitor.run");
-        let switch_latency = ph_telemetry::histogram(
-            "monitor.switch_latency_ms",
-            &ph_telemetry::default_latency_buckets_ms(),
-        );
-        let tweets_per_hour =
-            ph_telemetry::histogram("monitor.tweets_per_hour", &per_hour_volume_buckets());
-
         let streaming = engine.streaming();
         let subscription = streaming.track_mentions_with_capacity([], self.config.buffer_capacity);
-        let mut membership: HashMap<AccountId, SampleAttribute> =
-            state.membership.iter().copied().collect();
-        if !membership.is_empty() {
+        if !state.membership.is_empty() {
             // Resumed mid-interval: re-point the stream at the node set the
             // checkpoint recorded.
             streaming
-                .set_filter(subscription, membership.keys().copied())
+                .set_filter(subscription, state.membership.iter().map(|&(a, _)| a))
                 .expect("subscription is open");
         }
-        let mut segment = MonitorReport::default();
-        let start = state.next_hour;
-        let end = total_hours.min(start.saturating_add(segment_hours));
-        let mut segment_collected = 0u64;
-        let mut dropped_before = 0u64;
-
-        for hour_index in start..end {
-            if self.stop_requested() {
-                break;
-            }
-            if self.switch_due(hour_index) {
-                let switch_span = ph_telemetry::span("switch");
-                let _switch_phase = ph_trace::phase("monitor.switch");
-                let network = make_network(engine, state.round);
-                membership = apply_switch(
-                    &self.config,
-                    state,
-                    &mut segment,
-                    &network,
-                    hour_index,
-                    total_hours,
-                );
-                streaming
-                    .set_filter(subscription, membership.keys().copied())
+        let end = total_hours.min(state.next_hour.saturating_add(segment_hours));
+        let mut monitor = StreamMonitor::resume(self.clone(), total_hours, std::mem::take(state));
+        let retain = sink.retain_in_memory();
+        let mut collected = Vec::new();
+        let mut dropped_before = 0;
+        let mut hours = || -> std::io::Result<()> {
+            while monitor.state.next_hour < end && !self.stop_requested() {
+                let round = monitor.state.round;
+                let (network, hour) = self.open_hour_with(engine, monitor.state.next_hour, |e| {
+                    let network = make_network(e, round);
+                    streaming
+                        .set_filter(subscription, network.account_ids())
+                        .expect("subscription is open");
+                    network
+                });
+                monitor.begin_hour_with(network, hour);
+                let polled = streaming.poll(subscription).expect("subscription is open");
+                let dropped = streaming
+                    .dropped(subscription)
                     .expect("subscription is open");
-                switch_latency.record(switch_span.elapsed_ms());
+                let batch = monitor.finish_hour(polled, dropped - dropped_before, sink)?;
+                dropped_before = dropped;
+                if retain {
+                    collected.extend(batch);
+                }
             }
-            let hour = engine.now().whole_hours();
-            engine.step_hour();
-            let polled: Vec<Tweet> = streaming.poll(subscription).expect("subscription is open");
-            // Categorization is a pure per-tweet function of the (fixed for
-            // this hour) membership map, so it shards freely by author; the
-            // ordered merge hands the batch back in delivery order, making
-            // the sink see the identical stream at any thread count.
-            let members = &membership;
-            let batch: Vec<CollectedTweet> = ph_exec::run(
-                &self.exec,
-                "monitor.categorize",
-                polled,
-                |tweet: &Tweet| u64::from(tweet.author.0),
-                |_worker| |tweet: Tweet| Self::categorize(tweet, members, hour),
-            )
-            .into_iter()
-            .flatten()
-            .collect();
-            sink.on_batch(&batch)?;
-            let collected_this_hour = batch.len() as u64;
-            if sink.retain_in_memory() {
-                segment.collected.extend(batch);
-            }
-            tweets_per_hour.record(collected_this_hour as f64);
-            segment.hours += 1;
-            segment.dropped = streaming.dropped(subscription).unwrap_or(0);
-            let dropped_this_hour = segment.dropped - dropped_before;
-            dropped_before = segment.dropped;
-            segment_collected += collected_this_hour;
-            record_hour_telemetry(
-                hour_index,
-                total_hours,
-                collected_this_hour,
-                dropped_this_hour,
-                segment_collected,
-                segment.dropped,
-            );
-            state.next_hour = hour_index + 1;
-            sink.on_hour(state, &segment)?;
-        }
-        finish_segment_telemetry(&segment, self.config.buffer_capacity);
+            Ok(())
+        };
+        let outcome = hours();
+        monitor.finish(self.config.buffer_capacity);
         streaming.close(subscription);
-        Ok(segment)
+        *state = monitor.state;
+        outcome?;
+        Ok(MonitorReport {
+            collected,
+            ..monitor.segment
+        })
     }
 
     /// Whether run-relative hour `hour_index` opens a switch round.
@@ -529,15 +410,20 @@ impl Runner {
         hour_index: u64,
         round: u64,
     ) -> (Option<PseudoHoneypotNetwork>, u64) {
+        self.open_hour_with(engine, hour_index, |e| self.select(e, round))
+    }
+
+    /// [`Runner::open_hour`] with the selection supplied by the caller.
+    fn open_hour_with(
+        &self,
+        engine: &mut Engine,
+        hour_index: u64,
+        select: impl FnOnce(&Engine) -> PseudoHoneypotNetwork,
+    ) -> (Option<PseudoHoneypotNetwork>, u64) {
         let network = self.switch_due(hour_index).then(|| {
             let switch_span = ph_telemetry::span("switch");
             let _switch_phase = ph_trace::phase("monitor.switch");
-            let network = select_network(
-                engine,
-                &self.config.slots,
-                &self.config.selector,
-                self.config.seed.wrapping_add(round),
-            );
+            let network = select(engine);
             ph_telemetry::histogram(
                 "monitor.switch_latency_ms",
                 &ph_telemetry::default_latency_buckets_ms(),
@@ -559,14 +445,17 @@ impl Runner {
     /// [`Runner::run`] and the store-backed resumable runs share it so a
     /// resumed run re-selects exactly as the original would have.
     pub fn standard_networks(&self) -> impl FnMut(&Engine, u64) -> PseudoHoneypotNetwork + '_ {
-        move |engine, round| {
-            select_network(
-                engine,
-                &self.config.slots,
-                &self.config.selector,
-                self.config.seed.wrapping_add(round),
-            )
-        }
+        move |engine, round| self.select(engine, round)
+    }
+
+    /// Switch round `round`'s standard selection on `engine`.
+    fn select(&self, engine: &Engine, round: u64) -> PseudoHoneypotNetwork {
+        select_network(
+            engine,
+            &self.config.slots,
+            &self.config.selector,
+            self.config.seed.wrapping_add(round),
+        )
     }
 
     /// Tags one delivered tweet with node/slot context.
@@ -604,43 +493,35 @@ impl Runner {
     }
 }
 
-/// Shared context the persistent categorize workers read: the membership
-/// map of the current switch round and the absolute hour being collected.
-/// The daemon updates it between batches (batches are synchronous, so
-/// writers never race the workers).
-struct CategorizeCtx {
-    membership: HashMap<AccountId, SampleAttribute>,
-    hour: u64,
-}
-
-/// The daemon-facing twin of [`Runner::run_segment`]: the same hourly
-/// switch → step → categorize → account cycle, but driven by *externally
-/// delivered* tweets (a socket ingest queue) instead of an engine-attached
-/// subscription poll, and running the categorize stage on a persistent
-/// [`LongLivedStage`] worker pool instead of a per-hour scoped pool.
+/// One monitoring hour at a time: the switch → categorize → account
+/// cycle every monitoring run goes through, for whoever delivers the
+/// hour's tweets. [`Runner::run_segment`] drives it from an engine-side
+/// filtered subscription; the daemon drives it from a socket ingest queue.
 ///
-/// The engine behind each hour is the daemon's *replica*: a deterministic
-/// re-simulation stepped once per wire-marked hour so that network
-/// selection and REST lookups see exactly the state the producer's engine
-/// had. [`begin_hour`](StreamMonitor::begin_hour) selects on and steps it
-/// in place; the daemon does both ahead of time on the replica's own
-/// thread and opens the hour with
-/// [`begin_hour_with`](StreamMonitor::begin_hour_with). Because the shared
-/// `apply_switch` / `record_hour_telemetry` helpers do the bookkeeping,
-/// the journal, series, and checkpoint stream are shaped identically to a
-/// batch run — `inspect` works on a serve store unchanged.
+/// For the daemon the engine behind each hour is its *replica*: a
+/// deterministic re-simulation stepped once per wire-marked hour so that
+/// network selection and REST lookups see exactly the state the
+/// producer's engine had. [`begin_hour`](StreamMonitor::begin_hour)
+/// selects on and steps it in place; the daemon does both ahead of time
+/// on the replica's own thread and opens the hour with
+/// [`begin_hour_with`](StreamMonitor::begin_hour_with). Either way the
+/// journal, series, and checkpoint stream come from this one cycle, so
+/// `inspect` works on a serve store unchanged.
 ///
-/// There is no streaming filter to re-point: the producer sends the full
-/// firehose and categorization itself drops non-members (the same
-/// predicate the filtered subscription applies engine-side, so the
-/// collected set is identical).
+/// Categorization drops tweets from outside the node set — the same
+/// predicate the filtered subscription applies engine-side — so a
+/// firehose delivery and a filtered one collect the identical set.
 pub struct StreamMonitor {
     runner: Runner,
     total_hours: u64,
     state: RunState,
+    /// Counters of this segment; `collected` stays empty, because
+    /// [`finish_hour`](StreamMonitor::finish_hour) hands each batch back.
     segment: MonitorReport,
-    ctx: Arc<RwLock<CategorizeCtx>>,
-    stage: LongLivedStage<Tweet, Option<CollectedTweet>>,
+    /// Node set of the current switch round.
+    membership: HashMap<AccountId, SampleAttribute>,
+    /// Absolute engine hour of the open hour.
+    hour: u64,
     segment_collected: u64,
     mid_hour: bool,
 }
@@ -652,33 +533,16 @@ impl StreamMonitor {
     }
 
     /// Resumes from a checkpointed cursor: the restored membership
-    /// re-arms categorization mid-switch-interval exactly as
-    /// [`Runner::run_segment`] re-points the streaming filter.
+    /// re-arms categorization mid-switch-interval, as
+    /// [`Runner::run_segment`] re-points its streaming filter.
     pub fn resume(runner: Runner, total_hours: u64, state: RunState) -> Self {
-        let ctx = Arc::new(RwLock::new(CategorizeCtx {
-            membership: state.membership.iter().copied().collect(),
-            hour: 0,
-        }));
-        let worker_ctx = Arc::clone(&ctx);
-        let stage = LongLivedStage::new(
-            runner.exec(),
-            "monitor.categorize",
-            |tweet: &Tweet| u64::from(tweet.author.0),
-            move |_worker| {
-                let ctx = Arc::clone(&worker_ctx);
-                move |tweet: Tweet| {
-                    let ctx = ctx.read().expect("categorize context poisoned");
-                    Runner::categorize(tweet, &ctx.membership, ctx.hour)
-                }
-            },
-        );
         Self {
             runner,
             total_hours,
+            membership: state.membership.iter().copied().collect(),
             state,
             segment: MonitorReport::default(),
-            ctx,
-            stage,
+            hour: 0,
             segment_collected: 0,
             mid_hour: false,
         }
@@ -689,7 +553,9 @@ impl StreamMonitor {
         &self.state
     }
 
-    /// The report accumulated by this monitor instance (one segment).
+    /// The counters accumulated by this monitor instance (one segment).
+    /// Its `collected` is always empty: every batch goes to the sink and
+    /// back to the caller of [`finish_hour`](StreamMonitor::finish_hour).
     pub fn segment(&self) -> &MonitorReport {
         &self.segment
     }
@@ -725,10 +591,10 @@ impl StreamMonitor {
     /// hour's selection (present exactly when a switch round is due,
     /// selected for round [`RunState::round`]) and `hour` the absolute
     /// engine hour being collected. Applies the switch to the cursor —
-    /// membership, `AttributeSwitch` journal event, node-hours — and arms
-    /// categorization. The daemon runs [`Runner::open_hour`] on its
-    /// replica's own thread, ahead of time, and calls this at the
-    /// boundary, so the cursor only ever advances here.
+    /// membership (sorted into the checkpointable cursor),
+    /// `AttributeSwitch` journal event, node-hours for the coming
+    /// interval — and arms categorization. The cursor only ever advances
+    /// here and in [`finish_hour`](StreamMonitor::finish_hour).
     ///
     /// # Panics
     ///
@@ -746,31 +612,41 @@ impl StreamMonitor {
             self.runner.switch_due(hour_index),
             "a network must be supplied exactly when hour {hour_index} opens a switch round"
         );
-        let mut ctx = self.ctx.write().expect("categorize context poisoned");
         if let Some(network) = network {
-            ctx.membership = apply_switch(
-                self.runner.config(),
-                &mut self.state,
-                &mut self.segment,
-                &network,
-                hour_index,
-                self.total_hours,
-            );
+            let state = &mut self.state;
+            state.round += 1;
+            self.membership = network.membership();
+            state.membership = self.membership.iter().map(|(&a, &s)| (a, s)).collect();
+            state.membership.sort_by_key(|&(a, _)| a.0);
+            ph_telemetry::journal_emit(ph_telemetry::TelemetryEvent::AttributeSwitch {
+                hour: hour_index,
+                round: state.round - 1,
+                nodes: self.membership.len() as u64,
+            });
+            let interval = self
+                .runner
+                .config
+                .switch_interval_hours
+                .max(1)
+                .min(self.total_hours - hour_index) as f64;
+            for (slot, count) in network.slot_sizes() {
+                *self.segment.node_hours.entry(slot).or_insert(0.0) += count as f64 * interval;
+            }
         }
-        ctx.hour = hour;
+        self.hour = hour;
         self.mid_hour = true;
     }
 
     /// Closes the hour opened by [`begin_hour`](StreamMonitor::begin_hour):
-    /// categorizes the delivered tweets on the persistent worker pool,
-    /// hands the batch and the advanced cursor to the sink, and accounts
-    /// `shed` tweets dropped by the ingest queue this hour. Returns the
-    /// categorized batch in delivery order (the classifier's input).
+    /// categorizes the delivered tweets (sharded by author through
+    /// [`ph_exec::run`], so the batch comes back in delivery order at any
+    /// thread count), hands the batch and the advanced cursor to the sink,
+    /// and accounts `shed` tweets dropped upstream this hour. Returns the
+    /// categorized batch (the classifier's input).
     ///
     /// # Errors
     ///
-    /// Propagates sink I/O failures; a dead worker pool surfaces as an
-    /// `io::Error` of kind `Other`.
+    /// Propagates sink I/O failures.
     ///
     /// # Panics
     ///
@@ -784,40 +660,69 @@ impl StreamMonitor {
         assert!(self.mid_hour, "finish_hour without begin_hour");
         self.mid_hour = false;
         let hour_index = self.state.next_hour;
-        let batch: Vec<CollectedTweet> = self
-            .stage
-            .process_batch(delivered)
-            .map_err(std::io::Error::other)?
-            .into_iter()
-            .flatten()
-            .collect();
+        let (members, hour) = (&self.membership, self.hour);
+        let batch: Vec<CollectedTweet> = ph_exec::run(
+            self.runner.exec(),
+            "monitor.categorize",
+            delivered,
+            |tweet: &Tweet| u64::from(tweet.author.0),
+            |_worker| |tweet: Tweet| Runner::categorize(tweet, members, hour),
+        )
+        .into_iter()
+        .flatten()
+        .collect();
         sink.on_batch(&batch)?;
-        let collected_this_hour = batch.len() as u64;
-        if sink.retain_in_memory() {
-            self.segment.collected.extend(batch.iter().cloned());
-        }
+        let collected = batch.len() as u64;
         ph_telemetry::histogram("monitor.tweets_per_hour", &per_hour_volume_buckets())
-            .record(collected_this_hour as f64);
+            .record(collected as f64);
         self.segment.hours += 1;
         self.segment.dropped += shed;
-        self.segment_collected += collected_this_hour;
-        record_hour_telemetry(
-            hour_index,
-            self.total_hours,
-            collected_this_hour,
-            shed,
-            self.segment_collected,
-            self.segment.dropped,
-        );
+        self.segment_collected += collected;
+        ph_telemetry::cached_counter!("monitor.tweets_collected").add(collected);
+        ph_telemetry::series("monitor.collected").add(hour_index, collected as f64);
+        ph_telemetry::series("monitor.dropped").add(hour_index, shed as f64);
+        ph_telemetry::journal_emit(ph_telemetry::TelemetryEvent::HourTick {
+            hour: hour_index,
+            collected,
+            dropped: shed,
+        });
+        // Alert rules are evaluated at every hour boundary. With none
+        // installed this is one relaxed atomic load; transitions are
+        // edge-triggered, so callers that re-evaluate after recording more
+        // per-hour data (the daemon does, once latency for the hour is
+        // known) see exactly one event per transition.
+        ph_telemetry::alert_evaluate(hour_index);
+        if ph_telemetry::progress_enabled() {
+            ph_telemetry::progress_update(&format!(
+                "{} hour {}/{} · {} tweets · {} shed",
+                ph_telemetry::progress_bar(hour_index + 1, self.total_hours, 24),
+                hour_index + 1,
+                self.total_hours,
+                self.segment_collected,
+                self.segment.dropped
+            ));
+        }
         self.state.next_hour = hour_index + 1;
         sink.on_hour(&self.state, &self.segment)?;
         Ok(batch)
     }
 
-    /// End-of-segment telemetry (total sheds, node-hour gauges). Call once
-    /// when the daemon drains — whether the run completed or was stopped.
+    /// End-of-segment telemetry: total-dropped counter, shed warning,
+    /// per-slot node-hour gauges. Call once when the segment ends —
+    /// whether the run completed, was stopped, or failed.
     pub fn finish(&mut self, queue_capacity: usize) {
-        finish_segment_telemetry(&self.segment, queue_capacity);
+        ph_telemetry::progress_done();
+        ph_telemetry::cached_counter!("monitor.tweets_dropped").add(self.segment.dropped);
+        if self.segment.dropped > 0 {
+            ph_telemetry::log_warn!(
+                "streaming buffer shed {} tweets (capacity {})",
+                self.segment.dropped,
+                queue_capacity
+            );
+        }
+        for (slot, node_hours) in &self.segment.node_hours {
+            ph_telemetry::gauge(&format!("monitor.node_hours.{slot}")).set(*node_hours);
+        }
     }
 }
 
@@ -1075,20 +980,43 @@ mod tests {
         assert_eq!(merged, full);
     }
 
-    /// Drives a [`StreamMonitor`] the way the daemon does — firehose tap,
-    /// explicit hour boundaries — and returns its segment report.
+    /// Steps `monitor` through up to `hours` hours the way the daemon
+    /// does — firehose tap, explicit hour boundaries — and returns its
+    /// segment report with the returned batches as `collected`.
+    fn stream_monitor_hours(
+        monitor: &mut StreamMonitor,
+        e: &mut Engine,
+        tap: (
+            &ph_twitter_sim::api::StreamingApi,
+            ph_twitter_sim::api::SubscriptionId,
+        ),
+        hours: u64,
+    ) -> MonitorReport {
+        let mut collected = Vec::new();
+        for _ in 0..hours {
+            if monitor.complete() {
+                break;
+            }
+            monitor.begin_hour(e);
+            let delivered = tap.0.poll(tap.1).unwrap();
+            collected.extend(monitor.finish_hour(delivered, 0, &mut MemorySink).unwrap());
+        }
+        MonitorReport {
+            collected,
+            ..monitor.segment().clone()
+        }
+    }
+
+    /// Drives a [`StreamMonitor`] over a whole run and returns its cursor
+    /// and segment report.
     fn stream_monitor_run(runner: Runner, hours: u64) -> (RunState, MonitorReport) {
         let mut e = engine();
         let streaming = e.streaming();
         let fh = streaming.firehose_with_capacity(ph_twitter_sim::api::DEFAULT_QUEUE_CAPACITY);
         let mut monitor = StreamMonitor::new(runner, hours);
-        while !monitor.complete() {
-            monitor.begin_hour(&mut e);
-            let delivered = streaming.poll(fh).unwrap();
-            monitor.finish_hour(delivered, 0, &mut MemorySink).unwrap();
-        }
+        let report = stream_monitor_hours(&mut monitor, &mut e, (&streaming, fh), hours);
         monitor.finish(0);
-        (monitor.state().clone(), monitor.segment().clone())
+        (monitor.state().clone(), report)
     }
 
     #[test]
@@ -1132,13 +1060,8 @@ mod tests {
         let s1 = e1.streaming();
         let fh1 = s1.firehose_with_capacity(ph_twitter_sim::api::DEFAULT_QUEUE_CAPACITY);
         let mut first = StreamMonitor::new(runner.clone(), 10);
-        for _ in 0..4 {
-            first.begin_hour(&mut e1);
-            let delivered = s1.poll(fh1).unwrap();
-            first.finish_hour(delivered, 0, &mut MemorySink).unwrap();
-        }
+        let mut merged = stream_monitor_hours(&mut first, &mut e1, (&s1, fh1), 4);
         let state = first.state().clone();
-        let mut merged = first.segment().clone();
         drop(first);
         drop(e1);
 
@@ -1149,12 +1072,7 @@ mod tests {
         let s2 = e2.streaming();
         let fh2 = s2.firehose_with_capacity(ph_twitter_sim::api::DEFAULT_QUEUE_CAPACITY);
         let mut resumed = StreamMonitor::resume(runner, 10, state);
-        while !resumed.complete() {
-            resumed.begin_hour(&mut e2);
-            let delivered = s2.poll(fh2).unwrap();
-            resumed.finish_hour(delivered, 0, &mut MemorySink).unwrap();
-        }
-        merged.merge(resumed.segment());
+        merged.merge(&stream_monitor_hours(&mut resumed, &mut e2, (&s2, fh2), 10));
         assert_eq!(merged, full);
     }
 
@@ -1215,6 +1133,43 @@ mod tests {
         let mut merged = report;
         merged.merge(&resumed);
         assert_eq!(merged, full);
+    }
+
+    #[test]
+    fn a_sink_error_closes_the_subscription() {
+        struct FailAt(u64);
+        impl MonitorSink for FailAt {
+            fn on_tweet(&mut self, _c: &CollectedTweet) -> std::io::Result<()> {
+                Ok(())
+            }
+            fn on_hour(&mut self, state: &RunState, _s: &MonitorReport) -> std::io::Result<()> {
+                if state.next_hour == self.0 {
+                    return Err(std::io::Error::other("disk full"));
+                }
+                Ok(())
+            }
+        }
+        let runner = small_runner(25);
+        let mut e = engine();
+        let before = e.streaming().subscription_count();
+        let mut state = RunState::default();
+        let err = runner
+            .run_segment(
+                &mut e,
+                &mut state,
+                12,
+                u64::MAX,
+                runner.standard_networks(),
+                &mut FailAt(2),
+            )
+            .expect_err("the sink failed at hour 2");
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(e.streaming().subscription_count(), before);
+        // The cursor reads as the failed hour left it: advanced past it,
+        // the switch round of hour 1 applied.
+        assert_eq!(state.next_hour, 2);
+        assert_eq!(state.round, 2);
+        assert!(!state.membership.is_empty());
     }
 
     #[test]

@@ -32,15 +32,9 @@
 
 pub mod channel;
 pub mod merge;
-pub mod service;
 pub mod shard;
 pub mod stage;
-pub mod watchdog;
 
 pub use merge::{merge_shards, Reorder, Seq};
-pub use service::LongLivedStage;
 pub use shard::{mix64, shard_of};
 pub use stage::{run, run_weighted, ExecConfig, Stage, StageWeight};
-pub use watchdog::{
-    heartbeat, heartbeats_reset, heartbeats_snapshot, Heartbeat, HeartbeatSnapshot,
-};

@@ -70,9 +70,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ph_core::detector::{build_training_data_with, DetectorConfig, SpamDetector, StreamClassifier};
-use ph_core::features::DEFAULT_TAU;
-use ph_core::labeling::pipeline::{label_collection_with, PipelineConfig};
+use ph_core::detector::{ground_truth_and_detector, StreamClassifier};
 use ph_core::monitor::{
     CollectedTweet, MonitorReport, RunState, Runner, RunnerConfig, StreamMonitor,
 };
@@ -91,7 +89,7 @@ use crate::loadgen::{spawn_feed, FeedConfig};
 use crate::queue::IngestQueue;
 use crate::slo::SloTarget;
 use crate::verdict::VerdictWriter;
-use crate::watchdog::{Watchdog, WatchdogConfig};
+use crate::watchdog::{Heartbeat, Watchdog, WatchdogConfig};
 
 /// How long one queue pop waits before the stop flag is re-checked.
 const POP_TIMEOUT: Duration = Duration::from_millis(100);
@@ -100,9 +98,9 @@ const POP_TIMEOUT: Duration = Duration::from_millis(100);
 /// addresses (`ingest=…`, `http=…`) once the daemon is accepting.
 pub const ENDPOINTS_FILE: &str = "ENDPOINTS";
 
-/// Drop guard pairing [`ph_exec::Heartbeat::begin_batch`] with
-/// `end_batch` across the `?`-heavy hour-boundary block.
-struct HourDone<'a>(&'a ph_exec::Heartbeat);
+/// Drop guard pairing [`Heartbeat::begin_batch`] with `end_batch` across
+/// the `?`-heavy hour-boundary block.
+struct HourDone<'a>(&'a Heartbeat);
 
 impl Drop for HourDone<'_> {
     fn drop(&mut self) {
@@ -332,34 +330,6 @@ fn engine_for(manifest: &Manifest) -> Engine {
     })
 }
 
-/// Phases 1–2, identical to the batch CLI: ground-truth collection over
-/// `gt_hours`, labeling, and Random-Forest training — leaving `engine`
-/// stepped to the monitoring start.
-fn train_detector(
-    engine: &mut Engine,
-    runner: &Runner,
-    gt_hours: u64,
-    exec: &ExecConfig,
-) -> SpamDetector {
-    log_info!("serve: phase 1 — ground truth, standard network, {gt_hours} h…");
-    let train_report = runner.run(engine, gt_hours);
-    let ground_truth = label_collection_with(
-        &train_report.collected,
-        engine,
-        &PipelineConfig::default(),
-        exec,
-    );
-    log_info!("serve: phase 2 — training the Random Forest detector…");
-    let (data, _) = build_training_data_with(
-        &train_report.collected,
-        &ground_truth.labels,
-        engine,
-        DEFAULT_TAU,
-        exec,
-    );
-    SpamDetector::train(&DetectorConfig::default(), &data)
-}
-
 fn open_store(config: &ServeConfig) -> io::Result<(Store, MonitorReport, RunState, Manifest)> {
     if config.resume {
         let r = Store::open_resume(&config.dir, config.store)?;
@@ -481,7 +451,7 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
         },
         exec.clone(),
     );
-    let detector = train_detector(&mut engine, &runner, manifest.gt_hours, &exec);
+    let (_, detector) = ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
     let mut classifier = StreamClassifier::new(detector);
 
     let verdict_path = config
@@ -537,6 +507,10 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
         ));
     }
 
+    // The hour loop's heartbeat: busy while an hour boundary is being
+    // processed, progressing once per completed hour — so a hang inside
+    // categorize/classify/flush trips the watchdog.
+    let hour_hb = Arc::new(Heartbeat::new("serve.hour"));
     let mut watchdog = if config.watchdog_ticks > 0 {
         Some(Watchdog::spawn(
             WatchdogConfig {
@@ -544,14 +518,11 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                 ..WatchdogConfig::default()
             },
             Some(config.dir.clone()),
+            Arc::clone(&hour_hb),
         ))
     } else {
         None
     };
-    // The daemon loop's own heartbeat: busy while an hour boundary is
-    // being processed, progressing once per completed hour — so a hang
-    // inside classify/flush trips the watchdog like any exec stage.
-    let hour_hb = ph_exec::heartbeat("serve.hour");
 
     // The hour loop's copy of the replica's profile directory, extended
     // from each plan; the engine itself moves to the replica thread,

@@ -36,8 +36,8 @@
 //! - [`health`] is the keyed degradation set behind `/healthz`: the
 //!   watchdog and the SLO alert raise and clear named reasons, and the
 //!   probe flips 200 ⇄ 503 accordingly.
-//! - [`watchdog`] samples [`ph_exec`] stage heartbeats on a wall-clock
-//!   cadence and declares a busy-but-flatlined stage stalled: journal
+//! - [`watchdog`] samples the hour loop's heartbeat on a wall-clock
+//!   cadence and declares a busy-but-flatlined hour stalled: journal
 //!   event, degraded health, and a flight-recorder dump into the store.
 //!
 //! The crate-level invariant is the workspace's usual one, extended to

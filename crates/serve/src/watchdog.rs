@@ -1,24 +1,25 @@
-//! The stage watchdog: wall-clock sampling of ph-exec heartbeats.
+//! The hour-loop watchdog: wall-clock sampling of a [`Heartbeat`].
 //!
-//! A background thread samples [`ph_exec::heartbeats_snapshot`] every
-//! `interval`. A stage that is *busy* (a batch in flight) whose
-//! progress counter has not moved for `ticks` consecutive samples is
-//! declared stalled: the watchdog emits a
-//! [`ph_telemetry::TelemetryEvent::StageStalled`] journal event
-//! (diagnostic — it reaches the flight recorder and the in-process
-//! journal, never `journal.log`), flips `/healthz` to degraded via
-//! [`crate::health`], and dumps the flight ring into the store so the
+//! The daemon's hour loop publishes one heartbeat (`serve.hour`): it
+//! raises `active` while an hour boundary is being processed and bumps a
+//! monotone `progress` counter once per completed hour — relaxed atomic
+//! adds, nothing more. A background thread samples it every `interval`.
+//! If the heartbeat is *busy* and its progress counter has not moved for
+//! `ticks` consecutive samples, the stage is declared stalled: the
+//! watchdog emits a [`ph_telemetry::TelemetryEvent::StageStalled`]
+//! journal event (diagnostic — it reaches the flight recorder and the
+//! in-process journal, never `journal.log`), flips `/healthz` to degraded
+//! via [`crate::health`], and dumps the flight ring into the store so the
 //! hang is diagnosable even if the process is later killed -9. When the
-//! stage makes progress again (or goes idle), the degradation clears
-//! and a recovery note lands in the flight ring.
+//! stage makes progress again (or goes idle), the degradation clears and
+//! a recovery note lands in the flight ring.
 //!
-//! Idle stages never trip: a daemon legitimately sits between hour
-//! boundaries for as long as the producer pleases. Only "busy and
-//! flatlined" is a stall.
+//! Idle never trips: a daemon legitimately sits between hour boundaries
+//! for as long as the producer pleases. Only "busy and flatlined" is a
+//! stall.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -26,6 +27,60 @@ use std::time::Duration;
 use ph_telemetry::{journal_emit, log_warn, TelemetryEvent};
 
 use crate::health;
+
+/// A stage's progress pulse, sampled by [`Watchdog`].
+#[derive(Debug)]
+pub struct Heartbeat {
+    stage: String,
+    progress: AtomicU64,
+    active: AtomicU64,
+}
+
+impl Heartbeat {
+    /// A fresh, idle heartbeat for the stage named `stage`.
+    #[must_use]
+    pub fn new(stage: &str) -> Self {
+        Heartbeat {
+            stage: stage.to_string(),
+            progress: AtomicU64::new(0),
+            active: AtomicU64::new(0),
+        }
+    }
+
+    /// The stage name stall reports carry.
+    #[must_use]
+    pub fn stage(&self) -> &str {
+        &self.stage
+    }
+
+    /// Marks a batch in flight (re-entrant: nested batches stack).
+    pub fn begin_batch(&self) {
+        self.active.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Marks the batch done; with no batch in flight the stage cannot
+    /// stall.
+    pub fn end_batch(&self) {
+        self.active.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Records one unit of progress.
+    pub fn bump(&self) {
+        self.progress.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The monotone progress counter.
+    #[must_use]
+    pub fn progress(&self) -> u64 {
+        self.progress.load(Ordering::Relaxed)
+    }
+
+    /// Whether a batch is currently in flight.
+    #[must_use]
+    pub fn busy(&self) -> bool {
+        self.active.load(Ordering::Relaxed) > 0
+    }
+}
 
 /// When to declare a stall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,13 +102,6 @@ impl Default for WatchdogConfig {
     }
 }
 
-#[derive(Default)]
-struct StageState {
-    last_progress: u64,
-    stale_ticks: u64,
-    tripped: bool,
-}
-
 /// A running watchdog thread. Dropping (or [`shutdown`](Watchdog::shutdown))
 /// stops and joins it.
 pub struct Watchdog {
@@ -62,58 +110,56 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// Starts sampling. `dump_dir` is the store directory the flight
-    /// ring is dumped into on a trip (`None` = record events only).
+    /// Starts sampling `heartbeat`. `dump_dir` is the store directory the
+    /// flight ring is dumped into on a trip (`None` = record events only).
     #[must_use]
-    pub fn spawn(config: WatchdogConfig, dump_dir: Option<PathBuf>) -> Self {
+    pub fn spawn(
+        config: WatchdogConfig,
+        dump_dir: Option<PathBuf>,
+        heartbeat: Arc<Heartbeat>,
+    ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let loop_stop = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            let mut states: HashMap<String, StageState> = HashMap::new();
+            let stage = heartbeat.stage();
+            let (mut last_progress, mut stale_ticks, mut tripped) = (0, 0, false);
             while !loop_stop.load(Ordering::SeqCst) {
                 std::thread::sleep(config.interval);
-                for hb in ph_exec::heartbeats_snapshot() {
-                    let state = states.entry(hb.stage.clone()).or_default();
-                    let flat = hb.progress == state.last_progress;
-                    state.last_progress = hb.progress;
-                    if hb.busy && flat {
-                        state.stale_ticks += 1;
-                        if state.stale_ticks >= config.ticks && !state.tripped {
-                            state.tripped = true;
-                            journal_emit(TelemetryEvent::StageStalled {
-                                stage: hb.stage.clone(),
-                                ticks: state.stale_ticks,
-                            });
-                            log_warn!(
-                                "watchdog: stage '{}' stalled ({} ticks without progress)",
-                                hb.stage,
-                                state.stale_ticks
-                            );
-                            health::degrade(
-                                &format!("watchdog.{}", hb.stage),
-                                &format!(
-                                    "stage stalled: no progress across {} ticks",
-                                    state.stale_ticks
-                                ),
-                            );
-                            if let Some(dir) = &dump_dir {
-                                if let Err(e) =
-                                    ph_store::write_flight(dir, &ph_telemetry::flight_snapshot())
-                                {
-                                    log_warn!("watchdog: flight dump failed: {e}");
-                                }
+                let progress = heartbeat.progress();
+                let flat = progress == last_progress;
+                last_progress = progress;
+                if heartbeat.busy() && flat {
+                    stale_ticks += 1;
+                    if stale_ticks >= config.ticks && !tripped {
+                        tripped = true;
+                        journal_emit(TelemetryEvent::StageStalled {
+                            stage: stage.to_string(),
+                            ticks: stale_ticks,
+                        });
+                        log_warn!(
+                            "watchdog: stage '{stage}' stalled ({stale_ticks} ticks without progress)"
+                        );
+                        health::degrade(
+                            &format!("watchdog.{stage}"),
+                            &format!("stage stalled: no progress across {stale_ticks} ticks"),
+                        );
+                        if let Some(dir) = &dump_dir {
+                            if let Err(e) =
+                                ph_store::write_flight(dir, &ph_telemetry::flight_snapshot())
+                            {
+                                log_warn!("watchdog: flight dump failed: {e}");
                             }
                         }
-                    } else {
-                        state.stale_ticks = 0;
-                        if state.tripped {
-                            state.tripped = false;
-                            ph_telemetry::flight_note(
-                                "stage_recovered",
-                                &format!("stage '{}' making progress again", hb.stage),
-                            );
-                            health::clear(&format!("watchdog.{}", hb.stage));
-                        }
+                    }
+                } else {
+                    stale_ticks = 0;
+                    if tripped {
+                        tripped = false;
+                        ph_telemetry::flight_note(
+                            "stage_recovered",
+                            &format!("stage '{stage}' making progress again"),
+                        );
+                        health::clear(&format!("watchdog.{stage}"));
                     }
                 }
             }
@@ -161,6 +207,22 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_tracks_progress_and_nested_batches() {
+        let hb = Heartbeat::new("test.serve.heartbeat");
+        assert_eq!(hb.stage(), "test.serve.heartbeat");
+        assert!(!hb.busy());
+        hb.begin_batch();
+        hb.begin_batch();
+        hb.bump();
+        hb.bump();
+        assert_eq!(hb.progress(), 2);
+        hb.end_batch();
+        assert!(hb.busy(), "outer batch still in flight");
+        hb.end_batch();
+        assert!(!hb.busy());
+    }
+
+    #[test]
     fn busy_flatlined_stage_trips_then_recovers() {
         let _guard = crate::health::tests::lock();
         crate::health::reset();
@@ -168,8 +230,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let stage = "test.serve.watchdog";
-        let hb = ph_exec::heartbeat(stage);
-        let mut dog = Watchdog::spawn(fast(), Some(dir.clone()));
+        let hb = Arc::new(Heartbeat::new(stage));
+        let mut dog = Watchdog::spawn(fast(), Some(dir.clone()), Arc::clone(&hb));
 
         // Idle: never trips, however long we wait.
         std::thread::sleep(Duration::from_millis(60));

@@ -125,11 +125,11 @@ pub enum TelemetryEvent {
         /// The rule's configured limit.
         limit: f64,
     },
-    /// A long-lived stage stopped making progress mid-batch (watchdog
+    /// A watched stage stopped making progress mid-batch (its watchdog
     /// heartbeat flatlined). Wall-clock-dependent; diagnostic only —
     /// never persisted.
     StageStalled {
-        /// Stage name as passed to `ph_exec::LongLivedStage::new`.
+        /// The heartbeat's stage name (the daemon's is `serve.hour`).
         stage: String,
         /// Consecutive watchdog ticks without progress before the trip.
         ticks: u64,

@@ -55,7 +55,7 @@ use ph_exec::ExecConfig;
 use ph_telemetry::{log_info, log_warn};
 use pseudo_honeypot::core::attributes::{AttributeKind, ProfileAttribute, SampleAttribute};
 use pseudo_honeypot::core::baselines::run_random_baseline;
-use pseudo_honeypot::core::detector::{build_training_data_with, DetectorConfig, SpamDetector};
+use pseudo_honeypot::core::detector::ground_truth_and_detector;
 use pseudo_honeypot::core::labeling::pipeline::{
     format_table3, label_collection_with, PipelineConfig,
 };
@@ -602,7 +602,8 @@ fn sniff_in_memory(args: &Args) {
         exec.clone(),
     );
 
-    let (detector, _) = ground_truth_and_detector(&mut engine, &runner, gt_hours, true, &exec);
+    let (ground_truth, detector) = ground_truth_and_detector(&mut engine, &runner, gt_hours, &exec);
+    println!("{}", format_table3(&ground_truth.summary));
 
     log_info!("phase 3: sniffing for {hours} h…");
     let report = runner.run(&mut engine, hours);
@@ -627,39 +628,6 @@ fn sniff_in_memory(args: &Args) {
             100.0 * correct as f64 / report.collected.len().max(1) as f64
         );
     }
-}
-
-/// Phases 1–2 of the pipeline (shared by fresh, resumed, and replayed
-/// runs — all three must rebuild the *identical* detector): ground-truth
-/// collection over `gt_hours`, labeling, and Random-Forest training.
-fn ground_truth_and_detector(
-    engine: &mut Engine,
-    runner: &Runner,
-    gt_hours: u64,
-    print_table: bool,
-    exec: &ExecConfig,
-) -> (SpamDetector, usize) {
-    log_info!("phase 1: ground truth — standard network, {gt_hours} h…");
-    let train_report = runner.run(engine, gt_hours);
-    let ground_truth = label_collection_with(
-        &train_report.collected,
-        engine,
-        &PipelineConfig::default(),
-        exec,
-    );
-    if print_table {
-        println!("{}", format_table3(&ground_truth.summary));
-    }
-    log_info!("phase 2: training the Random Forest detector…");
-    let (data, _) = build_training_data_with(
-        &train_report.collected,
-        &ground_truth.labels,
-        engine,
-        pseudo_honeypot::core::features::DEFAULT_TAU,
-        exec,
-    );
-    let detector = SpamDetector::train(&DetectorConfig::default(), &data);
-    (detector, train_report.collected.len())
 }
 
 /// Feeds the per-attribute PGE time series (`pge.<attribute>`) into the
@@ -807,8 +775,11 @@ fn sniff_stored(args: &Args, dir: &Path) -> i32 {
     // hour boundary with every completed hour on the log.
     let stop = pseudo_honeypot::serve::signal::install();
     let runner = runner_for(&manifest, exec.clone()).with_stop_flag(stop);
-    let (detector, _) =
-        ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, !resume, &exec);
+    let (ground_truth, detector) =
+        ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
+    if !resume {
+        println!("{}", format_table3(&ground_truth.summary));
+    }
 
     let (mut store, mut state, prior) = match resumed {
         Some(r) => {
@@ -1047,8 +1018,7 @@ fn replay(args: &Args) {
     record_run_meta(exec.threads, manifest.sim_seed);
     let mut engine = engine_for(&manifest);
     let runner = runner_for(&manifest, exec.clone());
-    let (detector, _) =
-        ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, false, &exec);
+    let (_, detector) = ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
     // Advance the engine to where the stored run left off, so REST-side
     // lookups (profiles, suspensions) see the same world state.
     engine.run_hours(resumed.state.next_hour);

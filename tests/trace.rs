@@ -228,6 +228,71 @@ fn stored_trace_feeds_critical_path_and_inspect_timeline() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The daemon categorizes through the same traced `ph_exec` driver as the
+/// batch runner: a served run's `monitor.categorize` track holds one
+/// stage envelope per ground-truth hour and one per served hour.
+#[test]
+fn served_categorize_stage_is_traced_every_hour() {
+    const GT_HOURS: usize = 3;
+    const HOURS: usize = 4;
+    let dir = scratch("serve");
+    let path = dir.join("t.json");
+    let out = run(&[
+        "serve",
+        "--store",
+        dir.join("run").to_str().unwrap(),
+        "--organic",
+        "200",
+        "--campaigns",
+        "2",
+        "--per-campaign",
+        "6",
+        "--gt-hours",
+        &GT_HOURS.to_string(),
+        "--hours",
+        &HOURS.to_string(),
+        "--loadgen",
+        "--http",
+        "none",
+        "--threads",
+        "2",
+        "--trace",
+        path.to_str().unwrap(),
+        "--quiet",
+    ]);
+    assert!(
+        out.status.success(),
+        "serve failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = jsonv::parse(&std::fs::read_to_string(&path).expect("trace JSON written"))
+        .expect("trace JSON must parse strictly");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array");
+    let str_of = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).map(str::to_string);
+    let pid = events
+        .iter()
+        .find(|e| {
+            str_of(e, "name").as_deref() == Some("process_name")
+                && e.get("args").and_then(|a| str_of(a, "name")).as_deref()
+                    == Some("monitor.categorize")
+        })
+        .and_then(|e| e.get("pid").and_then(Json::as_u64))
+        .expect("no monitor.categorize track");
+    let stages = events
+        .iter()
+        .filter(|e| {
+            str_of(e, "ph").as_deref() == Some("X")
+                && str_of(e, "name").as_deref() == Some("stage")
+                && e.get("pid").and_then(Json::as_u64) == Some(pid)
+        })
+        .count();
+    assert_eq!(stages, GT_HOURS + HOURS, "one categorize stage per hour");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An untraced store inspects cleanly under `--timeline` (notice, not an
 /// error), and `perf critical-path` on it exits 1 with guidance.
 #[test]
