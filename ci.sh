@@ -21,6 +21,21 @@ echo "==> benchmark smoke (check --smoke + every workload, traced and untraced)"
 # missing or differs from the sequential reference, or on a digest mismatch.
 benchmark/smoke.sh
 
+echo "==> benchmark check at full size (verdict digests pinned)"
+# `check` holds each workload to a reference built by the same code, so a
+# change that moves every verdict alike still passes it. Pinning the
+# seed-42 digests catches that: a change that moves them is a change to
+# the verdicts and must say so here. About 40 s on 2 cores.
+CHECK_OUT=$("${CARGO_TARGET_DIR:-benchmark/target}/release/ph-benchmark" check)
+echo "$CHECK_OUT"
+for pinned in "gt_train 135e9d4a" "sniff_durable fad8eb57" \
+    "serve_paced be0fc9d2" "serve_flood cd5658e7"; do
+    read -r workload digest <<< "$pinned"
+    grep -Eq "^check $workload +seed 42 .* digest $digest +ok$" <<< "$CHECK_OUT" \
+        || { echo "benchmark check: $workload digest is not $digest"; exit 1; }
+done
+echo "    four seed-42 verdict digests match the pinned values"
+
 BIN=target/release/pseudo-honeypot
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT

@@ -6,7 +6,10 @@
 //! it inspects the remaining unlabeled tweets (and optionally audits the
 //! rough labels) and answers correctly with configurable accuracy.
 
+use std::collections::BTreeMap;
+
 use ph_twitter_sim::engine::GroundTruth;
+use ph_twitter_sim::AccountId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -57,8 +60,53 @@ pub fn apply(
         "accuracy and coverage must be probabilities"
     );
     let mut rng = StdRng::seed_from_u64(config.seed);
+    check_tweets(
+        collected,
+        oracle,
+        config,
+        &mut rng,
+        &mut labels.tweet_labels,
+    );
 
-    for (c, slot) in collected.iter().zip(labels.tweet_labels.iter_mut()) {
+    // Account-level, in ascending author order: an author with two or more
+    // spam tweets is a spammer; the remaining unlabeled authors are
+    // checked directly.
+    for (author, spam_tweet_count) in spam_tweets_per_author(collected, &labels.tweet_labels) {
+        if labels.account_labels.contains_key(&author) {
+            continue;
+        }
+        // One noisy spam label is weak evidence; two or more is decisive.
+        // Single-spam authors get a direct (noisy) human check — otherwise
+        // every manual-pass labeling error would mint a phantom spammer.
+        let spammer = if spam_tweet_count >= 2 {
+            true
+        } else {
+            let truth = oracle.is_spammer(author);
+            if rng.random_bool(config.accuracy) {
+                truth
+            } else {
+                !truth
+            }
+        };
+        labels.account_labels.insert(
+            author,
+            AccountLabel {
+                spammer,
+                method: LabelMethod::Manual,
+            },
+        );
+    }
+}
+
+/// The tweet-level pass: inspects unlabeled tweets and audits rough labels.
+fn check_tweets(
+    collected: &[CollectedTweet],
+    oracle: &GroundTruth<'_>,
+    config: &ManualConfig,
+    rng: &mut StdRng,
+    tweet_labels: &mut [Option<TweetLabel>],
+) {
+    for (c, slot) in collected.iter().zip(tweet_labels.iter_mut()) {
         match slot {
             None => {
                 if config.coverage >= 1.0 || rng.random_bool(config.coverage) {
@@ -88,47 +136,25 @@ pub fn apply(
             Some(_) => {}
         }
     }
+}
 
-    // Account-level: any author with a spam tweet is a spammer; remaining
-    // unlabeled authors are checked directly.
-    let mut authors: Vec<ph_twitter_sim::AccountId> =
-        collected.iter().map(|c| c.tweet.author).collect();
-    authors.sort_unstable();
-    authors.dedup();
-    for author in authors {
-        if labels.account_labels.contains_key(&author) {
-            continue;
-        }
-        // One noisy spam label is weak evidence; two or more is decisive.
-        // Single-spam authors get a direct (noisy) human check — otherwise
-        // every manual-pass labeling error would mint a phantom spammer.
-        let spam_tweet_count = collected
-            .iter()
-            .zip(&labels.tweet_labels)
-            .filter(|(c, l)| c.tweet.author == author && l.is_some_and(|l| l.spam))
-            .count();
-        let spammer = if spam_tweet_count >= 2 {
-            true
-        } else {
-            let truth = oracle.is_spammer(author);
-            if rng.random_bool(config.accuracy) {
-                truth
-            } else {
-                !truth
-            }
-        };
-        labels.account_labels.insert(
-            author,
-            AccountLabel {
-                spammer,
-                method: LabelMethod::Manual,
-            },
-        );
+/// Spam-labeled tweets per author, over every author in `collected`
+/// (zero included), in ascending author order — one pass over the tweets.
+fn spam_tweets_per_author(
+    collected: &[CollectedTweet],
+    tweet_labels: &[Option<TweetLabel>],
+) -> BTreeMap<AccountId, usize> {
+    let mut counts = BTreeMap::new();
+    for (c, l) in collected.iter().zip(tweet_labels) {
+        *counts.entry(c.tweet.author).or_insert(0) += usize::from(l.is_some_and(|l| l.spam));
     }
+    counts
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::attributes::{ProfileAttribute, SampleAttribute};
     use crate::monitor::{Runner, RunnerConfig};
@@ -251,6 +277,105 @@ mod tests {
             assert_eq!(l.spam, gt.is_spam(&c.tweet));
             assert_eq!(l.method, LabelMethod::Manual, "fix must be attributed");
         }
+    }
+
+    /// The account-level pass as it once ran: a full rescan of the
+    /// collection for every unlabeled author, O(authors × tweets).
+    fn check_authors_by_rescan(
+        collected: &[CollectedTweet],
+        tweet_labels: &[Option<TweetLabel>],
+        oracle: &GroundTruth<'_>,
+        accuracy: f64,
+        rng: &mut StdRng,
+        account_labels: &mut HashMap<AccountId, AccountLabel>,
+    ) {
+        let mut authors: Vec<AccountId> = collected.iter().map(|c| c.tweet.author).collect();
+        authors.sort_unstable();
+        authors.dedup();
+        for author in authors {
+            if account_labels.contains_key(&author) {
+                continue;
+            }
+            let spam_tweet_count = collected
+                .iter()
+                .zip(tweet_labels)
+                .filter(|(c, l)| c.tweet.author == author && l.is_some_and(|l| l.spam))
+                .count();
+            let spammer = if spam_tweet_count >= 2 {
+                true
+            } else {
+                let truth = oracle.is_spammer(author);
+                if rng.random_bool(accuracy) {
+                    truth
+                } else {
+                    !truth
+                }
+            };
+            account_labels.insert(
+                author,
+                AccountLabel {
+                    spammer,
+                    method: LabelMethod::Manual,
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn one_pass_author_counts_label_accounts_as_the_rescan() {
+        let (engine, collected) = monitored();
+        let gt = engine.ground_truth();
+        let config = ManualConfig::default();
+        // Half the tweets arrive rough-labeled (every third as spam) and
+        // some authors arrive already labeled, as after the rule pass.
+        let mut input = LabeledCollection {
+            tweet_labels: (0..collected.len())
+                .map(|i| {
+                    (i % 2 == 0).then_some(TweetLabel {
+                        spam: i % 3 == 0,
+                        method: LabelMethod::RuleBased,
+                    })
+                })
+                .collect(),
+            ..Default::default()
+        };
+        for c in collected.iter().step_by(5) {
+            input.account_labels.insert(
+                c.tweet.author,
+                AccountLabel {
+                    spammer: true,
+                    method: LabelMethod::RuleBased,
+                },
+            );
+        }
+
+        let mut labels = input.clone();
+        apply(&collected, &gt, &config, &mut labels);
+
+        let mut expected = input;
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        check_tweets(
+            &collected,
+            &gt,
+            &config,
+            &mut rng,
+            &mut expected.tweet_labels,
+        );
+        let counts = spam_tweets_per_author(&collected, &expected.tweet_labels);
+        assert!(
+            counts.values().any(|&n| n >= 2) && counts.values().any(|&n| n < 2),
+            "fixture must hold both decisive and directly checked authors"
+        );
+        check_authors_by_rescan(
+            &collected,
+            &expected.tweet_labels,
+            &gt,
+            config.accuracy,
+            &mut rng,
+            &mut expected.account_labels,
+        );
+        assert_eq!(labels.tweet_labels, expected.tweet_labels);
+        assert_eq!(labels.account_labels, expected.account_labels);
     }
 
     #[test]

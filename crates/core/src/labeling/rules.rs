@@ -104,11 +104,12 @@ pub fn apply(
     let _span = ph_telemetry::span("rules");
     let mut report = RuleReport::default();
 
-    // Repetition counts per (author, normalized text).
+    // Repetition counts per (author, normalized text). Each tweet's text
+    // is normalized and hashed once; the labeling loop reuses the key.
+    let keys: Vec<u64> = collected.iter().map(|c| text_key(&c.tweet.text)).collect();
     let mut repeats: HashMap<(AccountId, u64), usize> = HashMap::new();
-    for c in collected {
-        let key = (c.tweet.author, text_key(&c.tweet.text));
-        *repeats.entry(key).or_insert(0) += 1;
+    for (c, &key) in collected.iter().zip(&keys) {
+        *repeats.entry((c.tweet.author, key)).or_insert(0) += 1;
     }
     let repetitive_keys: HashSet<(AccountId, u64)> = repeats
         .into_iter()
@@ -117,7 +118,11 @@ pub fn apply(
         .collect();
 
     let mut spam_authors: HashSet<AccountId> = HashSet::new();
-    for (c, slot) in collected.iter().zip(labels.tweet_labels.iter_mut()) {
+    for ((c, &key), slot) in collected
+        .iter()
+        .zip(&keys)
+        .zip(labels.tweet_labels.iter_mut())
+    {
         if slot.is_some() {
             continue;
         }
@@ -134,7 +139,7 @@ pub fn apply(
         }
         let rule = spam_rule_for(&c.tweet.text, &c.tweet.urls).or_else(|| {
             repetitive_keys
-                .contains(&(c.tweet.author, text_key(&c.tweet.text)))
+                .contains(&(c.tweet.author, key))
                 .then_some(SpamRule::Repetition)
         });
         if let Some(rule) = rule {

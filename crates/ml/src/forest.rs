@@ -86,14 +86,22 @@ impl RandomForest {
         let train_one = |tree_seed: u64| -> (DecisionTree, f64) {
             let start = std::time::Instant::now();
             let mut rng = StdRng::seed_from_u64(tree_seed);
-            // Bootstrap sample: n draws with replacement.
+            // Bootstrap sample: n draws with replacement, grown as the
+            // ~63 % distinct rows weighted by their draw counts — the same
+            // tree as the n draws listed with duplicates (see
+            // `DecisionTree::fit_binned`), at a fraction of the row work.
             let n = data.len();
-            let rows: Vec<u32> = (0..n).map(|_| rng.random_range(0..n) as u32).collect();
+            let mut counts = vec![0u32; n];
+            for _ in 0..n {
+                counts[rng.random_range(0..n)] += 1;
+            }
+            let rows: Vec<u32> = (0..n as u32).filter(|&r| counts[r as usize] > 0).collect();
             let tree = DecisionTree::fit_binned(
                 &config.tree,
                 &bins,
                 &targets,
                 rows,
+                Some(&counts),
                 Some(features_per_split),
                 rng.random(),
             );

@@ -141,7 +141,8 @@ struct GrowOptions<'a> {
     features_per_split: Option<usize>,
 }
 
-/// Target statistics of a set of rows: count, Σt and Σt².
+/// Target statistics of a set of rows, each counted with its weight:
+/// count, Σt and Σt².
 #[derive(Debug, Clone, Copy, Default)]
 struct Stats {
     n: u32,
@@ -150,10 +151,11 @@ struct Stats {
 }
 
 impl Stats {
-    fn add(&mut self, t: f64) {
-        self.n += 1;
-        self.sum += t;
-        self.sq += t * t;
+    fn add(&mut self, t: f64, w: u32) {
+        let wf = f64::from(w);
+        self.n += w;
+        self.sum += t * wf;
+        self.sq += t * t * wf;
     }
 
     fn merge(&mut self, other: &Stats) {
@@ -165,8 +167,9 @@ impl Stats {
 
 /// Per-tree working buffers, allocated once and reused at every node.
 struct Scratch {
-    /// Targets of the current node's rows, in row-list order.
-    targets: Vec<f64>,
+    /// Each of the current node's rows as its own weighted `Stats`, in
+    /// row-list order, so a histogram pass only adds.
+    row_stats: Vec<Stats>,
     /// One histogram bucket per bin of the feature being scanned; all
     /// zero between scans.
     hist: Vec<Stats>,
@@ -175,16 +178,22 @@ struct Scratch {
 }
 
 /// Grows a regression tree on `targets` (indexed by row) over the rows
-/// listed in `rows` (bootstrap duplicates allowed).
+/// listed in `rows`, each counted `weights[row]` times (once when
+/// `weights` is `None`).
 ///
 /// Each node owns a contiguous `[lo, hi)` range of `rows`. Splitting
-/// builds a (count, Σt, Σt²) histogram over the node's rows for each of
-/// the node's sampled candidate features only, scans its bins in
+/// builds a weighted (count, Σt, Σt²) histogram over the node's rows for
+/// each of the node's sampled candidate features only, scans its bins in
 /// ascending order, and stably partitions the one row list in place.
+/// `min_samples_split`, `min_samples_leaf` and the leaf mean all read
+/// weighted counts, so a row listed once with weight k grows the same
+/// tree as k copies of it whenever every weighted sum is exact (0/1
+/// targets: see `DecisionTree::fit_binned`).
 fn grow(
     bins: &BinnedMatrix,
     targets: &[f64],
     mut rows: Vec<u32>,
+    weights: Option<&[u32]>,
     opts: &GrowOptions<'_>,
     rng: &mut StdRng,
 ) -> TreeCore {
@@ -194,13 +203,20 @@ fn grow(
         bins.num_rows(),
         "one target per binned row required"
     );
+    if let Some(w) = weights {
+        assert_eq!(
+            w.len(),
+            bins.num_rows(),
+            "one weight per binned row required"
+        );
+    }
     let num_features = bins.num_features();
     let mut core = TreeCore {
         nodes: Vec::new(),
         num_features,
     };
     let mut scratch = Scratch {
-        targets: Vec::with_capacity(rows.len()),
+        row_stats: Vec::with_capacity(rows.len()),
         hist: vec![Stats::default(); MAX_BINS],
         right: Vec::with_capacity(rows.len()),
     };
@@ -213,16 +229,23 @@ fn grow(
     let mut stack: Vec<(usize, usize, usize, usize)> = vec![(0, 0, rows.len(), 0)];
     while let Some((slot, lo, hi, depth)) = stack.pop() {
         let node = &rows[lo..hi];
-        scratch.targets.clear();
+        scratch.row_stats.clear();
         let mut total = Stats::default();
+        let first = targets[node[0] as usize];
+        let mut pure = true;
         for &r in node {
             let t = targets[r as usize];
-            scratch.targets.push(t);
-            total.add(t);
+            let mut row = Stats::default();
+            row.add(t, weights.map_or(1, |w| w[r as usize]));
+            scratch.row_stats.push(row);
+            total.merge(&row);
+            pure &= t == first;
         }
-        let mean = total.sum / node.len() as f64;
-        let pure = scratch.targets.iter().all(|&t| t == scratch.targets[0]);
-        if depth >= opts.config.max_depth || node.len() < opts.config.min_samples_split || pure {
+        let mean = total.sum / f64::from(total.n);
+        if depth >= opts.config.max_depth
+            || (total.n as usize) < opts.config.min_samples_split
+            || pure
+        {
             core.nodes[slot] = Node::Leaf { value: mean };
             continue;
         }
@@ -309,7 +332,7 @@ fn best_split(
     config: &DecisionTreeConfig,
     scratch: &mut Scratch,
 ) -> Option<SplitChoice> {
-    let n = node.len() as f64;
+    let n = f64::from(total.n);
     let parent_sse = total.sq - total.sum * total.sum / n;
     let mut best: Option<(f64, SplitChoice)> = None;
 
@@ -317,9 +340,9 @@ fn best_split(
         let column = bins.column(feature);
         let hist = &mut scratch.hist;
         let (mut lo_bin, mut hi_bin) = (u8::MAX, u8::MIN);
-        for (&r, &t) in node.iter().zip(&scratch.targets) {
+        for (&r, row) in node.iter().zip(&scratch.row_stats) {
             let b = column[r as usize];
-            hist[b as usize].add(t);
+            hist[b as usize].merge(row);
             lo_bin = lo_bin.min(b);
             hi_bin = hi_bin.max(b);
         }
@@ -333,7 +356,7 @@ fn best_split(
                 continue;
             }
             let left_n = left.n as usize;
-            let right_n = node.len() - left_n;
+            let right_n = (total.n - left.n) as usize;
             if left_n >= config.min_samples_leaf && right_n >= config.min_samples_leaf {
                 let (ln, rn) = (left_n as f64, right_n as f64);
                 let right_sum = total.sum - left.sum;
@@ -401,24 +424,43 @@ impl DecisionTree {
     pub fn fit(config: &DecisionTreeConfig, data: &Dataset) -> Self {
         let bins = BinnedMatrix::new(data);
         let rows: Vec<u32> = (0..data.len() as u32).collect();
-        Self::fit_binned(config, &bins, &label_targets(data.labels()), rows, None, 0)
+        Self::fit_binned(
+            config,
+            &bins,
+            &label_targets(data.labels()),
+            rows,
+            None,
+            None,
+            0,
+        )
     }
 
-    /// Fits a tree over the listed rows of a binned matrix (duplicates
-    /// allowed) with optional per-split feature subsampling — the entry
-    /// point used by [`crate::forest::RandomForest`], which bins once and
-    /// shares the matrix across trees. `targets` holds one 0/1 label per
-    /// binned row.
+    /// Fits a tree over the listed rows of a binned matrix with optional
+    /// per-split feature subsampling — the entry point used by
+    /// [`crate::forest::RandomForest`], which bins once and shares the
+    /// matrix across trees. `targets` holds one 0/1 label per binned row.
+    ///
+    /// `weights`, indexed by row, counts each listed row `weights[row]`
+    /// times; `None` counts every listed row once. A bootstrap sample can
+    /// therefore be passed either as its n draws (duplicates listed, no
+    /// weights) or as its distinct rows with their draw counts: the two
+    /// grow the same tree, bit for bit. With 0/1 targets every weighted
+    /// count, Σt and Σt² is an integer below 2⁵³, exact in `f64` in any
+    /// order or grouping, so every gain, tie-break, threshold, leaf value
+    /// and RNG draw comes out the same. Only the row order inside a node
+    /// differs, and nothing reads it but those sums.
     ///
     /// # Panics
     ///
     /// Panics if `rows` is empty or lists a row the matrix does not hold,
-    /// or if `targets` does not cover every binned row.
+    /// if `targets` does not cover every binned row, or if `weights` is
+    /// given and does not cover every binned row.
     pub fn fit_binned(
         config: &DecisionTreeConfig,
         bins: &BinnedMatrix,
         targets: &[f64],
         rows: Vec<u32>,
+        weights: Option<&[u32]>,
         features_per_split: Option<usize>,
         seed: u64,
     ) -> Self {
@@ -427,6 +469,7 @@ impl DecisionTree {
             bins,
             targets,
             rows,
+            weights,
             &GrowOptions {
                 config,
                 features_per_split,
@@ -506,6 +549,7 @@ impl RegressionTree {
             bins,
             targets,
             rows,
+            None,
             &GrowOptions {
                 config,
                 features_per_split: None,

@@ -179,6 +179,43 @@ proptest! {
         }
     }
 
+    /// A bootstrap grown as its ascending distinct rows weighted by their
+    /// draw counts is the tree grown on its draws listed with duplicates,
+    /// with and without per-split feature sampling: with 0/1 targets
+    /// every weighted count and sum is exact, so no gain, tie, leaf or
+    /// RNG draw can move.
+    #[test]
+    fn weighted_distinct_rows_grow_the_expanded_tree(
+        data in hostile_strategy(),
+        draws in proptest::collection::vec(any::<u32>(), 1..1400),
+        seed: u64,
+        min_samples_leaf in 1usize..4,
+        min_samples_split in 2usize..8,
+    ) {
+        let n = data.len() as u32;
+        let bins = BinnedMatrix::new(&data);
+        let targets: Vec<f64> = data.labels().iter().map(|&l| f64::from(u8::from(l))).collect();
+        let expanded: Vec<u32> = draws.iter().map(|&d| d % n).collect();
+        let mut counts = vec![0u32; data.len()];
+        for &r in &expanded {
+            counts[r as usize] += 1;
+        }
+        let distinct: Vec<u32> = (0..n).filter(|&r| counts[r as usize] > 0).collect();
+        let config = DecisionTreeConfig {
+            min_samples_leaf,
+            min_samples_split,
+            ..Default::default()
+        };
+        for features_per_split in [None, Some(1), Some(data.num_features().div_ceil(2))] {
+            let fit = |rows: &[u32], weights: Option<&[u32]>| {
+                DecisionTree::fit_binned(
+                    &config, &bins, &targets, rows.to_vec(), weights, features_per_split, seed,
+                )
+            };
+            prop_assert_eq!(fit(&expanded, None), fit(&distinct, Some(&counts)));
+        }
+    }
+
     /// A deep decision tree achieves 100% training accuracy whenever no two
     /// identical rows carry different labels (here rows are continuous, so
     /// collisions are essentially impossible).

@@ -30,25 +30,44 @@ pub const STOP_WORDS: &[&str] = &[
 /// assert_eq!(n, "check out best deal");
 /// ```
 pub fn normalize(text: &str) -> String {
-    let mut words: Vec<String> = Vec::new();
+    // One output buffer: a word is filtered straight into it and cut back
+    // off if it turns out empty or a stop word.
+    let mut out = String::with_capacity(text.len());
+    let mut lower = String::new();
     for raw in text.split_whitespace() {
-        let lower = raw.to_lowercase();
-        if lower.starts_with("http://")
-            || lower.starts_with("https://")
-            || lower.starts_with("www.")
-        {
+        // An ASCII word is lower-cased as it is filtered; any other is
+        // lower-cased into a reused buffer first. `char::to_lowercase`
+        // differs from `str::to_lowercase` only in word-final sigma, which
+        // the ASCII filter drops either way.
+        let word = if raw.is_ascii() {
+            raw
+        } else {
+            lower.clear();
+            lower.extend(raw.chars().flat_map(char::to_lowercase));
+            &lower
+        };
+        let prefixed = |p: &str| {
+            word.get(..p.len())
+                .is_some_and(|w| w.eq_ignore_ascii_case(p))
+        };
+        if prefixed("http://") || prefixed("https://") || prefixed("www.") {
             continue;
         }
-        let cleaned: String = lower
-            .chars()
-            .filter(|c| c.is_ascii_alphanumeric())
-            .collect();
-        if cleaned.is_empty() || STOP_WORDS.contains(&cleaned.as_str()) {
-            continue;
+        let mark = out.len();
+        if mark > 0 {
+            out.push(' ');
         }
-        words.push(cleaned);
+        let start = out.len();
+        out.extend(
+            word.chars()
+                .filter(char::is_ascii_alphanumeric)
+                .map(|c| c.to_ascii_lowercase()),
+        );
+        if out.len() == start || STOP_WORDS.contains(&&out[start..]) {
+            out.truncate(mark);
+        }
     }
-    words.join(" ")
+    out
 }
 
 /// Produces the set of character tri-gram shingles of `text`.

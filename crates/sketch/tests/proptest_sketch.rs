@@ -9,6 +9,30 @@ use ph_sketch::namepattern::NamePattern;
 use ph_sketch::shingle::{jaccard, normalize, shingles, trigram_shingles};
 use ph_sketch::unionfind::UnionFind;
 
+/// `normalize` as first written: one lower-cased and one filtered string
+/// per word, joined at the end.
+fn normalize_word_by_word(text: &str) -> String {
+    let mut words: Vec<String> = Vec::new();
+    for raw in text.split_whitespace() {
+        let lower = raw.to_lowercase();
+        if lower.starts_with("http://")
+            || lower.starts_with("https://")
+            || lower.starts_with("www.")
+        {
+            continue;
+        }
+        let cleaned: String = lower
+            .chars()
+            .filter(|c| c.is_ascii_alphanumeric())
+            .collect();
+        if cleaned.is_empty() || ph_sketch::shingle::STOP_WORDS.contains(&cleaned.as_str()) {
+            continue;
+        }
+        words.push(cleaned);
+    }
+    words.join(" ")
+}
+
 proptest! {
     /// Any shard partitioning of the same edge set — any number of shards,
     /// any assignment of edges to shards, any edge order within a shard —
@@ -161,6 +185,28 @@ proptest! {
         let hasher = MinHasher::new(128, 42);
         let sig = hasher.signature(trigram_shingles(&text));
         prop_assert!((sig.estimate_jaccard(&sig) - 1.0).abs() < 1e-12);
+    }
+
+    /// The one-buffer `normalize` returns exactly what the word-by-word
+    /// form returns, over tokens that mix case, URL prefixes in any case,
+    /// stop words, punctuation, emoji and letters whose lower case is, or
+    /// starts with, ASCII (Kelvin sign, dotted capital I, final sigma).
+    #[test]
+    fn normalize_matches_the_word_by_word_form(
+        tokens in proptest::collection::vec((0usize..26, 0usize..4), 0..24),
+    ) {
+        const POOL: [&str; 26] = [
+            "Hello", "WORLD", "the", "The", "THE", "and", "http://x.io/a", "HTTPS://Y.io",
+            "Www.spam.biz", "wwW.", "http:/", "deal!!", "co-op", "42", "3rd", "🚀", "日本",
+            "\u{212A}elvin", "\u{130}stanbul", "ΣΟΦΟΣ", "naïve", "ÀB", "...", "it's",
+            "\u{212A}", "x\u{130}",
+        ];
+        const SEPARATORS: [&str; 4] = [" ", "  ", "\t", "\n "];
+        let text: String = tokens
+            .iter()
+            .map(|&(t, sep)| format!("{}{}", POOL[t], SEPARATORS[sep]))
+            .collect();
+        prop_assert_eq!(normalize(&text), normalize_word_by_word(&text));
     }
 
     /// Normalization output contains only lowercase alphanumerics and spaces,
