@@ -238,7 +238,15 @@ for stage in ("monitor.categorize", "features.pure", "clustering.image_sketch",
               "clustering.name_sketch", "clustering.description_sketch",
               "clustering.tweet_sketch"):
     assert stage in procs, f"stage {stage} missing from trace: {procs}"
-assert any(e["ph"] == "C" for e in events), "no counter tracks"
+# A parallel stage really ran on both workers of the --threads 2 run:
+# the tweet sketch pass (the heaviest per item) has batch slices on
+# worker tids 0 and 1.
+sketch = next(e["pid"] for e in events if e["ph"] == "M" and e["name"] == "process_name"
+              and e["args"]["name"] == "clustering.tweet_sketch")
+for tid in (0, 1):
+    assert any(e["ph"] == "X" and e["name"] == "batch" and e["pid"] == sketch
+               and e["tid"] == tid for e in events), \
+        f"clustering.tweet_sketch has no batch slice on worker tid {tid}"
 assert doc["otherData"]["dropped_events"] == 0, doc["otherData"]
 print(f"    trace JSON valid: {len(events)} events across {len(procs)} stage tracks")
 EOF

@@ -443,33 +443,26 @@ impl FeatureMatrix {
     }
 }
 
-/// Runs the pure extraction phase over a whole batch, sharded across
+/// Runs the pure extraction phase over a whole batch, spread across
 /// `exec`'s workers, into one contiguous [`FeatureMatrix`] in `collected`
 /// order; completing its rows with [`FeatureExtractor::finish_into`] in
 /// stream order gives the same vectors at any thread count.
 ///
-/// The stage is pure and CPU-heavy, so it declares
-/// [`ph_exec::StageWeight::CpuBound`]: records deal round-robin across
-/// every worker instead of collapsing onto the author-hash shards. Each
-/// worker fills a stack `[f64; 58]` (no heap allocation per tweet), and
-/// the merged batch of rows is flattened in place into the matrix.
+/// Each worker fills a stack `[f64; 58]` (no heap allocation per tweet),
+/// and the ordered batch of rows is flattened in place into the matrix.
 pub fn pure_batch_matrix<P: ProfileLookup + ?Sized>(
     collected: &[CollectedTweet],
     profiles: &P,
     exec: &ExecConfig,
 ) -> FeatureMatrix {
-    let pure = ph_exec::run_weighted(
+    let pure = ph_exec::map(
         exec,
         "features.pure",
-        ph_exec::StageWeight::CpuBound,
         collected.iter().collect(),
-        |c: &&CollectedTweet| u64::from(c.tweet.author.0),
-        |_worker| {
-            move |c: &CollectedTweet| {
-                let mut row = [0.0f64; FEATURE_COUNT];
-                fill_pure_features(c, profiles, &mut row);
-                row
-            }
+        |c: &CollectedTweet| {
+            let mut row = [0.0f64; FEATURE_COUNT];
+            fill_pure_features(c, profiles, &mut row);
+            row
         },
     );
     FeatureMatrix {

@@ -250,7 +250,7 @@ const MERGE_PAIRS_PER_CHUNK: usize = 512;
 /// Pairs are cut into fixed-size chunks; each worker verifies its chunks
 /// and records survivors in a *local* [`UnionFind`] over the same
 /// `universe`. The caller then absorbs the locals in chunk order
-/// (deterministic shard-ordered fold). Connected components depend only on
+/// (deterministic chunk-ordered fold). Connected components depend only on
 /// the set of verified pairs — not on union order or chunk boundaries — so
 /// the resulting groups are identical to the old sequential
 /// verify-and-union loop at any thread count.
@@ -280,25 +280,15 @@ pub fn merge_candidate_pairs<F>(
         .chunks(per_chunk)
         .map(<[(usize, usize)]>::to_vec)
         .collect();
-    let locals: Vec<UnionFind> = ph_exec::run_weighted(
-        exec,
-        stage,
-        ph_exec::StageWeight::CpuBound,
-        chunks,
-        |_chunk| 0,
-        |_worker| {
-            let verify = &verify;
-            move |chunk: Vec<(usize, usize)>| {
-                let mut local = UnionFind::new(universe);
-                for (i, j) in chunk {
-                    if verify(i, j) {
-                        local.union(i, j);
-                    }
-                }
-                local
+    let locals: Vec<UnionFind> = ph_exec::map(exec, stage, chunks, |chunk: Vec<(usize, usize)>| {
+        let mut local = UnionFind::new(universe);
+        for (i, j) in chunk {
+            if verify(i, j) {
+                local.union(i, j);
             }
-        },
-    );
+        }
+        local
+    });
     for local in &locals {
         uf.absorb(local);
     }
@@ -316,22 +306,18 @@ fn cluster_by_image(
     candidates: Candidates,
     uf: &mut UnionFind,
 ) {
-    let rest = *rest;
-    let hashes: Vec<Option<DHash128>> = ph_exec::run(
+    let hashes: Vec<Option<DHash128>> = ph_exec::map(
         exec,
         "clustering.image_sketch",
         authors.to_vec(),
-        |id: &AccountId| u64::from(id.0),
-        |_worker| {
-            move |id: AccountId| {
-                let p = rest.profile(id)?;
-                // Default (egg) avatars are identical platform-wide and
-                // carry no campaign signal; skip them.
-                if p.default_profile_image {
-                    None
-                } else {
-                    Some(DHash128::of(&p.profile_image))
-                }
+        |id: AccountId| {
+            let p = rest.profile(id)?;
+            // Default (egg) avatars are identical platform-wide and carry
+            // no campaign signal; skip them.
+            if p.default_profile_image {
+                None
+            } else {
+                Some(DHash128::of(&p.profile_image))
             }
         },
     );
@@ -370,19 +356,15 @@ fn cluster_by_name(
     uf: &mut UnionFind,
 ) {
     use ph_sketch::NamePattern;
-    let rest = *rest;
-    let keys: Vec<Option<(NamePattern, String)>> = ph_exec::run(
+    let keys: Vec<Option<(NamePattern, String)>> = ph_exec::map(
         exec,
         "clustering.name_sketch",
         authors.to_vec(),
-        |id: &AccountId| u64::from(id.0),
-        |_worker| {
-            move |id: AccountId| {
-                let profile = rest.profile(id)?;
-                let name = &profile.screen_name;
-                let prefix: String = name.chars().take(3).flat_map(char::to_lowercase).collect();
-                Some((NamePattern::of(name), prefix))
-            }
+        |id: AccountId| {
+            let profile = rest.profile(id)?;
+            let name = &profile.screen_name;
+            let prefix: String = name.chars().take(3).flat_map(char::to_lowercase).collect();
+            Some((NamePattern::of(name), prefix))
         },
     );
     let mut groups: HashMap<(NamePattern, String), Vec<usize>> = HashMap::new();
@@ -413,22 +395,17 @@ fn cluster_by_description(
     uf: &mut UnionFind,
 ) {
     let hasher = MinHasher::new(config.minhash_width, config.minhash_seed);
-    let rest = *rest;
-    let signatures: Vec<Option<ph_sketch::MinHashSignature>> = ph_exec::run(
+    let signatures: Vec<Option<ph_sketch::MinHashSignature>> = ph_exec::map(
         exec,
         "clustering.description_sketch",
         authors.to_vec(),
-        |id: &AccountId| u64::from(id.0),
-        |_worker| {
-            let hasher = &hasher;
-            move |id: AccountId| {
-                let p = rest.profile(id)?;
-                let normalized = normalize(&p.description);
-                if normalized.len() < 10 {
-                    return None; // too short to be a meaningful template
-                }
-                Some(hasher.signature_of_text(&normalized))
+        |id: AccountId| {
+            let p = rest.profile(id)?;
+            let normalized = normalize(&p.description);
+            if normalized.len() < 10 {
+                return None; // too short to be a meaningful template
             }
+            Some(hasher.signature_of_text(&normalized))
         },
     );
     let mut index = BandIndex::new();
@@ -461,23 +438,19 @@ fn cluster_tweets(
     uf: &mut UnionFind,
 ) {
     let hasher = MinHasher::new(config.minhash_width, config.minhash_seed ^ 0x5eed);
-    let signatures: Vec<Option<ph_sketch::MinHashSignature>> = ph_exec::run(
+    let signatures: Vec<Option<ph_sketch::MinHashSignature>> = ph_exec::map(
         exec,
         "clustering.tweet_sketch",
         collected.iter().collect(),
-        |c: &&CollectedTweet| u64::from(c.tweet.author.0),
-        |_worker| {
-            let hasher = &hasher;
-            move |c: &CollectedTweet| {
-                if c.tweet.text.chars().count() < config.min_tweet_chars {
-                    return None;
-                }
-                let normalized = normalize(&c.tweet.text);
-                if normalized.is_empty() {
-                    return None;
-                }
-                Some(hasher.signature_of_text(&normalized))
+        |c: &CollectedTweet| {
+            if c.tweet.text.chars().count() < config.min_tweet_chars {
+                return None;
             }
+            let normalized = normalize(&c.tweet.text);
+            if normalized.is_empty() {
+                return None;
+            }
+            Some(hasher.signature_of_text(&normalized))
         },
     );
     // The 1-day window participates in the band key so only same-window

@@ -638,8 +638,8 @@ impl StreamMonitor {
     }
 
     /// Closes the hour opened by [`begin_hour`](StreamMonitor::begin_hour):
-    /// categorizes the delivered tweets (sharded by author through
-    /// [`ph_exec::run`], so the batch comes back in delivery order at any
+    /// categorizes the delivered tweets (across workers through
+    /// [`ph_exec::map`], so the batch comes back in delivery order at any
     /// thread count), hands the batch and the advanced cursor to the sink,
     /// and accounts `shed` tweets dropped upstream this hour. Returns the
     /// categorized batch (the classifier's input).
@@ -661,12 +661,11 @@ impl StreamMonitor {
         self.mid_hour = false;
         let hour_index = self.state.next_hour;
         let (members, hour) = (&self.membership, self.hour);
-        let batch: Vec<CollectedTweet> = ph_exec::run(
+        let batch: Vec<CollectedTweet> = ph_exec::map(
             self.runner.exec(),
             "monitor.categorize",
             delivered,
-            |tweet: &Tweet| u64::from(tweet.author.0),
-            |_worker| |tweet: Tweet| Runner::categorize(tweet, members, hour),
+            |tweet: Tweet| Runner::categorize(tweet, members, hour),
         )
         .into_iter()
         .flatten()

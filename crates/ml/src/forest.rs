@@ -108,11 +108,10 @@ impl RandomForest {
             (tree, start.elapsed().as_secs_f64() * 1e3)
         };
 
-        // Trees fan out through the exec stage driver: one tree per chunk,
-        // CPU-bound round-robin dealing, outputs back in seed order. This
-        // buys the standard stage telemetry/prof/trace instrumentation
-        // (so `perf critical-path` sees per-tree batches inside the
-        // ml.train phase) for free.
+        // Trees fan out through `ph_exec::map`: one tree per claim,
+        // outputs back in seed order. This buys the standard stage
+        // telemetry/prof/trace instrumentation (so `perf critical-path`
+        // sees per-tree batches inside the ml.train phase) for free.
         let workers = if config.parallel && config.num_trees > 1 {
             ph_exec::ExecConfig::with_threads(0)
                 .resolve_threads()
@@ -121,19 +120,13 @@ impl RandomForest {
             1
         };
         ph_telemetry::set_meta("ml.forest.workers", &workers.to_string());
-        let exec = ph_exec::ExecConfig {
-            chunk_size: 1,
-            ..ph_exec::ExecConfig::with_threads(workers)
-        };
-        let timed: Vec<(DecisionTree, f64)> = ph_exec::run_weighted(
-            &exec,
+        let timed: Vec<(DecisionTree, f64)> = ph_exec::map(
+            &ph_exec::ExecConfig::with_threads(workers),
             "ml.forest.train",
-            ph_exec::StageWeight::CpuBound,
             tree_seeds,
-            |&s| s,
-            |_worker| train_one,
+            train_one,
         );
-        // Timings recorded on the caller thread after the ordered merge:
+        // Timings recorded on the caller thread after the ordered map:
         // per-seed order, and no worker contention on the shared
         // histogram mutex.
         let trees = timed

@@ -12,7 +12,8 @@
 //!   deterministic event is emitted by sequential pipeline code and
 //!   carries only simulation-time quantities, the journal's bytes are
 //!   **identical at any `--threads N`** — `tests/threads_equivalence.rs`
-//!   enforces this. Diagnostic events (shard stalls) never land here.
+//!   enforces this. Diagnostic events (SLO transitions, stage stalls)
+//!   never land here.
 //! - **`series.log`** (magic `PHSTSRS\x01`): flattened
 //!   [`ph_telemetry::SeriesPoint`]s — per-hour collection series plus
 //!   run-level derived points (`stage.*` throughput, `span.*`
@@ -53,6 +54,10 @@ const EVENT_ATTRIBUTE_SWITCH: u8 = 1;
 const EVENT_LABELING_PASS: u8 = 2;
 const EVENT_CHECKPOINT: u8 = 3;
 const EVENT_SEGMENT_ROLL: u8 = 4;
+/// Reserved: the channel-based stage driver's diagnostic shard stall.
+/// Diagnostic events never reach a journal, so no store holds one; the
+/// tag stays retired so that no new event is read as it.
+#[allow(dead_code)]
 const EVENT_SHARD_STALL: u8 = 5;
 const EVENT_DRIFT_ALARM: u8 = 6;
 const EVENT_DRIFT_RETRAIN: u8 = 7;
@@ -114,16 +119,6 @@ pub fn encode_journal_entry(entry: &JournalEntry) -> Vec<u8> {
             put_u64(&mut buf, *round);
             put_f64(&mut buf, *psi_before);
             put_f64(&mut buf, *psi_after);
-        }
-        TelemetryEvent::ShardStall {
-            stage,
-            shard,
-            depth,
-        } => {
-            put_u8(&mut buf, EVENT_SHARD_STALL);
-            put_str(&mut buf, stage);
-            put_u64(&mut buf, *shard);
-            put_u64(&mut buf, *depth);
         }
         TelemetryEvent::SloBreach {
             hour,
@@ -189,11 +184,6 @@ pub fn decode_journal_entry(payload: &[u8]) -> Result<JournalEntry, StoreDecodeE
         EVENT_SEGMENT_ROLL => TelemetryEvent::SegmentRoll {
             segment: take_u64(&mut buf)?,
             records: take_u64(&mut buf)?,
-        },
-        EVENT_SHARD_STALL => TelemetryEvent::ShardStall {
-            stage: take_str(&mut buf)?,
-            shard: take_u64(&mut buf)?,
-            depth: take_u64(&mut buf)?,
         },
         EVENT_DRIFT_ALARM => TelemetryEvent::DriftAlarm {
             hour: take_u64(&mut buf)?,
@@ -445,10 +435,9 @@ mod tests {
                 psi_before: 0.41,
                 psi_after: 0.008,
             },
-            TelemetryEvent::ShardStall {
-                stage: "monitor.categorize".to_string(),
-                shard: 2,
-                depth: 8,
+            TelemetryEvent::StageStalled {
+                stage: "serve.hour".to_string(),
+                ticks: 3,
             },
         ]
         .into_iter()
@@ -466,6 +455,17 @@ mod tests {
             let decoded = decode_journal_entry(&encode_journal_entry(&entry)).unwrap();
             assert_eq!(decoded, entry);
         }
+    }
+
+    #[test]
+    fn retired_shard_stall_tag_decodes_as_nothing() {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 0);
+        put_u8(&mut payload, EVENT_SHARD_STALL);
+        put_str(&mut payload, "monitor.categorize");
+        put_u64(&mut payload, 2);
+        put_u64(&mut payload, 8);
+        assert!(decode_journal_entry(&payload).is_err());
     }
 
     #[test]
@@ -498,7 +498,7 @@ mod tests {
         let entries = sample_entries();
         write_journal(&dir, &entries).unwrap();
         let read = read_journal(&dir).unwrap();
-        // The shard stall (last entry) is gone; survivors are 0..n.
+        // The stage stall (last entry) is gone; survivors are 0..n.
         assert_eq!(read.len(), entries.len() - 1);
         for (i, e) in read.iter().enumerate() {
             assert_eq!(e.seq, i as u64);

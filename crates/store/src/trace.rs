@@ -33,6 +33,10 @@ pub const TRACE_MAGIC: [u8; 8] = *b"PHSTTRC\x01";
 /// Event-kind discriminants (payload byte 0).
 const KIND_STAGE: u8 = 0;
 const KIND_BATCH: u8 = 1;
+/// Reserved: feeder stalls, merge waits and queue-depth samples of the
+/// channel-based stage driver. Traces recorded before it was replaced
+/// by `ph_exec::map` still hold them; readers skip them, and no new
+/// event kind may reuse them.
 const KIND_STALL: u8 = 2;
 const KIND_MERGE_WAIT: u8 = 3;
 const KIND_DEPTH: u8 = 4;
@@ -73,42 +77,6 @@ pub fn encode_trace_event(event: &TraceEvent) -> Vec<u8> {
             put_u64(&mut buf, *dur_us);
             put_u32(&mut buf, *items);
         }
-        TraceEvent::Stall {
-            name,
-            shard,
-            start_us,
-            dur_us,
-        } => {
-            put_u8(&mut buf, KIND_STALL);
-            put_str(&mut buf, name);
-            put_u32(&mut buf, *shard);
-            put_u64(&mut buf, *start_us);
-            put_u64(&mut buf, *dur_us);
-        }
-        TraceEvent::MergeWait {
-            name,
-            start_us,
-            dur_us,
-            pending,
-        } => {
-            put_u8(&mut buf, KIND_MERGE_WAIT);
-            put_str(&mut buf, name);
-            put_u64(&mut buf, *start_us);
-            put_u64(&mut buf, *dur_us);
-            put_u32(&mut buf, *pending);
-        }
-        TraceEvent::Depth {
-            name,
-            shard,
-            at_us,
-            depth,
-        } => {
-            put_u8(&mut buf, KIND_DEPTH);
-            put_str(&mut buf, name);
-            put_u32(&mut buf, *shard);
-            put_u64(&mut buf, *at_us);
-            put_u32(&mut buf, *depth);
-        }
         TraceEvent::Phase {
             name,
             start_us,
@@ -146,24 +114,6 @@ pub fn decode_trace_event(payload: &[u8]) -> Result<TraceEvent, StoreDecodeError
             start_us: take_u64(&mut buf)?,
             dur_us: take_u64(&mut buf)?,
             items: take_u32(&mut buf)?,
-        },
-        KIND_STALL => TraceEvent::Stall {
-            name: take_str(&mut buf)?,
-            shard: take_u32(&mut buf)?,
-            start_us: take_u64(&mut buf)?,
-            dur_us: take_u64(&mut buf)?,
-        },
-        KIND_MERGE_WAIT => TraceEvent::MergeWait {
-            name: take_str(&mut buf)?,
-            start_us: take_u64(&mut buf)?,
-            dur_us: take_u64(&mut buf)?,
-            pending: take_u32(&mut buf)?,
-        },
-        KIND_DEPTH => TraceEvent::Depth {
-            name: take_str(&mut buf)?,
-            shard: take_u32(&mut buf)?,
-            at_us: take_u64(&mut buf)?,
-            depth: take_u32(&mut buf)?,
         },
         KIND_PHASE => TraceEvent::Phase {
             name: take_str(&mut buf)?,
@@ -213,7 +163,8 @@ pub fn write_trace(dir: &Path, log: &TraceLog) -> io::Result<()> {
 /// Fails with [`io::ErrorKind::NotFound`] when the file is missing and
 /// [`io::ErrorKind::InvalidData`] when it is not a trace stream;
 /// corrupt frames past the header end the stream (torn-tail recovery)
-/// rather than erroring.
+/// rather than erroring. Frames of the reserved kinds an older recorder
+/// wrote (stalls, merge waits, depth samples) are skipped.
 pub fn read_trace_file(path: &Path) -> io::Result<TraceLog> {
     let payloads = read_framed(path, &TRACE_MAGIC)?;
     let mut dropped = 0u64;
@@ -222,6 +173,12 @@ pub fn read_trace_file(path: &Path) -> io::Result<TraceLog> {
         if i == 0 && payload.first() == Some(&KIND_HEADER) {
             let mut buf = &payload[1..];
             dropped = take_u64(&mut buf).unwrap_or(0);
+            continue;
+        }
+        if matches!(
+            payload.first(),
+            Some(&(KIND_STALL | KIND_MERGE_WAIT | KIND_DEPTH))
+        ) {
             continue;
         }
         match decode_trace_event(payload) {
@@ -276,24 +233,6 @@ mod tests {
                 start_us: 10,
                 dur_us: 20,
                 items: 32,
-            },
-            TraceEvent::Stall {
-                name: "features.pure".to_string(),
-                shard: 1,
-                start_us: 40,
-                dur_us: 7,
-            },
-            TraceEvent::MergeWait {
-                name: "features.pure".to_string(),
-                start_us: 50,
-                dur_us: 3,
-                pending: 9,
-            },
-            TraceEvent::Depth {
-                name: "clustering.tweet_sketch".to_string(),
-                shard: 0,
-                at_us: 60,
-                depth: 5,
             },
             TraceEvent::Phase {
                 name: "ml.train".to_string(),
@@ -357,6 +296,67 @@ mod tests {
         fs::write(&path, bytes).unwrap();
         let read = read_trace(&dir).unwrap();
         assert!(read.events.len() < sample_events().len());
+    }
+
+    #[test]
+    fn reserved_kinds_from_older_traces_are_skipped() {
+        // A stream as the channel-based driver wrote it: stall, merge-wait
+        // and depth frames between current events, then a corrupt frame
+        // and one more event that must not be reached.
+        let dir = temp_dir("reserved");
+        let stage = TraceEvent::Stage {
+            name: "features.pure".to_string(),
+            start_us: 5,
+            dur_us: 90,
+            workers: 2,
+            items: 64,
+        };
+        let batch = TraceEvent::Batch {
+            name: "features.pure".to_string(),
+            worker: 1,
+            start_us: 10,
+            dur_us: 20,
+            items: 32,
+        };
+        let phase = TraceEvent::Phase {
+            name: "ml.train".to_string(),
+            start_us: 100,
+            dur_us: 40,
+        };
+        let mut stall = vec![KIND_STALL];
+        put_str(&mut stall, "features.pure");
+        put_u32(&mut stall, 1); // shard
+        put_u64(&mut stall, 40);
+        put_u64(&mut stall, 7);
+        let mut merge_wait = vec![KIND_MERGE_WAIT];
+        put_str(&mut merge_wait, "features.pure");
+        put_u64(&mut merge_wait, 50);
+        put_u64(&mut merge_wait, 3);
+        put_u32(&mut merge_wait, 9); // pending
+        let mut depth = vec![KIND_DEPTH];
+        put_str(&mut depth, "features.pure");
+        put_u32(&mut depth, 0); // shard
+        put_u64(&mut depth, 60);
+        put_u32(&mut depth, 5);
+        let after_garbage = TraceEvent::Phase {
+            name: "unreached".to_string(),
+            start_us: 200,
+            dur_us: 1,
+        };
+        let payloads = vec![
+            encode_header(4),
+            encode_trace_event(&stage),
+            stall,
+            encode_trace_event(&batch),
+            merge_wait,
+            depth,
+            encode_trace_event(&phase),
+            vec![0xEE, 1, 2, 3],
+            encode_trace_event(&after_garbage),
+        ];
+        write_framed(&dir.join(TRACE_FILE), &TRACE_MAGIC, &payloads).unwrap();
+        let read = read_trace(&dir).unwrap();
+        assert_eq!(read, TraceLog::from_events(vec![stage, batch, phase], 4));
     }
 
     #[test]

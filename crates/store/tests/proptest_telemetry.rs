@@ -32,13 +32,6 @@ fn event() -> impl Strategy<Value = TelemetryEvent> {
             .prop_map(|(hour, records)| TelemetryEvent::CheckpointWritten { hour, records }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(segment, records)| TelemetryEvent::SegmentRoll { segment, records }),
-        (ascii(), any::<u64>(), any::<u64>()).prop_map(|(stage, shard, depth)| {
-            TelemetryEvent::ShardStall {
-                stage,
-                shard,
-                depth,
-            }
-        }),
     ]
 }
 

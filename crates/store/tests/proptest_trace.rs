@@ -54,30 +54,6 @@ fn event() -> impl Strategy<Value = TraceEvent> {
                     items,
                 }
             ),
-        (name(), any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
-            |(name, shard, start_us, dur_us)| TraceEvent::Stall {
-                name,
-                shard,
-                start_us,
-                dur_us,
-            }
-        ),
-        (name(), any::<u64>(), any::<u64>(), any::<u32>()).prop_map(
-            |(name, start_us, dur_us, pending)| TraceEvent::MergeWait {
-                name,
-                start_us,
-                dur_us,
-                pending,
-            }
-        ),
-        (name(), any::<u32>(), any::<u64>(), any::<u32>()).prop_map(
-            |(name, shard, at_us, depth)| TraceEvent::Depth {
-                name,
-                shard,
-                at_us,
-                depth,
-            }
-        ),
         (name(), any::<u64>(), any::<u64>()).prop_map(|(name, start_us, dur_us)| {
             TraceEvent::Phase {
                 name,

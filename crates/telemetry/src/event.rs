@@ -3,7 +3,7 @@
 //!
 //! Metrics answer "how much"; the journal answers "what happened, in
 //! what order": hour ticks, attribute switches, labeling passes,
-//! checkpoint/segment-roll events, shard stalls. The CLI persists the
+//! checkpoint/segment-roll events, SLO breaches. The CLI persists the
 //! journal into the run's store (see `ph-store`) so any finished run can
 //! be inspected after the fact.
 //!
@@ -16,8 +16,8 @@
 //!   (the monitor hour loop, labeling passes, store checkpoints) and
 //!   carry only simulation-time quantities. The persisted journal keeps
 //!   exactly these, so its bytes are identical at any `--threads N`.
-//! - **Diagnostic** events ([`TelemetryEvent::ShardStall`]) depend on
-//!   scheduling and thread count. They stay in the in-process journal
+//! - **Diagnostic** events ([`TelemetryEvent::SloBreach`],
+//!   [`TelemetryEvent::StageStalled`], …) depend on wall-clock time. They stay in the in-process journal
 //!   (visible to progress reporting and reports) but are never written
 //!   to a store.
 
@@ -89,16 +89,6 @@ pub enum TelemetryEvent {
         /// Mean PSI of the same window against the refreshed reference.
         psi_after: f64,
     },
-    /// A sharded stage found a worker input channel full when feeding
-    /// it (backpressure stall). Diagnostic only — never persisted.
-    ShardStall {
-        /// Stage name as passed to `ph_exec::run`.
-        stage: String,
-        /// Shard whose channel was full.
-        shard: u64,
-        /// Channel depth observed (equals the channel capacity).
-        depth: u64,
-    },
     /// An installed alert rule's condition became true at an hour
     /// boundary (see the `alert` module). Carries wall-clock-derived
     /// quantities (e.g. latency quantiles), so diagnostic only — never
@@ -148,7 +138,6 @@ impl TelemetryEvent {
             TelemetryEvent::SegmentRoll { .. } => "segment_roll",
             TelemetryEvent::DriftAlarm { .. } => "drift_alarm",
             TelemetryEvent::DriftRetrain { .. } => "drift_retrain",
-            TelemetryEvent::ShardStall { .. } => "shard_stall",
             TelemetryEvent::SloBreach { .. } => "slo_breach",
             TelemetryEvent::SloRecovered { .. } => "slo_recovered",
             TelemetryEvent::StageStalled { .. } => "stage_stalled",
@@ -161,8 +150,7 @@ impl TelemetryEvent {
     pub fn is_deterministic(&self) -> bool {
         !matches!(
             self,
-            TelemetryEvent::ShardStall { .. }
-                | TelemetryEvent::SloBreach { .. }
+            TelemetryEvent::SloBreach { .. }
                 | TelemetryEvent::SloRecovered { .. }
                 | TelemetryEvent::StageStalled { .. }
         )
@@ -200,11 +188,6 @@ impl TelemetryEvent {
             } => format!(
                 "hour {hour}: retrain round {round} (mean psi {psi_before:.3} -> {psi_after:.3})"
             ),
-            TelemetryEvent::ShardStall {
-                stage,
-                shard,
-                depth,
-            } => format!("stage '{stage}' shard {shard} stalled at depth {depth}"),
             TelemetryEvent::SloBreach {
                 hour,
                 rule,
@@ -323,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn only_shard_stalls_are_nondeterministic() {
+    fn only_wall_clock_events_are_nondeterministic() {
         let det = [
             TelemetryEvent::HourTick {
                 hour: 0,
@@ -360,10 +343,9 @@ mod tests {
             },
         ];
         assert!(det.iter().all(TelemetryEvent::is_deterministic));
-        assert!(!TelemetryEvent::ShardStall {
+        assert!(!TelemetryEvent::StageStalled {
             stage: "x".into(),
-            shard: 0,
-            depth: 8,
+            ticks: 3,
         }
         .is_deterministic());
     }

@@ -26,7 +26,7 @@
 //!   friends): the CLI's `--log-level`/`--quiet` plumbing.
 //! - **A typed event journal** ([`journal_emit`], [`TelemetryEvent`]):
 //!   ordered pipeline events (hour ticks, attribute switches, labeling
-//!   passes, checkpoint/roll, shard stalls) with monotone sequence
+//!   passes, checkpoint/roll, SLO breaches) with monotone sequence
 //!   numbers; the deterministic subset persists into run stores.
 //! - **Time series** ([`series`]): fixed-capacity rings of per-engine-
 //!   hour buckets — per-hour collection volume, shed counts,

@@ -1,20 +1,15 @@
 //! Chrome trace-event JSON export, loadable in Perfetto or
 //! `about://tracing`.
 //!
-//! Mapping: every traced stage becomes one *process* (pid), with its
-//! feeder on tid 0, workers on tid 1..=W, and the ordered merger on a
-//! high tid — so each stage renders as a block of per-worker tracks.
-//! Coarse pipeline phases live in a dedicated `pipeline` process (pid
-//! 0). Queue-depth samples and reorder-buffer occupancy become counter
-//! tracks (`ph: "C"`) on their stage's process. Timestamps are the
-//! trace's native microseconds, which is exactly the unit the format
-//! expects.
+//! Mapping: every traced stage becomes one *process* (pid), with worker
+//! `w` on tid `w` — so each stage renders as a block of per-worker
+//! tracks. The stage envelope sits on tid 0, the caller's thread, which
+//! is also worker 0, so worker 0's batches nest inside it. Coarse
+//! pipeline phases live in a dedicated `pipeline` process (pid 0).
+//! Timestamps are the trace's native microseconds, which is exactly the
+//! unit the format expects.
 
 use crate::{TraceEvent, TraceLog};
-
-/// The merger's tid within a stage process (larger than any plausible
-/// worker index so it sorts last).
-const MERGE_TID: u32 = 9_999;
 
 /// Escapes a string for a JSON string literal (quotes not included).
 fn esc(s: &str) -> String {
@@ -44,10 +39,8 @@ fn pid_of(pids: &mut Vec<String>, name: &str) -> usize {
 }
 
 /// Renders a trace as Chrome trace-event JSON (the `traceEvents` array
-/// form). One complete (`"X"`) slice per batch / stall / merge wait /
-/// stage envelope / phase, counter (`"C"`) tracks for queue depths and
-/// reorder-buffer occupancy, and metadata (`"M"`) records naming every
-/// process and thread.
+/// form). One complete (`"X"`) slice per batch / stage envelope / phase,
+/// and metadata (`"M"`) records naming every process and thread.
 #[must_use]
 pub fn to_chrome_json(log: &TraceLog) -> String {
     let mut pids: Vec<String> = Vec::new();
@@ -68,7 +61,7 @@ pub fn to_chrome_json(log: &TraceLog) -> String {
                 items,
             } => {
                 let pid = pid_of(&mut pids, name);
-                note_tid(&mut tids, pid, 0, "feeder".to_string());
+                note_tid(&mut tids, pid, 0, "worker 0".to_string());
                 slices.push(format!(
                     r#"{{"name":"stage","cat":"stage","ph":"X","pid":{pid},"tid":0,"ts":{start_us},"dur":{dur_us},"args":{{"workers":{workers},"items":{items}}}}}"#
                 ));
@@ -81,49 +74,9 @@ pub fn to_chrome_json(log: &TraceLog) -> String {
                 items,
             } => {
                 let pid = pid_of(&mut pids, name);
-                let tid = worker + 1;
-                note_tid(&mut tids, pid, tid, format!("worker {worker}"));
+                note_tid(&mut tids, pid, *worker, format!("worker {worker}"));
                 slices.push(format!(
-                    r#"{{"name":"batch","cat":"batch","ph":"X","pid":{pid},"tid":{tid},"ts":{start_us},"dur":{dur_us},"args":{{"items":{items}}}}}"#
-                ));
-            }
-            TraceEvent::Stall {
-                name,
-                shard,
-                start_us,
-                dur_us,
-            } => {
-                let pid = pid_of(&mut pids, name);
-                note_tid(&mut tids, pid, 0, "feeder".to_string());
-                slices.push(format!(
-                    r#"{{"name":"stall","cat":"stall","ph":"X","pid":{pid},"tid":0,"ts":{start_us},"dur":{dur_us},"args":{{"shard":{shard}}}}}"#
-                ));
-            }
-            TraceEvent::MergeWait {
-                name,
-                start_us,
-                dur_us,
-                pending,
-            } => {
-                let pid = pid_of(&mut pids, name);
-                note_tid(&mut tids, pid, MERGE_TID, "merge".to_string());
-                slices.push(format!(
-                    r#"{{"name":"merge wait","cat":"merge","ph":"X","pid":{pid},"tid":{MERGE_TID},"ts":{start_us},"dur":{dur_us},"args":{{"pending":{pending}}}}}"#
-                ));
-                slices.push(format!(
-                    r#"{{"name":"merge_pending","ph":"C","pid":{pid},"ts":{},"args":{{"pending":{pending}}}}}"#,
-                    start_us.saturating_add(*dur_us)
-                ));
-            }
-            TraceEvent::Depth {
-                name,
-                shard,
-                at_us,
-                depth,
-            } => {
-                let pid = pid_of(&mut pids, name);
-                slices.push(format!(
-                    r#"{{"name":"queue_depth.shard{shard}","ph":"C","pid":{pid},"ts":{at_us},"args":{{"depth":{depth}}}}}"#
+                    r#"{{"name":"batch","cat":"batch","ph":"X","pid":{pid},"tid":{worker},"ts":{start_us},"dur":{dur_us},"args":{{"items":{items}}}}}"#
                 ));
             }
             TraceEvent::Phase {
@@ -203,24 +156,6 @@ mod tests {
                     dur_us: 35,
                     items: 32,
                 },
-                TraceEvent::Stall {
-                    name: "features.pure".to_string(),
-                    shard: 1,
-                    start_us: 20,
-                    dur_us: 5,
-                },
-                TraceEvent::MergeWait {
-                    name: "features.pure".to_string(),
-                    start_us: 40,
-                    dur_us: 8,
-                    pending: 3,
-                },
-                TraceEvent::Depth {
-                    name: "features.pure".to_string(),
-                    shard: 0,
-                    at_us: 15,
-                    depth: 2,
-                },
                 TraceEvent::Phase {
                     name: "ml.train".to_string(),
                     start_us: 100,
@@ -237,8 +172,16 @@ mod tests {
         assert!(json.contains(r#""name":"features.pure""#), "{json}");
         assert!(json.contains(r#""name":"worker 0""#), "{json}");
         assert!(json.contains(r#""name":"worker 1""#), "{json}");
-        assert!(json.contains(r#""name":"merge""#), "{json}");
-        assert!(json.contains(r#""name":"queue_depth.shard0""#), "{json}");
+        // Worker w's batches sit on tid w, next to the stage envelope on
+        // the caller's tid 0.
+        assert!(
+            json.contains(r#""name":"batch","cat":"batch","ph":"X","pid":1,"tid":1,"#),
+            "{json}"
+        );
+        assert!(
+            json.contains(r#""name":"stage","cat":"stage","ph":"X","pid":1,"tid":0,"#),
+            "{json}"
+        );
         assert!(json.contains(r#""name":"ml.train""#), "{json}");
         assert!(json.contains(r#""dropped_events":2"#), "{json}");
     }

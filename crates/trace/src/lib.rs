@@ -3,21 +3,20 @@
 //!
 //! The journal and series streams (PR 4) and the allocation profiler
 //! (PR 5) answer "how much" per stage; this crate answers **when** and
-//! **what was it waiting on**. The ph-exec stage driver feeds it
-//! per-worker per-batch begin/end intervals, backpressure-stall
-//! intervals, ordered-merge wait intervals, and a low-rate channel-depth
-//! sampler; the pipeline adds coarse [`phase`] spans (RF training,
+//! **which worker was busy**. `ph_exec::map` feeds it one stage
+//! envelope per call and one per-worker batch interval per claimed
+//! chunk; the pipeline adds coarse [`phase`] spans (RF training,
 //! labeling passes, per-hour monitoring). The result exports two ways:
 //! Chrome trace-event JSON loadable in Perfetto ([`chrome`]) and a
 //! framed+CRC'd `trace.log` persisted by ph-store, from which
-//! [`timeline::analyze`] computes busy/stall/idle fractions, parallel
+//! [`timeline::analyze`] computes busy/idle fractions, parallel
 //! efficiency, and the serialized chain bounding the run.
 //!
 //! # Overhead discipline
 //!
 //! Identical to `ph_prof`: a process-global relaxed [`AtomicBool`] gate.
-//! Disabled, every hook is one relaxed load (the stage driver checks
-//! once per stage invocation, not per record). Enabled, events are
+//! Disabled, every hook is one relaxed load (`ph_exec::map` checks once
+//! per call, not per record). Enabled, events are
 //! `Copy` structs pushed into **thread-local fixed-capacity buffers** —
 //! no locks, no allocation after the buffer's one-time reservation, and
 //! never a block: a full buffer drops the event and bumps a shared
@@ -56,9 +55,9 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Whether tracing is currently enabled. One relaxed atomic load; the
-/// stage driver calls this once per stage invocation and skips every
-/// other hook when it returns false.
+/// Whether tracing is currently enabled. One relaxed atomic load;
+/// `ph_exec::map` calls this once per call and skips every other hook
+/// when it returns false.
 #[must_use]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
@@ -108,9 +107,6 @@ pub fn stage_id(name: &str) -> StageId {
 enum Kind {
     Stage,
     Batch,
-    Stall,
-    MergeWait,
-    Depth,
     Phase,
 }
 
@@ -121,9 +117,9 @@ enum Kind {
 struct Compact {
     kind: Kind,
     stage: StageId,
-    /// worker | shard | (unused)
+    /// worker | workers | (unused)
     lane: u32,
-    /// items | pending | depth | workers
+    /// items | (unused)
     extra: u64,
     start_us: u64,
     dur_us: u64,
@@ -159,8 +155,8 @@ fn push(event: Compact) {
 }
 
 /// Moves the current thread's buffered events into the global sink.
-/// Stage teardown calls this (workers at exit, the driver after the
-/// merge); it is cheap when the buffer is empty.
+/// `ph_exec::map` calls this at the end of each call (every worker, and
+/// the caller after stitching); it is cheap when the buffer is empty.
 pub fn flush_thread() {
     let drained = BUFFER.try_with(|b| std::mem::take(&mut *b.borrow_mut()));
     if let Ok(drained) = drained {
@@ -201,47 +197,7 @@ pub fn record_batch(stage: StageId, worker: u32, start_us: u64, dur_us: u64, ite
     });
 }
 
-/// Records a backpressure stall: the feeder blocked `dur_us` sending to
-/// `shard`'s full input channel.
-pub fn record_stall(stage: StageId, shard: u32, start_us: u64, dur_us: u64) {
-    push(Compact {
-        kind: Kind::Stall,
-        stage,
-        lane: shard,
-        extra: 0,
-        start_us,
-        dur_us,
-    });
-}
-
-/// Records an ordered-merge wait: the merger blocked `dur_us` for the
-/// next output chunk with `pending` records parked in the reorder
-/// buffer.
-pub fn record_merge_wait(stage: StageId, start_us: u64, dur_us: u64, pending: u32) {
-    push(Compact {
-        kind: Kind::MergeWait,
-        stage,
-        lane: 0,
-        extra: u64::from(pending),
-        start_us,
-        dur_us,
-    });
-}
-
-/// Records a queue-depth sample for `shard`'s input channel (the
-/// low-rate sampler in the feeder).
-pub fn record_depth(stage: StageId, shard: u32, at_us: u64, depth: u32) {
-    push(Compact {
-        kind: Kind::Depth,
-        stage,
-        lane: shard,
-        extra: u64::from(depth),
-        start_us: at_us,
-        dur_us: 0,
-    });
-}
-
-/// Records the whole-stage envelope: one `run()` invocation covering
+/// Records the whole-stage envelope: one `ph_exec::map` call covering
 /// `items` records across `workers` workers.
 pub fn record_stage(stage: StageId, start_us: u64, dur_us: u64, workers: u32, items: u64) {
     push(Compact {
@@ -279,7 +235,7 @@ impl Drop for PhaseGuard {
 /// Opens a coarse pipeline-phase span (`ml.train`, `label.clustering`,
 /// per-hour `monitor.hour` …) closed when the guard drops. Phases are
 /// what makes the serialized portions of the run — code that never
-/// enters the sharded driver — visible on the timeline. No-op (one
+/// enters `ph_exec::map` — visible on the timeline. No-op (one
 /// relaxed load) when tracing is off.
 #[must_use]
 pub fn phase(name: &str) -> PhaseGuard {
@@ -294,7 +250,7 @@ pub fn phase(name: &str) -> PhaseGuard {
 /// One resolved trace event, ready for export or analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A whole-stage envelope: one sharded-driver invocation.
+    /// A whole-stage envelope: one `ph_exec::map` call.
     Stage {
         /// Stage name.
         name: String,
@@ -320,39 +276,6 @@ pub enum TraceEvent {
         /// Records in the batch.
         items: u32,
     },
-    /// A feeder backpressure stall on a full input channel.
-    Stall {
-        /// Stage name.
-        name: String,
-        /// Shard whose channel was full.
-        shard: u32,
-        /// Start, µs since trace epoch.
-        start_us: u64,
-        /// How long the feeder blocked, µs.
-        dur_us: u64,
-    },
-    /// The ordered merger waiting for the next output chunk.
-    MergeWait {
-        /// Stage name.
-        name: String,
-        /// Start, µs since trace epoch.
-        start_us: u64,
-        /// How long the merger blocked, µs.
-        dur_us: u64,
-        /// Records parked in the reorder buffer at the time.
-        pending: u32,
-    },
-    /// A low-rate input-queue depth sample.
-    Depth {
-        /// Stage name.
-        name: String,
-        /// Shard sampled.
-        shard: u32,
-        /// Sample time, µs since trace epoch.
-        at_us: u64,
-        /// Queue depth, in chunks.
-        depth: u32,
-    },
     /// A coarse pipeline phase ([`phase`]).
     Phase {
         /// Phase name.
@@ -371,27 +294,21 @@ impl TraceEvent {
         match self {
             TraceEvent::Stage { name, .. }
             | TraceEvent::Batch { name, .. }
-            | TraceEvent::Stall { name, .. }
-            | TraceEvent::MergeWait { name, .. }
-            | TraceEvent::Depth { name, .. }
             | TraceEvent::Phase { name, .. } => name,
         }
     }
 
-    /// Event start time (sample time for depth events), µs since epoch.
+    /// Event start time, µs since epoch.
     #[must_use]
     pub fn start_us(&self) -> u64 {
         match self {
             TraceEvent::Stage { start_us, .. }
             | TraceEvent::Batch { start_us, .. }
-            | TraceEvent::Stall { start_us, .. }
-            | TraceEvent::MergeWait { start_us, .. }
             | TraceEvent::Phase { start_us, .. } => *start_us,
-            TraceEvent::Depth { at_us, .. } => *at_us,
         }
     }
 
-    /// Event end time, µs since epoch (== start for point samples).
+    /// Event end time, µs since epoch.
     #[must_use]
     pub fn end_us(&self) -> u64 {
         match self {
@@ -401,16 +318,9 @@ impl TraceEvent {
             | TraceEvent::Batch {
                 start_us, dur_us, ..
             }
-            | TraceEvent::Stall {
-                start_us, dur_us, ..
-            }
-            | TraceEvent::MergeWait {
-                start_us, dur_us, ..
-            }
             | TraceEvent::Phase {
                 start_us, dur_us, ..
             } => start_us.saturating_add(*dur_us),
-            TraceEvent::Depth { at_us, .. } => *at_us,
         }
     }
 }
@@ -460,24 +370,6 @@ fn resolve(compact: &[Compact]) -> Vec<TraceEvent> {
                 start_us: c.start_us,
                 dur_us: c.dur_us,
                 items: c.extra as u32,
-            },
-            Kind::Stall => TraceEvent::Stall {
-                name: name_of(c.stage),
-                shard: c.lane,
-                start_us: c.start_us,
-                dur_us: c.dur_us,
-            },
-            Kind::MergeWait => TraceEvent::MergeWait {
-                name: name_of(c.stage),
-                start_us: c.start_us,
-                dur_us: c.dur_us,
-                pending: c.extra as u32,
-            },
-            Kind::Depth => TraceEvent::Depth {
-                name: name_of(c.stage),
-                shard: c.lane,
-                at_us: c.start_us,
-                depth: c.extra as u32,
             },
             Kind::Phase => TraceEvent::Phase {
                 name: name_of(c.stage),

@@ -1,16 +1,16 @@
 //! Critical-path analysis over a captured [`TraceLog`]: per-stage
-//! busy/stall/idle wall-clock fractions, overall parallel efficiency,
+//! busy/idle wall-clock fractions, overall parallel efficiency,
 //! and the serialized phase chain that bounds the run — the automated
 //! answer to "why does `--threads N` barely beat `--threads 1`".
 
 use crate::{TraceEvent, TraceLog};
 
-/// Aggregated driver-level accounting for one exec stage.
+/// Aggregated accounting for one `ph_exec::map` stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// Stage name.
     pub name: String,
-    /// `run()` invocations observed.
+    /// `map` calls observed.
     pub invocations: u64,
     /// Largest worker count across invocations.
     pub workers: u32,
@@ -18,10 +18,6 @@ pub struct StageReport {
     pub wall_us: u64,
     /// Total worker busy time (Σ batch durations), µs.
     pub busy_us: u64,
-    /// Total feeder backpressure-stall time, µs.
-    pub stall_us: u64,
-    /// Total ordered-merge wait time, µs.
-    pub merge_wait_us: u64,
     /// Records processed.
     pub items: u64,
 }
@@ -37,18 +33,8 @@ impl StageReport {
         self.busy_us as f64 / (self.wall_us as f64 * f64::from(self.workers))
     }
 
-    /// Fraction of the stage's wall time the feeder spent stalled on
-    /// backpressure.
-    #[must_use]
-    pub fn stall_frac(&self) -> f64 {
-        if self.wall_us == 0 {
-            return 0.0;
-        }
-        (self.stall_us as f64 / self.wall_us as f64).min(1.0)
-    }
-
-    /// Fraction of worker-seconds not accounted busy (idle: waiting on
-    /// input, the merge, or simply unused workers).
+    /// Fraction of worker-seconds not accounted busy (idle: spawning,
+    /// waiting for the last chunk, or simply unused workers).
     #[must_use]
     pub fn idle_frac(&self) -> f64 {
         (1.0 - self.busy_frac()).max(0.0)
@@ -192,8 +178,6 @@ pub fn analyze(log: &TraceLog) -> TimelineReport {
             workers: 0,
             wall_us: 0,
             busy_us: 0,
-            stall_us: 0,
-            merge_wait_us: 0,
             items: 0,
         });
         stages.len() - 1
@@ -226,15 +210,7 @@ pub fn analyze(log: &TraceLog) -> TimelineReport {
                 stages[i].busy_us += dur_us;
                 batches.push((*start_us, start_us.saturating_add(*dur_us)));
             }
-            TraceEvent::Stall { name, dur_us, .. } => {
-                let i = stage_mut(&mut stages, name);
-                stages[i].stall_us += dur_us;
-            }
-            TraceEvent::MergeWait { name, dur_us, .. } => {
-                let i = stage_mut(&mut stages, name);
-                stages[i].merge_wait_us += dur_us;
-            }
-            TraceEvent::Depth { .. } | TraceEvent::Phase { .. } => {}
+            TraceEvent::Phase { .. } => {}
         }
     }
     let total_busy_us: u64 = stages.iter().map(|s| s.busy_us).sum();
@@ -366,9 +342,8 @@ mod tests {
     }
 
     #[test]
-    fn busy_and_stall_fractions_add_up() {
-        // One stage, 2 workers, 100µs wall; workers busy 60+40µs; the
-        // feeder stalled 10µs.
+    fn busy_and_idle_fractions_add_up() {
+        // One stage, 2 workers, 100µs wall; workers busy 60+40µs.
         let r = analyze(&log(vec![
             TraceEvent::Stage {
                 name: "s".to_string(),
@@ -391,18 +366,11 @@ mod tests {
                 dur_us: 40,
                 items: 5,
             },
-            TraceEvent::Stall {
-                name: "s".to_string(),
-                shard: 0,
-                start_us: 70,
-                dur_us: 10,
-            },
         ]));
         let s = &r.stages[0];
         assert_eq!(s.wall_us, 100);
         assert_eq!(s.busy_us, 100);
         assert!((s.busy_frac() - 0.5).abs() < 1e-9, "{}", s.busy_frac());
-        assert!((s.stall_frac() - 0.1).abs() < 1e-9);
         assert!((s.idle_frac() - 0.5).abs() < 1e-9);
         assert!((s.effective_parallelism() - 1.0).abs() < 1e-9);
         // Whole run: 100µs wall, 2 workers, 100µs busy → 0.5.

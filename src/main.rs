@@ -31,8 +31,8 @@
 //!                          attribution; `prof.*` metrics land in the
 //!                          `--metrics-out` report (stdout is unchanged)
 //! --trace FILE             record the causal timeline (per-worker
-//!                          batches, stalls, merge waits, queue depths,
-//!                          pipeline phases) and export it as Chrome
+//!                          batches, stage envelopes, pipeline
+//!                          phases) and export it as Chrome
 //!                          trace-event JSON — load FILE in Perfetto.
 //!                          Stdout is byte-identical to an untraced run
 //! ```
@@ -456,9 +456,7 @@ fn usage() {
     println!("                                      perf regression");
     println!("  perf critical-path (--store DIR | TRACE.log)");
     println!("                                      analyze a recorded timeline: per-stage busy/");
-    println!(
-        "                                      stall/idle fractions, parallel efficiency, and"
-    );
+    println!("                                      idle fractions, parallel efficiency, and");
     println!("                                      the serialized chain bounding the run");
     println!();
     println!("global options:");
@@ -475,7 +473,7 @@ fn usage() {
     println!(
         "                                      in the --metrics-out report; stdout unchanged)"
     );
-    println!("  --threads N                         (sniff/replay/showdown) shard pipeline stages across");
+    println!("  --threads N                         (sniff/replay/showdown) spread pipeline stages across");
     println!("                                      N workers — 0 = all cores, 1 = sequential (default);");
     println!("                                      output is byte-identical at any thread count");
     println!("  --trace FILE                        record the causal timeline and write Chrome");
@@ -491,10 +489,10 @@ fn usage() {
     println!("            5 interrupted-and-checkpointed (resume with --resume)");
 }
 
-/// `--threads N` → the dataflow configuration shared by every sharded
-/// stage (1 = sequential, the default; 0 = all available cores). The
-/// `ph-exec` determinism contract makes any value produce byte-identical
-/// output, so this is purely a throughput knob.
+/// `--threads N` → the worker count every `ph_exec::map` stage uses
+/// (1 = sequential, the default; 0 = all available cores). `map` returns
+/// outputs in input order whoever computed them, so any value produces
+/// byte-identical output: this is purely a throughput knob.
 fn exec_config(args: &Args) -> ExecConfig {
     ExecConfig::with_threads(args.get_u64("threads", 1) as usize)
 }
@@ -1103,7 +1101,6 @@ fn inspect(args: &Args) {
         );
     } else {
         print_stage_throughput(&series);
-        print_stall_quantiles(&series);
         print_margin_quantiles(&series);
         print_span_tree(&series);
         print_journal_tail(&journal, tail);
@@ -1124,56 +1121,6 @@ fn inspect(args: &Args) {
         } else {
             perf::print_timeline(&ph_trace::timeline::analyze(&trace));
         }
-    }
-}
-
-/// Backpressure-stall latency quantiles per stage, from the persisted
-/// `hist.exec.<stage>.stall_ms.*` series points (interpolated p50/p95/p99
-/// plus the stall count).
-fn print_stall_quantiles(series: &[ph_telemetry::SeriesPoint]) {
-    type StallRow = (Option<f64>, Option<f64>, Option<f64>, Option<f64>);
-    let mut stages: BTreeMap<String, StallRow> = BTreeMap::new();
-    for p in series {
-        let Some(rest) = p.name.strip_prefix("hist.exec.") else {
-            continue;
-        };
-        let Some((stage, metric)) = rest.rsplit_once('.') else {
-            continue;
-        };
-        let Some(stage) = stage.strip_suffix(".stall_ms") else {
-            continue;
-        };
-        let entry = stages.entry(stage.to_string()).or_default();
-        match metric {
-            "count" => entry.0 = Some(p.value),
-            "p50" => entry.1 = Some(p.value),
-            "p95" => entry.2 = Some(p.value),
-            "p99" => entry.3 = Some(p.value),
-            _ => {}
-        }
-    }
-    stages.retain(|_, (count, ..)| count.is_some_and(|c| c > 0.0));
-    if stages.is_empty() {
-        return;
-    }
-    let cell = |v: Option<f64>, precision: usize| match v {
-        Some(v) => format!("{v:.precision$}"),
-        None => "-".to_string(),
-    };
-    println!("\nbackpressure stalls (ms):");
-    println!(
-        "{:<28} {:>8} {:>10} {:>10} {:>10}",
-        "stage", "stalls", "p50", "p95", "p99"
-    );
-    for (stage, (count, p50, p95, p99)) in &stages {
-        println!(
-            "{:<28} {:>8} {:>10} {:>10} {:>10}",
-            stage,
-            cell(*count, 0),
-            cell(*p50, 3),
-            cell(*p95, 3),
-            cell(*p99, 3)
-        );
     }
 }
 

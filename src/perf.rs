@@ -174,7 +174,7 @@ fn critical_path(args: &Args) {
 }
 
 /// Renders a [`ph_trace::timeline::TimelineReport`]: the overall
-/// parallel-efficiency figure, per-stage busy/stall/idle fractions, the
+/// parallel-efficiency figure, per-stage busy/idle fractions, the
 /// ranked serialized-phase list, and the top-level chain bounding the
 /// run. Shared by `perf critical-path` and `inspect --timeline`.
 pub fn print_timeline(r: &ph_trace::timeline::TimelineReport) {
@@ -197,18 +197,17 @@ pub fn print_timeline(r: &ph_trace::timeline::TimelineReport) {
     if !r.stages.is_empty() {
         println!("\nper-stage wall-clock split:");
         println!(
-            "  {:<28} {:>5} {:>4} {:>10} {:>7} {:>7} {:>7} {:>8}",
-            "stage", "inv", "wrk", "wall ms", "busy", "stall", "idle", "eff.par"
+            "  {:<28} {:>5} {:>4} {:>10} {:>7} {:>7} {:>8}",
+            "stage", "inv", "wrk", "wall ms", "busy", "idle", "eff.par"
         );
         for s in &r.stages {
             println!(
-                "  {:<28} {:>5} {:>4} {:>10.1} {:>6.1}% {:>6.1}% {:>6.1}% {:>8.2}",
+                "  {:<28} {:>5} {:>4} {:>10.1} {:>6.1}% {:>6.1}% {:>8.2}",
                 s.name,
                 s.invocations,
                 s.workers,
                 ms(s.wall_us),
                 100.0 * s.busy_frac(),
-                100.0 * s.stall_frac(),
                 100.0 * s.idle_frac(),
                 s.effective_parallelism()
             );
