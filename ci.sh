@@ -40,19 +40,19 @@ BIN=target/release/pseudo-honeypot
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 
-echo "==> results gate (Tables III, IV, VI, feature importance, three ablations vs results/)"
-# These seven bins print no wall-clock line, so their stdout must match the
+echo "==> results gate (Tables II, III, IV, VI, feature importance, three ablations vs results/)"
+# These eight bins print no wall-clock line on stdout, so it must match the
 # committed tables byte for byte. They run with $SMOKE as the working
 # directory because each also writes results/<name>.metrics.json there.
 cargo build --release -q -p ph-bench
 REPO=$(pwd)
-for bin in table3_labeling table4_classifiers table6_pge feature_importance \
-    ablation_env_score ablation_drift ablation_sketch; do
+for bin in table2_selection table3_labeling table4_classifiers table6_pge \
+    feature_importance ablation_env_score ablation_drift ablation_sketch; do
     (cd "$SMOKE" && "$REPO/target/release/$bin" --scale default > "$SMOKE/$bin.txt")
     diff "results/$bin.txt" "$SMOKE/$bin.txt" \
         || { echo "$bin output diverged from results/$bin.txt"; exit 1; }
 done
-echo "    7 result tables regenerate byte-identical"
+echo "    8 result tables regenerate byte-identical"
 
 echo "==> store crash / corrupt / resume / replay smoke"
 SNIFF_ARGS=(--seed 7 --organic 500 --campaigns 3 --gt-hours 6 --hours 8)
@@ -140,7 +140,7 @@ echo "==> perf harness smoke (bench --quick + self-diff gate)"
 "$BIN" perf bench --quick --samples 1 --warmup 0 --out-dir "$SMOKE/bench" --quiet \
     > "$SMOKE/bench.out"
 BASELINES=$(ls "$SMOKE"/bench/BENCH_*.json | wc -l)
-[ "$BASELINES" -ge 12 ] || { echo "expected >=12 baselines, got $BASELINES"; exit 1; }
+[ "$BASELINES" -eq 10 ] || { echo "expected 10 baselines, got $BASELINES"; exit 1; }
 for f in "$SMOKE"/bench/BENCH_*.json; do
     python3 - "$f" <<'EOF'
 import json, sys
@@ -182,25 +182,30 @@ for f in "$SMOKE"/bench/BENCH_*.json; do
 done
 echo "    all $BASELINES committed baselines present and diffable"
 
-echo "==> scaling smoke (sniff_e2e_t1 vs sniff_e2e_t0)"
+echo "==> scaling smoke (sniff --threads 1 vs --threads 0)"
 # The data-layout contract: --threads 0 must beat --threads 1 end to end
 # on parallel hardware while producing byte-identical output (identity is
 # covered by the replay determinism smoke above and the
-# threads_equivalence integration test). The speedup floor scales with
+# threads_equivalence integration test). Five timed CLI runs at each
+# setting, alternating, compared by their medians. The floor scales with
 # the cores actually present; a single-core host can only watch for
-# pathological overhead. Quick inputs run ~25 ms, too little to amortise
-# the fan-out on a few cores: ten runs on a 2-core box read t1/t0 =
-# 0.73-1.04x (median 0.87x), and ten of the build before one-pass
-# screening 0.78-1.34x (median 0.89x). So 2-7 cores get a 0.6x floor,
-# below every measured run, that still trips on runaway worker overhead.
-"$BIN" perf bench --quick --only sniff_e2e_t1,sniff_e2e_t0 \
-    --out-dir "$SMOKE/scaling" --quiet > /dev/null
-python3 - "$SMOKE/scaling/BENCH_sniff_e2e_t1.json" \
-          "$SMOKE/scaling/BENCH_sniff_e2e_t0.json" "$(nproc)" <<'EOF'
-import json, sys
-t1 = json.load(open(sys.argv[1]))["median"]
-t0 = json.load(open(sys.argv[2]))["median"]
-cores = int(sys.argv[3])
+# pathological overhead. These inputs run ~0.1 s, too little to amortise
+# the fan-out on a few cores: five runs each on a 2-core box read t1
+# 0.100 s and t0 0.080 s (1.25x). So 2-7 cores get a 0.6x floor that
+# still trips on runaway worker overhead.
+python3 - "$BIN" "$(nproc)" "${SNIFF_ARGS[@]}" <<'EOF'
+import statistics, subprocess, sys, time
+binary, cores, args = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+def timed(threads):
+    start = time.perf_counter()
+    subprocess.run([binary, "sniff", *args, "--threads", threads, "--quiet"],
+                   stdout=subprocess.DEVNULL, check=True)
+    return time.perf_counter() - start
+runs = {"1": [], "0": []}
+for _ in range(5):
+    for threads in ("1", "0"):
+        runs[threads].append(timed(threads))
+t1, t0 = statistics.median(runs["1"]), statistics.median(runs["0"])
 ratio = t1 / max(t0, 1e-9)
 if cores >= 8:
     assert ratio >= 1.8, f"t1/t0 = {ratio:.2f}x on {cores} cores; expected >= 1.8x"
@@ -210,7 +215,7 @@ else:
     assert ratio >= 0.7, f"t1/t0 = {ratio:.2f}x on 1 core; worker overhead is pathological"
     print(f"    single-core host: speedup unmeasurable, overhead sane (t1/t0 = {ratio:.2f}x)")
     sys.exit(0)
-print(f"    scaling OK on {cores} cores: t1 {t1:.1f} ms / t0 {t0:.1f} ms = {ratio:.2f}x")
+print(f"    scaling OK on {cores} cores: t1 {t1:.3f} s / t0 {t0:.3f} s = {ratio:.2f}x")
 EOF
 
 echo "==> timeline trace smoke (--trace export + perf critical-path)"

@@ -10,7 +10,7 @@ use ph_ml::data::Dataset;
 use ph_ml::flat::FlatForest;
 use ph_ml::forest::{RandomForest, RandomForestConfig};
 use ph_ml::tree::DecisionTreeConfig;
-use ph_ml::{Algorithm, Classifier};
+use ph_ml::Classifier;
 use ph_twitter_sim::engine::Engine;
 use ph_twitter_sim::AccountId;
 use serde::{Deserialize, Serialize};
@@ -21,12 +21,11 @@ use crate::labeling::LabeledCollection;
 use crate::monitor::{CollectedTweet, Runner};
 
 /// Detector configuration. Defaults follow the paper: RF with 70 trees,
-/// each capped at depth 700.
+/// each capped at depth 700. Random Forest is the one deployed model —
+/// the paper picks it by cross-validation (Table IV, [`model_selection`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DetectorConfig {
-    /// The algorithm deployed (the paper selects RF by cross-validation).
-    pub algorithm: PaperAlgorithm,
-    /// RF parameters used when `algorithm` is RF.
+    /// Random Forest parameters.
     pub forest: RandomForestConfig,
     /// Training seed.
     pub seed: u64,
@@ -34,37 +33,9 @@ pub struct DetectorConfig {
     pub tau: f64,
 }
 
-/// Serde-friendly mirror of [`ph_ml::Algorithm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PaperAlgorithm {
-    /// Decision tree.
-    DecisionTree,
-    /// k-nearest neighbours.
-    KNearestNeighbors,
-    /// Linear SVM.
-    LinearSvm,
-    /// Gradient boosting.
-    GradientBoosting,
-    /// Random forest (paper's choice).
-    RandomForest,
-}
-
-impl From<PaperAlgorithm> for Algorithm {
-    fn from(a: PaperAlgorithm) -> Algorithm {
-        match a {
-            PaperAlgorithm::DecisionTree => Algorithm::DecisionTree,
-            PaperAlgorithm::KNearestNeighbors => Algorithm::KNearestNeighbors,
-            PaperAlgorithm::LinearSvm => Algorithm::LinearSvm,
-            PaperAlgorithm::GradientBoosting => Algorithm::GradientBoosting,
-            PaperAlgorithm::RandomForest => Algorithm::RandomForest,
-        }
-    }
-}
-
 impl Default for DetectorConfig {
     fn default() -> Self {
         Self {
-            algorithm: PaperAlgorithm::RandomForest,
             forest: RandomForestConfig {
                 num_trees: 70,
                 tree: DecisionTreeConfig {
@@ -139,8 +110,8 @@ pub fn build_training_data_with(
 /// Phases 1–2 of every sniffing run — fresh, resumed, replayed or served,
 /// which must all rebuild the *identical* detector: ground-truth
 /// collection over `gt_hours` on the standard network, the four labeling
-/// passes, and Random-Forest training on the labeled rows. Leaves
-/// `engine` stepped to the monitoring start.
+/// passes, and Random-Forest training on the labeled rows, on `exec`'s
+/// threads. Leaves `engine` stepped to the monitoring start.
 ///
 /// Returns the labeled ground truth (its summary is Table III) and the
 /// trained detector.
@@ -166,7 +137,9 @@ pub fn ground_truth_and_detector(
         features::DEFAULT_TAU,
         exec,
     );
-    let detector = SpamDetector::train(&DetectorConfig::default(), &data);
+    let mut config = DetectorConfig::default();
+    config.forest.threads = exec.threads;
+    let detector = SpamDetector::train(&config, &data);
     (ground_truth, detector)
 }
 
@@ -213,27 +186,11 @@ fn margin_histogram() -> std::sync::Arc<ph_telemetry::Histogram> {
     ph_telemetry::histogram("verdict.margin", &bounds)
 }
 
-/// The trained production detector.
+/// The trained production detector. It keeps the concrete flat forest:
+/// the explanation path needs the tree structure.
 pub struct SpamDetector {
-    model: Model,
+    forest: FlatForest,
     tau: f64,
-}
-
-/// The deployed classifier. RF keeps its concrete flat forest — the
-/// explanation path needs the tree structure that `dyn Classifier`
-/// erases — and stores it once.
-enum Model {
-    Forest(FlatForest),
-    Other(Box<dyn Classifier>),
-}
-
-impl Model {
-    fn classifier(&self) -> &dyn Classifier {
-        match self {
-            Model::Forest(forest) => forest,
-            Model::Other(model) => model.as_ref(),
-        }
-    }
 }
 
 impl std::fmt::Debug for SpamDetector {
@@ -245,20 +202,14 @@ impl std::fmt::Debug for SpamDetector {
 }
 
 impl SpamDetector {
-    /// Trains the configured algorithm on a training set.
+    /// Trains the Random Forest on a training set.
     pub fn train(config: &DetectorConfig, data: &Dataset) -> Self {
         let _span = ph_telemetry::span("ml.train");
         let _phase = ph_trace::phase("ml.train");
-        let model = match config.algorithm {
-            PaperAlgorithm::RandomForest => {
-                // Train on the pointer forest, deploy the flattened
-                // packed layout: bit-identical predictions, no per-level
-                // enum branch or pointer chase on the classify hot path.
-                let forest = RandomForest::fit(&config.forest, data, config.seed);
-                Model::Forest(FlatForest::from_forest(&forest))
-            }
-            other => Model::Other(Algorithm::from(other).fit_default(data, config.seed)),
-        };
+        // Train on the pointer forest, deploy the flattened packed
+        // layout: bit-identical predictions, no per-level enum branch or
+        // pointer chase on the classify hot path.
+        let forest = FlatForest::from_forest(&RandomForest::fit(&config.forest, data, config.seed));
         if crate::observe::is_enabled() {
             // Capture the per-feature reference histograms this model
             // was trained against; the drift monitor scores live hours
@@ -266,7 +217,7 @@ impl SpamDetector {
             crate::observe::install_reference(crate::observe::FeatureReference::from_dataset(data));
         }
         Self {
-            model,
+            forest,
             tau: config.tau,
         }
     }
@@ -326,32 +277,17 @@ impl SpamDetector {
         let margin = margin_histogram();
         // Zero-cost when off: one relaxed load decides; the explainer's
         // node-value table is only built for observed batches.
-        let observing = crate::observe::is_enabled();
-        let explainer = if observing {
-            match &self.model {
-                Model::Forest(forest) => Some(forest.explainer()),
-                Model::Other(_) => None,
-            }
-        } else {
-            None
-        };
+        let explainer = crate::observe::is_enabled().then(|| self.forest.explainer());
         let mut verdicts = Vec::with_capacity(collected.len());
         for (i, c) in collected.iter().enumerate() {
             extractor.finish_into(c, matrix.row_mut(i));
             let row = matrix.row(i);
-            let (spam, score) = self.model.classifier().predict_with_score(row);
+            let (spam, score) = self.forest.predict_with_score(row);
             confidence.record(score);
             margin.record((2.0 * score - 1.0).abs());
-            if observing {
+            if let Some(explainer) = &explainer {
                 crate::observe::drift_observe(c.hour, row);
-                if let Some(explainer) = &explainer {
-                    crate::observe::record_explanation(
-                        c.hour,
-                        spam,
-                        score,
-                        &explainer.explain(row),
-                    );
-                }
+                crate::observe::record_explanation(c.hour, spam, score, &explainer.explain(row));
             }
             extractor.record_verdict(c.slot, spam);
             verdicts.push(Verdict { spam, score });
@@ -651,6 +587,5 @@ mod tests {
         let c = DetectorConfig::default();
         assert_eq!(c.forest.num_trees, 70);
         assert_eq!(c.forest.tree.max_depth, 700);
-        assert_eq!(c.algorithm, PaperAlgorithm::RandomForest);
     }
 }

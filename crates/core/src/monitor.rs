@@ -685,12 +685,6 @@ impl StreamMonitor {
             collected,
             dropped: shed,
         });
-        // Alert rules are evaluated at every hour boundary. With none
-        // installed this is one relaxed atomic load; transitions are
-        // edge-triggered, so callers that re-evaluate after recording more
-        // per-hour data (the daemon does, once latency for the hour is
-        // known) see exactly one event per transition.
-        ph_telemetry::alert_evaluate(hour_index);
         if ph_telemetry::progress_enabled() {
             ph_telemetry::progress_update(&format!(
                 "{} hour {}/{} · {} tweets · {} shed",

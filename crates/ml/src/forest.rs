@@ -20,8 +20,9 @@ pub struct RandomForestConfig {
     pub tree: DecisionTreeConfig,
     /// Features considered per split; `None` = `sqrt(num_features)`.
     pub features_per_split: Option<usize>,
-    /// Train trees on parallel worker threads.
-    pub parallel: bool,
+    /// Worker threads training trees (`0` = all cores, `1` = sequential;
+    /// never more than one per tree). The forest is the same at any count.
+    pub threads: usize,
 }
 
 impl Default for RandomForestConfig {
@@ -30,7 +31,7 @@ impl Default for RandomForestConfig {
             num_trees: 70,
             tree: DecisionTreeConfig::default(),
             features_per_split: None,
-            parallel: true,
+            threads: 0,
         }
     }
 }
@@ -60,7 +61,7 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Trains the forest. Deterministic for a given `(config, data, seed)`
-    /// regardless of the `parallel` flag.
+    /// at any `threads`.
     ///
     /// # Panics
     ///
@@ -112,13 +113,9 @@ impl RandomForest {
         // outputs back in seed order. This buys the standard stage
         // telemetry/prof/trace instrumentation (so `perf critical-path`
         // sees per-tree batches inside the ml.train phase) for free.
-        let workers = if config.parallel && config.num_trees > 1 {
-            ph_exec::ExecConfig::with_threads(0)
-                .resolve_threads()
-                .min(config.num_trees)
-        } else {
-            1
-        };
+        let workers = ph_exec::ExecConfig::with_threads(config.threads)
+            .resolve_threads()
+            .min(config.num_trees);
         ph_telemetry::set_meta("ml.forest.workers", &workers.to_string());
         let timed: Vec<(DecisionTree, f64)> = ph_exec::map(
             &ph_exec::ExecConfig::with_threads(workers),
@@ -202,20 +199,14 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let data = linear_data(120);
-        let base = RandomForestConfig {
+        let config = |threads| RandomForestConfig {
             num_trees: 8,
+            threads,
             ..Default::default()
         };
-        let par = RandomForest::fit(&base, &data, 42);
-        let seq = RandomForest::fit(
-            &RandomForestConfig {
-                parallel: false,
-                ..base
-            },
-            &data,
-            42,
-        );
-        assert_eq!(par, seq);
+        let par = RandomForest::fit(&config(4), &data, 42);
+        assert_eq!(par, RandomForest::fit(&config(1), &data, 42));
+        assert_eq!(par, RandomForest::fit(&config(0), &data, 42));
     }
 
     #[test]

@@ -231,7 +231,7 @@ proptest! {
     #[test]
     fn forest_probability_bounds(data in dataset_strategy(), seed: u64) {
         let forest = RandomForest::fit(
-            &RandomForestConfig { num_trees: 7, parallel: false, ..Default::default() },
+            &RandomForestConfig { num_trees: 7, threads: 1, ..Default::default() },
             &data,
             seed,
         );
@@ -267,7 +267,7 @@ proptest! {
                 .unwrap(),
         };
         let forest = RandomForest::fit(
-            &RandomForestConfig { num_trees: trees, parallel: false, ..Default::default() },
+            &RandomForestConfig { num_trees: trees, threads: 1, ..Default::default() },
             &data,
             seed,
         );
@@ -339,7 +339,7 @@ proptest! {
             .chain(queries.into_iter().map(|q| q[..width].to_vec()))
             .collect();
         let forest = RandomForest::fit(
-            &RandomForestConfig { num_trees: 2 * half_trees, parallel: false, ..Default::default() },
+            &RandomForestConfig { num_trees: 2 * half_trees, threads: 1, ..Default::default() },
             &data,
             seed,
         );
@@ -450,7 +450,7 @@ fn predict_with_score_agrees_on_exact_ties() {
             RandomForest::fit(
                 &RandomForestConfig {
                     num_trees: 2,
-                    parallel: false,
+                    threads: 1,
                     ..Default::default()
                 },
                 &data,

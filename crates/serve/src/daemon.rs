@@ -71,14 +71,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ph_core::detector::{ground_truth_and_detector, StreamClassifier};
-use ph_core::monitor::{
-    CollectedTweet, MonitorReport, RunState, Runner, RunnerConfig, StreamMonitor,
-};
+use ph_core::monitor::{CollectedTweet, MonitorReport, RunState, Runner, StreamMonitor};
 use ph_core::network::PseudoHoneypotNetwork;
 use ph_exec::ExecConfig;
 use ph_store::{Manifest, Store, StoreConfig, StoreWriter};
 use ph_telemetry::{log_info, log_warn, TelemetryEvent};
-use ph_twitter_sim::engine::{Engine, SimConfig};
+use ph_twitter_sim::engine::Engine;
 use ph_twitter_sim::tweet::{Tweet, TweetId};
 use ph_twitter_sim::wire::StreamFrame;
 use ph_twitter_sim::Profile;
@@ -87,7 +85,7 @@ use crate::http::MetricsServer;
 use crate::listener::{BindAddr, Listener};
 use crate::loadgen::{spawn_feed, FeedConfig};
 use crate::queue::IngestQueue;
-use crate::slo::SloTarget;
+use crate::slo::{SloCheck, SloTarget};
 use crate::verdict::VerdictWriter;
 use crate::watchdog::{Heartbeat, Watchdog, WatchdogConfig};
 
@@ -286,8 +284,8 @@ pub struct ServeConfig {
     /// `explain.log`/`drift.log` streams persisted beside the journal.
     pub explain: bool,
     /// Ingest→verdict latency SLO (`--slo p99:250`): stamp queued
-    /// frames, record per-hour latency quantiles, and alert when the
-    /// targeted quantile breaches. `None` = off, zero-cost.
+    /// frames, record per-hour latency quantiles, and degrade `/healthz`
+    /// while the targeted quantile breaches. `None` = off, zero-cost.
     pub slo: Option<SloTarget>,
     /// Stage-watchdog sensitivity: declare a busy stage stalled after
     /// this many 250 ms samples without progress. `0` disables the
@@ -317,17 +315,6 @@ pub struct ServeOutcome {
     pub ingest_addr: String,
     /// Resolved HTTP address, when enabled.
     pub http_addr: Option<String>,
-}
-
-fn engine_for(manifest: &Manifest) -> Engine {
-    Engine::new(SimConfig {
-        seed: manifest.sim_seed,
-        num_organic: manifest.organic as usize,
-        num_campaigns: manifest.campaigns as usize,
-        accounts_per_campaign: manifest.per_campaign as usize,
-        drift: manifest.drift_schedule(),
-        ..Default::default()
-    })
 }
 
 fn open_store(config: &ServeConfig) -> io::Result<(Store, MonitorReport, RunState, Manifest)> {
@@ -425,14 +412,12 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
         ph_core::observe::set_enabled(true);
     }
     // Service-health setup. Each session starts healthy with a fresh
-    // flight ring; the SLO alert rule (when targeted) replaces any
-    // rule set a previous in-process session installed.
+    // flight ring and, when targeted, a passing SLO check.
     crate::health::reset();
     ph_telemetry::flight_reset();
     crate::slo::set_enabled(config.slo.is_some());
+    let mut slo_check = config.slo.map(SloCheck::new);
     if let Some(target) = &config.slo {
-        ph_telemetry::alert_reset();
-        ph_telemetry::alert_install(target.rule());
         log_info!(
             "serve: latency SLO armed — hourly {} must stay ≤ {} ms",
             target.label,
@@ -442,15 +427,8 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
     let (mut store, prior, state, manifest) = open_store(&config)?;
 
     let exec = config.exec.clone();
-    let mut engine = engine_for(&manifest);
-    let runner = Runner::with_exec(
-        RunnerConfig {
-            seed: manifest.runner_seed,
-            buffer_capacity: manifest.buffer_capacity as usize,
-            ..Default::default()
-        },
-        exec.clone(),
-    );
+    let mut engine = Engine::new(manifest.sim_config());
+    let runner = Runner::with_exec(manifest.runner_config(), exec.clone());
     let (_, detector) = ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
     let mut classifier = StreamClassifier::new(detector);
 
@@ -641,7 +619,7 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                                 }
                             }
                             verdicts.flush()?;
-                            if config.slo.is_some() {
+                            if let Some(slo_check) = &mut slo_check {
                                 // The verdicts are durable — the
                                 // ingest→verdict clock stops here.
                                 let now = crate::slo::tick_now_ns();
@@ -651,25 +629,18 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                                     .filter_map(|c| taken.get(&c.tweet.id))
                                     .map(|&tick| now.saturating_sub(tick) as f64 / 1e6)
                                     .collect();
-                                crate::slo::record_hour(hour, &latencies);
-                                // Re-evaluate now that this hour's
-                                // quantiles exist; transitions are
-                                // edge-triggered, so the earlier
-                                // in-monitor evaluation cannot have
-                                // consumed them.
-                                for event in ph_telemetry::alert_evaluate(hour) {
-                                    match event {
-                                        TelemetryEvent::SloBreach {
-                                            rule, value, limit, ..
-                                        } => crate::health::degrade(
-                                            &rule,
-                                            &format!("{value:.1} ms > {limit:.1} ms limit"),
-                                        ),
-                                        TelemetryEvent::SloRecovered { rule, .. } => {
-                                            crate::health::clear(&rule);
-                                        }
-                                        _ => {}
+                                let quantiles = crate::slo::record_hour(hour, &latencies);
+                                match slo_check.check(hour, quantiles) {
+                                    Some(TelemetryEvent::SloBreach {
+                                        rule, value, limit, ..
+                                    }) => crate::health::degrade(
+                                        &rule,
+                                        &format!("{value:.1} ms > {limit:.1} ms limit"),
+                                    ),
+                                    Some(TelemetryEvent::SloRecovered { rule, .. }) => {
+                                        crate::health::clear(&rule);
                                     }
+                                    _ => {}
                                 }
                             }
                             hour_hb.bump();

@@ -1,8 +1,8 @@
 //! The daemon's degradation state, as `/healthz` reports it.
 //!
 //! Health is a set of named degradation reasons: the stage watchdog
-//! raises one per stalled stage, the SLO plumbing one per firing alert
-//! rule. While the set is non-empty `/healthz` answers
+//! raises one per stalled stage, the SLO check one while the latency
+//! SLO fails. While the set is non-empty `/healthz` answers
 //! `503 Service Unavailable` with the joined reasons; when the last
 //! reason clears it goes back to `200 ok`. Sources are keyed, so a
 //! watchdog recovery cannot clear an SLO breach or vice versa.

@@ -7,7 +7,7 @@
 //!   content type `text/plain; version=0.0.4` Prometheus expects.
 //! - `GET /healthz` — `200 ok` while the daemon is healthy; while any
 //!   [`crate::health`] degradation reason is raised (a stalled stage, a
-//!   firing SLO alert) it answers `503 Service Unavailable` with the
+//!   failing latency SLO) it answers `503 Service Unavailable` with the
 //!   joined reasons, so probes and load balancers see the state without
 //!   parsing `/metrics`.
 //!

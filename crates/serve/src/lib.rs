@@ -31,10 +31,11 @@
 //!   dump and the daemon keeps running.
 //! - [`slo`] is the ingest→verdict latency SLO: `--slo p99:250` stamps
 //!   every queued frame with a monotonic tick, folds per-hour latency
-//!   quantiles into gauges/series, and installs an alert rule over the
-//!   targeted quantile. Off, the residue is one relaxed atomic load.
+//!   quantiles into gauges/series, and checks the targeted quantile
+//!   against the limit each hour. Off, the residue is one relaxed
+//!   atomic load.
 //! - [`health`] is the keyed degradation set behind `/healthz`: the
-//!   watchdog and the SLO alert raise and clear named reasons, and the
+//!   watchdog and the SLO check raise and clear named reasons, and the
 //!   probe flips 200 ⇄ 503 accordingly.
 //! - [`watchdog`] samples the hour loop's heartbeat on a wall-clock
 //!   cadence and declares a busy-but-flatlined hour stalled: journal

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use ph_store::Manifest;
 use ph_telemetry::{log_info, log_warn};
-use ph_twitter_sim::engine::{Engine, SimConfig};
+use ph_twitter_sim::engine::Engine;
 use ph_twitter_sim::wire::{write_stream_frame, StreamFrame};
 
 use crate::listener::{connect, BindAddr};
@@ -111,14 +111,7 @@ pub struct FeedSummary {
 /// surfaces as a broken pipe).
 pub fn feed(addr: &BindAddr, config: &FeedConfig) -> io::Result<FeedSummary> {
     let m = &config.manifest;
-    let mut engine = Engine::new(SimConfig {
-        seed: m.sim_seed,
-        num_organic: m.organic as usize,
-        num_campaigns: m.campaigns as usize,
-        accounts_per_campaign: m.per_campaign as usize,
-        drift: m.drift_schedule(),
-        ..Default::default()
-    });
+    let mut engine = Engine::new(m.sim_config());
     // Fast-forward over the ground-truth window plus already-delivered
     // hours; determinism makes the tap identical to never having
     // disconnected.

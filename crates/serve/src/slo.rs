@@ -9,8 +9,8 @@
 //! histogram, refreshes the `serve.latency_ms.{p50,p95,p99}` quantile
 //! gauges (exact order statistics over the hour, not bucket
 //! interpolation), writes the same quantiles as per-hour series, and
-//! lets the alert engine compare the targeted quantile's series against
-//! the SLO limit (rule `slo.pQQ`).
+//! hands the hour's quantiles to its [`SloCheck`], which compares the
+//! targeted one against the limit (SLO `slo.pQQ`).
 //!
 //! Off (the default) the only residue is one relaxed atomic load per
 //! queue push — the same zero-cost-when-off discipline as `--explain`
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use ph_telemetry::{AlertKind, AlertRule};
+use ph_telemetry::{journal_emit, TelemetryEvent};
 
 /// The histogram / gauge / series name prefix for ingest→verdict
 /// latency.
@@ -91,23 +91,69 @@ impl SloTarget {
             target_ms,
         })
     }
+}
 
-    /// The per-hour series the SLO's alert rule watches.
+/// The daemon's SLO check. After each hour's [`record_hour`] it compares
+/// the hour's targeted quantile against the limit; the SLO fails while
+/// the quantile is strictly over it. Edges, not levels, are reported:
+/// passing → failing emits one [`TelemetryEvent::SloBreach`], failing →
+/// passing one [`TelemetryEvent::SloRecovered`]. Both are diagnostic
+/// events, so they reach the in-process journal and the flight recorder
+/// but never `journal.log`. The `alert.slo.pQQ.{firing,value}` gauges
+/// show the level every hour. The SLO is named `slo.pQQ`: the
+/// `/healthz` reason, the events' `rule` and the gauge prefix. One check
+/// lives per daemon session, so a session starts passing.
+#[derive(Debug, Clone)]
+pub struct SloCheck {
+    target: SloTarget,
+    firing: bool,
+}
+
+impl SloCheck {
+    /// A passing check of `target`.
     #[must_use]
-    pub fn series_name(&self) -> String {
-        format!("{LATENCY_METRIC}.{}", self.label)
+    pub fn new(target: SloTarget) -> Self {
+        Self {
+            target,
+            firing: false,
+        }
     }
 
-    /// The alert rule enforcing this target: a threshold over the
-    /// targeted quantile's per-hour series, named `slo.<label>`.
-    #[must_use]
-    pub fn rule(&self) -> AlertRule {
-        AlertRule {
-            name: format!("slo.{}", self.label),
-            series: self.series_name(),
-            limit: self.target_ms,
-            kind: AlertKind::Threshold,
+    /// Checks `hour`'s `(p50, p95, p99)` as [`record_hour`] returns
+    /// them: refreshes the gauges and returns the edge event, if the
+    /// SLO changed state, after emitting it to the journal.
+    pub fn check(&mut self, hour: u64, (p50, p95, p99): (f64, f64, f64)) -> Option<TelemetryEvent> {
+        let value = match self.target.label {
+            "p50" => p50,
+            "p95" => p95,
+            _ => p99,
+        };
+        let limit = self.target.target_ms;
+        let firing = value > limit;
+        let rule = format!("slo.{}", self.target.label);
+        ph_telemetry::gauge(&format!("alert.{rule}.value")).set(value);
+        ph_telemetry::gauge(&format!("alert.{rule}.firing")).set(f64::from(u8::from(firing)));
+        if firing == self.firing {
+            return None;
         }
+        self.firing = firing;
+        let event = if firing {
+            TelemetryEvent::SloBreach {
+                hour,
+                rule,
+                value,
+                limit,
+            }
+        } else {
+            TelemetryEvent::SloRecovered {
+                hour,
+                rule,
+                value,
+                limit,
+            }
+        };
+        journal_emit(event.clone());
+        Some(event)
     }
 }
 
@@ -132,8 +178,8 @@ pub fn exact_quantile(samples: &[f64], q: f64) -> f64 {
 }
 
 /// Records one hour's ingest→verdict latencies: cumulative histogram,
-/// live quantile gauges, and the per-hour quantile series the alert
-/// rule reads. Returns the hour's `(p50, p95, p99)`.
+/// live quantile gauges, and the per-hour quantile series. Returns the
+/// hour's `(p50, p95, p99)` for [`SloCheck::check`]. Returns the hour's `(p50, p95, p99)`.
 pub fn record_hour(hour: u64, latencies_ms: &[f64]) -> (f64, f64, f64) {
     let hist = ph_telemetry::histogram(LATENCY_METRIC, &ph_telemetry::default_latency_buckets_ms());
     for &ms in latencies_ms {
@@ -177,12 +223,38 @@ mod tests {
     }
 
     #[test]
-    fn the_rule_targets_the_quantile_series() {
-        let rule = SloTarget::parse("p95:120").unwrap().rule();
-        assert_eq!(rule.name, "slo.p95");
-        assert_eq!(rule.series, "serve.latency_ms.p95");
-        assert_eq!(rule.limit, 120.0);
-        assert_eq!(rule.kind, AlertKind::Threshold);
+    fn check_emits_breach_then_recovery_in_order() {
+        let mut check = SloCheck::new(SloTarget::parse("p95:100").unwrap());
+        let firing = || ph_telemetry::gauge("alert.slo.p95.firing").get();
+        assert_eq!(
+            check.check(0, (1.0, 10.0, 900.0)),
+            None,
+            "p95 under the limit"
+        );
+        assert_eq!(firing(), 0.0);
+        let breach = check.check(1, (1.0, 500.0, 900.0));
+        assert_eq!(
+            breach,
+            Some(TelemetryEvent::SloBreach {
+                hour: 1,
+                rule: "slo.p95".into(),
+                value: 500.0,
+                limit: 100.0
+            })
+        );
+        // Checking the same hour again is edge-triggered: no new event.
+        assert_eq!(check.check(1, (1.0, 500.0, 900.0)), None);
+        assert_eq!(firing(), 1.0, "firing gauge raised");
+        assert_eq!(ph_telemetry::gauge("alert.slo.p95.value").get(), 500.0);
+        // Equal to the limit is within the SLO.
+        let recovery = check.check(2, (1.0, 100.0, 900.0));
+        assert!(
+            matches!(&recovery, Some(TelemetryEvent::SloRecovered { hour: 2, rule, .. })
+                if rule == "slo.p95"),
+            "{recovery:?}"
+        );
+        assert_eq!(firing(), 0.0);
+        assert_eq!(check.check(2, (1.0, 100.0, 900.0)), None);
     }
 
     #[test]

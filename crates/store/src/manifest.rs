@@ -11,6 +11,10 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use ph_core::monitor::RunnerConfig;
+use ph_twitter_sim::drift::{inverted_tastes, DriftSchedule};
+use ph_twitter_sim::engine::SimConfig;
+
 /// Manifest format version.
 pub const MANIFEST_FORMAT: u64 = 1;
 
@@ -50,19 +54,34 @@ impl Manifest {
         (self.taste_flip != NO_TASTE_FLIP).then_some(self.taste_flip)
     }
 
-    /// The drift schedule this manifest pins: a flip to the inverted
-    /// taste model at [`Self::taste_flip_hour`], or `None`. Every
-    /// engine rebuilt from the manifest (sniff, resume, serve replica,
-    /// loadgen feed) must apply this so replay stays byte-identical.
+    /// The simulation this manifest pins, including the flip to the
+    /// inverted taste model at [`Self::taste_flip_hour`]. Every engine
+    /// rebuilt from a store (sniff, resume, replay, the serve replica,
+    /// the loadgen feed) starts from this, so replay stays byte-identical.
     #[must_use]
-    pub fn drift_schedule(&self) -> Option<ph_twitter_sim::drift::DriftSchedule> {
-        self.taste_flip_hour().map(|h| {
-            ph_twitter_sim::drift::DriftSchedule::flip_at(
-                h,
-                ph_twitter_sim::drift::inverted_tastes(),
-            )
-        })
+    pub fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            seed: self.sim_seed,
+            num_organic: self.organic as usize,
+            num_campaigns: self.campaigns as usize,
+            accounts_per_campaign: self.per_campaign as usize,
+            drift: self
+                .taste_flip_hour()
+                .map(|h| DriftSchedule::flip_at(h, inverted_tastes())),
+            ..Default::default()
+        }
     }
+
+    /// The monitor runner configuration this manifest pins.
+    #[must_use]
+    pub fn runner_config(&self) -> RunnerConfig {
+        RunnerConfig {
+            seed: self.runner_seed,
+            buffer_capacity: self.buffer_capacity as usize,
+            ..Default::default()
+        }
+    }
+
     /// Renders the manifest text.
     #[must_use]
     pub fn render(&self) -> String {

@@ -36,16 +36,14 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 /// Checkpoint log file name inside a store directory.
 pub const CHECKPOINT_FILE: &str = "checkpoints.log";
 
-/// When the segment log is fsynced.
+/// When the segment log is fsynced. There is one policy: records become
+/// durable at the hour boundary, with the checkpoint that covers them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// Fsync at every hour boundary, just before the checkpoint — at most
-    /// one hour of collection is re-run after a crash. The default.
+    /// one hour of collection is re-run after a crash.
     #[default]
     EveryHour,
-    /// Fsync after every record. Durable to the last tweet, at a heavy
-    /// throughput cost; exists for the bench to quantify that cost.
-    EveryRecord,
 }
 
 /// Store tuning knobs.
@@ -184,8 +182,8 @@ impl Store {
         CollectedReader::open(&self.dir)
     }
 
-    /// Fsyncs the segment log (the writer also syncs per its policy; call
-    /// this once more when a run finishes cleanly).
+    /// Fsyncs the segment log (the writer also syncs at each checkpoint;
+    /// call this once more when a run finishes cleanly).
     ///
     /// # Errors
     ///
@@ -298,21 +296,10 @@ impl StoreWriter<'_> {
 impl MonitorSink for StoreWriter<'_> {
     fn on_tweet(&mut self, collected: &CollectedTweet) -> io::Result<()> {
         self.store.log.append(&encode_collected(collected))?;
-        if self.store.config.sync == SyncPolicy::EveryRecord {
-            self.store.log.sync()?;
-        }
         Ok(())
     }
 
     fn on_batch(&mut self, batch: &[CollectedTweet]) -> io::Result<()> {
-        if self.store.config.sync == SyncPolicy::EveryRecord {
-            // Per-record durability forces a sync between appends; batching
-            // would change what survives a crash, not just the syscall count.
-            for collected in batch {
-                self.on_tweet(collected)?;
-            }
-            return Ok(());
-        }
         let payloads: Vec<Vec<u8>> = batch.iter().map(encode_collected).collect();
         self.store.log.append_batch(&payloads)?;
         Ok(())
@@ -339,7 +326,7 @@ impl MonitorSink for StoreWriter<'_> {
 mod tests {
     use super::*;
     use ph_core::monitor::{Runner, RunnerConfig};
-    use ph_twitter_sim::engine::{Engine, SimConfig};
+    use ph_twitter_sim::engine::Engine;
     use std::fs;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -364,21 +351,13 @@ mod tests {
     }
 
     fn engine(m: &Manifest) -> Engine {
-        Engine::new(SimConfig {
-            seed: m.sim_seed,
-            num_organic: m.organic as usize,
-            num_campaigns: m.campaigns as usize,
-            accounts_per_campaign: m.per_campaign as usize,
-            ..Default::default()
-        })
+        Engine::new(m.sim_config())
     }
 
     fn runner(m: &Manifest) -> Runner {
         Runner::new(RunnerConfig {
-            seed: m.runner_seed,
             switch_interval_hours: 3, // crash mid-interval exercises membership restore
-            buffer_capacity: m.buffer_capacity as usize,
-            ..Default::default()
+            ..m.runner_config()
         })
     }
 

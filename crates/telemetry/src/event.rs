@@ -89,30 +89,29 @@ pub enum TelemetryEvent {
         /// Mean PSI of the same window against the refreshed reference.
         psi_after: f64,
     },
-    /// An installed alert rule's condition became true at an hour
-    /// boundary (see the `alert` module). Carries wall-clock-derived
-    /// quantities (e.g. latency quantiles), so diagnostic only — never
-    /// persisted.
+    /// The daemon's latency SLO started failing at an hour boundary
+    /// (see `ph_serve::slo`). Carries wall-clock-derived quantities
+    /// (latency quantiles), so diagnostic only — never persisted.
     SloBreach {
-        /// Engine hour the rule was evaluated at.
+        /// Engine hour the SLO was checked at.
         hour: u64,
-        /// Rule name (`"slo.p99"`, …).
+        /// SLO name (`"slo.p99"`, …).
         rule: String,
-        /// The evaluated series value that crossed the limit.
+        /// The hour's targeted quantile, which crossed the limit.
         value: f64,
-        /// The rule's configured limit.
+        /// The SLO's limit.
         limit: f64,
     },
-    /// A previously firing alert rule's condition cleared. Diagnostic
-    /// only — never persisted.
+    /// A previously failing latency SLO recovered. Diagnostic only —
+    /// never persisted.
     SloRecovered {
-        /// Engine hour the rule was evaluated at.
+        /// Engine hour the SLO was checked at.
         hour: u64,
-        /// Rule name.
+        /// SLO name.
         rule: String,
-        /// The evaluated series value, now back under the limit.
+        /// The hour's targeted quantile, now back under the limit.
         value: f64,
-        /// The rule's configured limit.
+        /// The SLO's limit.
         limit: f64,
     },
     /// A watched stage stopped making progress mid-batch (its watchdog

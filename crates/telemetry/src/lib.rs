@@ -31,10 +31,6 @@
 //! - **Time series** ([`series`]): fixed-capacity rings of per-engine-
 //!   hour buckets — per-hour collection volume, shed counts,
 //!   per-attribute PGE inputs.
-//! - **Alert rules** ([`alert_install`], [`alert_evaluate`]): a small
-//!   deterministic threshold / multi-window burn-rate evaluator over the
-//!   per-hour series, emitting `SloBreach`/`SloRecovered` journal events
-//!   and `alert.*` gauges at hour boundaries.
 //! - **A flight recorder** ([`flight_note`], [`flight_snapshot`]): a
 //!   fixed-capacity ring of recent journal events and notes,
 //!   wall-clock stamped, dumped into a store (`flight.log`) on SIGQUIT,
@@ -53,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod alert;
 mod event;
 mod flight;
 mod json;
@@ -66,10 +61,6 @@ mod report;
 mod series;
 mod spans;
 
-pub use alert::{
-    alert_active, alert_evaluate, alert_install, alert_reset, rule_fires, rule_value, AlertKind,
-    AlertRule,
-};
 pub use event::{journal_emit, journal_reset, journal_snapshot, JournalEntry, TelemetryEvent};
 pub use flight::{flight_note, flight_reset, flight_snapshot, FlightEntry, FLIGHT_CAPACITY};
 pub use logger::{log_args, set_max_level, set_quiet, Level, ParseLevelError};
@@ -112,9 +103,8 @@ macro_rules! cached_counter {
 }
 
 /// Serializes the unit tests that reset or read the process-global
-/// journal, flight ring and alert engine. One lock covers all three
-/// because they feed each other: an alert evaluation emits journal
-/// events, and every journal event lands in the flight ring.
+/// journal and flight ring. One lock covers both because they feed each
+/// other: every journal event lands in the flight ring.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

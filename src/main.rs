@@ -682,28 +682,6 @@ fn die(context: &str, e: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-fn runner_for(manifest: &Manifest, exec: ExecConfig) -> Runner {
-    Runner::with_exec(
-        RunnerConfig {
-            seed: manifest.runner_seed,
-            buffer_capacity: manifest.buffer_capacity as usize,
-            ..Default::default()
-        },
-        exec,
-    )
-}
-
-fn engine_for(manifest: &Manifest) -> Engine {
-    Engine::new(SimConfig {
-        seed: manifest.sim_seed,
-        num_organic: manifest.organic as usize,
-        num_campaigns: manifest.campaigns as usize,
-        accounts_per_campaign: manifest.per_campaign as usize,
-        drift: manifest.drift_schedule(),
-        ..Default::default()
-    })
-}
-
 /// Store-backed sniff: every collected tweet lands in the segment log,
 /// the run checkpoints hourly, and `--resume` continues after a crash.
 /// SIGINT/SIGTERM stop the run at the next hour boundary with a forced
@@ -768,11 +746,11 @@ fn sniff_stored(args: &Args, dir: &Path) -> i32 {
 
     let exec = exec_config(args);
     record_run_meta(exec.threads, manifest.sim_seed);
-    let mut engine = engine_for(&manifest);
+    let mut engine = Engine::new(manifest.sim_config());
     // SIGINT/SIGTERM raise this flag; the runner then stops at the next
     // hour boundary with every completed hour on the log.
     let stop = pseudo_honeypot::serve::signal::install();
-    let runner = runner_for(&manifest, exec.clone()).with_stop_flag(stop);
+    let runner = Runner::with_exec(manifest.runner_config(), exec.clone()).with_stop_flag(stop);
     let (ground_truth, detector) =
         ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
     if !resume {
@@ -1014,8 +992,8 @@ fn replay(args: &Args) {
 
     let exec = exec_config(args);
     record_run_meta(exec.threads, manifest.sim_seed);
-    let mut engine = engine_for(&manifest);
-    let runner = runner_for(&manifest, exec.clone());
+    let mut engine = Engine::new(manifest.sim_config());
+    let runner = Runner::with_exec(manifest.runner_config(), exec.clone());
     let (_, detector) = ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
     // Advance the engine to where the stored run left off, so REST-side
     // lookups (profiles, suspensions) see the same world state.

@@ -1,18 +1,18 @@
 //! The `perf` subcommand: the continuous-benchmark harness and its
 //! regression gate.
 //!
-//! `perf bench` runs a fixed matrix of pipeline scenarios — the monitor
-//! hour loop, feature extraction (pure + finish), clustering sketches,
-//! Random-Forest train/classify, store append/read, the daemon's ingest
-//! path (wire decode + bounded-queue churn), its hour-boundary SLO
-//! accounting (latency quantiles + alert evaluation), and the
-//! end-to-end sniff at
-//! `--threads 1` and `--threads 0` — each with warmup
-//! iterations followed by repeated timed samples, and writes one
+//! `perf bench` runs a fixed matrix of sequential micro-scenarios — the
+//! monitor hour loop, feature extraction (pure + finish), clustering
+//! sketches and merge, Random-Forest train/classify, store append/read,
+//! and the daemon's ingest path (wire decode + bounded-queue churn) —
+//! each with warmup iterations followed by repeated timed samples, and
+//! writes one
 //! `BENCH_<scenario>.json` per scenario (schema documented in
 //! `ph_prof::bench`). `perf diff OLD NEW` compares two such files with
 //! the noise-aware thresholds in `ph_prof::diff` and exits 4 when the
 //! candidate regressed, which is what lets `ci.sh` gate on performance.
+//! End-to-end wall-clock, thread scaling and serve latency are the
+//! benchmark's to measure (`benchmark/`), not this matrix's.
 //!
 //! `perf critical-path` analyzes a timeline recorded with `--trace`
 //! (from a store's `trace.log` via `--store DIR`, or a standalone
@@ -40,7 +40,7 @@ use pseudo_honeypot::core::labeling::clustering::{
 use pseudo_honeypot::core::labeling::pipeline::{label_collection_with, PipelineConfig};
 use pseudo_honeypot::core::labeling::LabeledCollection;
 use pseudo_honeypot::core::monitor::{CollectedTweet, Runner, RunnerConfig};
-use pseudo_honeypot::serve::{slo, IngestQueue};
+use pseudo_honeypot::serve::IngestQueue;
 use pseudo_honeypot::sim::engine::{Engine, SimConfig};
 use pseudo_honeypot::sim::wire::{read_stream_frame, write_stream_frame, StreamFrame};
 use pseudo_honeypot::store::{encode_collected, CollectedReader, SegmentLog};
@@ -312,7 +312,8 @@ fn measure<F: FnMut()>(warmup: u64, samples: u64, mut f: F) -> Vec<f64> {
     out
 }
 
-/// Deterministic inputs shared by the component scenarios, built once
+/// Deterministic inputs shared by the component scenarios, built once,
+/// sequentially,
 /// outside any timed region: a ground-truth phase (training matrix +
 /// detector) followed by a measurement-phase collection.
 struct Fixture {
@@ -322,24 +323,22 @@ struct Fixture {
     collected: Vec<CollectedTweet>,
 }
 
-fn build_fixture(sizes: &Sizes, exec: &ExecConfig) -> Fixture {
+fn build_fixture(sizes: &Sizes) -> Fixture {
     let mut engine = Engine::new(sizes.sim_config());
-    let runner = Runner::with_exec(
-        RunnerConfig {
-            seed: sizes.seed,
-            ..Default::default()
-        },
-        exec.clone(),
-    );
+    let runner = Runner::new(RunnerConfig {
+        seed: sizes.seed,
+        ..Default::default()
+    });
     let train = runner.run(&mut engine, sizes.gt_hours);
+    let exec = ExecConfig::sequential();
     let ground_truth =
-        label_collection_with(&train.collected, &engine, &PipelineConfig::default(), exec);
+        label_collection_with(&train.collected, &engine, &PipelineConfig::default(), &exec);
     let (dataset, _) = build_training_data_with(
         &train.collected,
         &ground_truth.labels,
         &engine,
         DEFAULT_TAU,
-        exec,
+        &exec,
     );
     let detector = SpamDetector::train(&sizes.detector_config(), &dataset);
     let report = runner.run(&mut engine, sizes.hours);
@@ -349,17 +348,6 @@ fn build_fixture(sizes: &Sizes, exec: &ExecConfig) -> Fixture {
         detector,
         collected: report.collected,
     }
-}
-
-/// One full pipeline pass (ground truth → train → sniff → classify) —
-/// the end-to-end scenario body.
-fn end_to_end(sizes: &Sizes, threads: usize) {
-    let exec = ExecConfig::with_threads(threads);
-    let fixture = build_fixture(sizes, &exec);
-    let outcome = fixture
-        .detector
-        .classify_batch(&fixture.collected, &fixture.engine, &exec);
-    black_box(outcome.predictions.len());
 }
 
 /// The fixed scenario matrix. Every scenario name doubles as the
@@ -375,26 +363,7 @@ const SCENARIOS: &[&str] = &[
     "store_append",
     "store_read",
     "serve_ingest",
-    "serve_latency",
-    "sniff_e2e_t1",
-    "sniff_e2e_t0",
 ];
-
-/// Whether a scenario needs the shared [`Fixture`].
-fn needs_fixture(name: &str) -> bool {
-    matches!(
-        name,
-        "feature_extraction"
-            | "clustering_sketches"
-            | "rf_train"
-            | "rf_classify"
-            | "rf_classify_batch"
-            | "cluster_merge"
-            | "store_append"
-            | "store_read"
-            | "serve_ingest"
-    )
-}
 
 fn scratch_dir(label: &str, seed: u64) -> PathBuf {
     std::env::temp_dir().join(format!("ph-perf-{label}-{}-{seed}", std::process::id()))
@@ -584,50 +553,6 @@ fn run_scenario(
                 assert_eq!(frames, fixture.collected.len() + 1, "short stream");
             })
         }
-        "serve_latency" => {
-            // The daemon's hour-boundary SLO accounting, isolated from
-            // the pipeline: per sample, every hour records its latency
-            // batch (cumulative histogram, exact quantile gauges, the
-            // per-hour series) and the alert engine evaluates the armed
-            // rule against it. Batches are synthesized outside the
-            // timed region from the seed; odd hours spike past the
-            // limit so both the fire and recover transitions run.
-            let target = slo::SloTarget::parse("p99:250").expect("static SLO spec");
-            let per_hour = sizes.organic.max(1);
-            let mut state = sizes.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let batches: Vec<Vec<f64>> = (0..sizes.hours.max(3))
-                .map(|hour| {
-                    (0..per_hour)
-                        .map(|_| {
-                            let base = (next() % 200) as f64;
-                            if hour % 2 == 1 {
-                                base + 300.0
-                            } else {
-                                base
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            measure(warmup, samples, || {
-                ph_telemetry::alert_reset();
-                ph_telemetry::alert_install(target.rule());
-                let mut transitions = 0usize;
-                for (hour, batch) in batches.iter().enumerate() {
-                    black_box(slo::record_hour(hour as u64, batch));
-                    transitions += ph_telemetry::alert_evaluate(hour as u64).len();
-                }
-                assert!(transitions >= 2, "the alert engine never transitioned");
-            })
-        }
-        "sniff_e2e_t1" => measure(warmup, samples, || end_to_end(sizes, 1)),
-        "sniff_e2e_t0" => measure(warmup, samples, || end_to_end(sizes, 0)),
         other => die("unknown scenario", format!("'{other}'")),
     }
 }
@@ -686,18 +611,19 @@ fn bench(args: &Args) {
         seed
     );
 
-    // The component scenarios share one deterministic fixture, built
-    // outside every timed region.
+    // Every scenario but the monitor hour loop (which builds its own
+    // engine per sample) shares one deterministic fixture, built outside
+    // every timed region.
     let fixture = selected
         .iter()
-        .any(|s| needs_fixture(s))
-        .then(|| build_fixture(&sizes, &ExecConfig::sequential()));
+        .any(|&s| s != "monitor_hour_loop")
+        .then(|| build_fixture(&sizes));
 
     for name in selected {
         let samples_ms = run_scenario(name, &sizes, fixture.as_ref(), warmup, samples);
         let meta = BenchMeta {
             rustc: rustc.clone(),
-            threads: if name == "sniff_e2e_t0" { 0 } else { 1 },
+            threads: 1,
             seed,
             crate_version: env!("CARGO_PKG_VERSION").to_string(),
             mode: sizes.mode.to_string(),

@@ -493,3 +493,26 @@ fn inspect_requires_store() {
         "unexpected stderr"
     );
 }
+
+/// Forest training follows `--threads` like every other stage: the
+/// run's metadata names the tree workers it used, and `--threads 1`
+/// trains sequentially.
+#[test]
+fn forest_training_uses_the_requested_threads() {
+    let dir = scratch("forest-threads");
+    for threads in ["1", "2"] {
+        let path = dir.join(format!("t{threads}.json"));
+        quick_sniff(&[
+            "--threads",
+            threads,
+            "--metrics-out",
+            path.to_str().unwrap(),
+        ]);
+        let report = std::fs::read_to_string(&path).expect("metrics written");
+        assert!(
+            report.contains(&format!("\"ml.forest.workers\": \"{threads}\"")),
+            "--threads {threads} trained on other worker counts: {report}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
