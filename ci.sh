@@ -78,12 +78,27 @@ assert counters.get("store.recovery.truncated_records", 0) > 0, counters
 print(f"    recovery cut {counters['store.recovery.truncated_bytes']} bytes / "
       f"{counters['store.recovery.truncated_records']} records, resumed clean")
 EOF
+# Tear the other file kinds too: half a frame (a length prefix promising
+# 64 bytes, a CRC, then 3 bytes) at the tail of the checkpoint log and of
+# the journal. Replay must truncate the checkpoint tail and still match
+# the resumed run; inspect (below) must still render the journal.
+for torn in checkpoints.log journal.log; do
+    printf '\x40\x00\x00\x00\x00\x00\x00\x00\xaa\xbb\xcc' >> "$SMOKE/run/$torn"
+done
 # Replay must reproduce classification from the stored log alone.
-"$BIN" replay --store "$SMOKE/run" --verify --quiet > "$SMOKE/replay.out"
+"$BIN" replay --store "$SMOKE/run" --verify \
+    --metrics-out "$SMOKE/replay.metrics.json" --quiet > "$SMOKE/replay.out"
 grep -q "oracle check (stored sidecar)" "$SMOKE/replay.out" \
     || { echo "replay --verify produced no sidecar check"; exit 1; }
 diff <(grep "oracle check" "$SMOKE/resume.out") <(grep "oracle check" "$SMOKE/replay.out") \
     || { echo "replay sidecar accuracy diverged from the resumed run"; exit 1; }
+python3 - "$SMOKE/replay.metrics.json" <<'EOF'
+import json, sys
+counters = {c["name"]: c["value"] for c in json.load(open(sys.argv[1]))["counters"]}
+assert counters.get("store.recovery.truncated_bytes", 0) > 0, counters
+print(f"    torn checkpoint log cut {counters['store.recovery.truncated_bytes']} bytes, "
+      "replay unchanged")
+EOF
 
 echo "==> sharded dataflow determinism smoke (--threads 1 vs --threads 4)"
 # The ph-exec contract: thread count must be invisible in the output.
@@ -98,7 +113,8 @@ diff "$SMOKE/replay-t1.out" "$SMOKE/replay-t4.out" \
 
 echo "==> observability smoke (inspect + prometheus export)"
 # The completed (resumed) run persisted its journal + series streams;
-# inspect must render a non-empty per-hour PGE table from the store alone.
+# inspect must render a non-empty per-hour PGE table and the journal tail
+# from the store alone, the journal's torn tail notwithstanding.
 "$BIN" inspect --store "$SMOKE/run" --quiet > "$SMOKE/inspect.out"
 python3 - "$SMOKE/inspect.out" <<'EOF'
 import sys

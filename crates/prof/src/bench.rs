@@ -33,6 +33,8 @@
 
 use std::fmt::Write as _;
 
+use ph_telemetry::json::push_str_literal;
+
 /// Current on-disk schema version.
 pub const SCHEMA_VERSION: u64 = 1;
 
@@ -159,8 +161,11 @@ impl BenchReport {
         let mut out = String::with_capacity(512);
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": {},", self.schema);
-        let _ = writeln!(out, "  \"scenario\": {},", quote(&self.scenario));
-        let _ = writeln!(out, "  \"unit\": {},", quote(&self.unit));
+        out.push_str("  \"scenario\": ");
+        push_str_literal(&mut out, &self.scenario);
+        out.push_str(",\n  \"unit\": ");
+        push_str_literal(&mut out, &self.unit);
+        out.push_str(",\n");
         let _ = writeln!(out, "  \"warmup\": {},", self.warmup);
         out.push_str("  \"samples\": [");
         for (i, s) in self.samples.iter().enumerate() {
@@ -175,16 +180,15 @@ impl BenchReport {
         let _ = writeln!(out, "  \"min\": {},", num(self.min));
         let _ = writeln!(out, "  \"max\": {},", num(self.max));
         out.push_str("  \"meta\": {\n");
-        let _ = writeln!(out, "    \"rustc\": {},", quote(&self.meta.rustc));
-        let _ = writeln!(out, "    \"threads\": {},", self.meta.threads);
+        out.push_str("    \"rustc\": ");
+        push_str_literal(&mut out, &self.meta.rustc);
+        let _ = writeln!(out, ",\n    \"threads\": {},", self.meta.threads);
         let _ = writeln!(out, "    \"seed\": {},", self.meta.seed);
-        let _ = writeln!(
-            out,
-            "    \"crate_version\": {},",
-            quote(&self.meta.crate_version)
-        );
-        let _ = writeln!(out, "    \"mode\": {}", quote(&self.meta.mode));
-        out.push_str("  }\n}\n");
+        out.push_str("    \"crate_version\": ");
+        push_str_literal(&mut out, &self.meta.crate_version);
+        out.push_str(",\n    \"mode\": ");
+        push_str_literal(&mut out, &self.meta.mode);
+        out.push_str("\n  }\n}\n");
         out
     }
 
@@ -261,26 +265,6 @@ fn req_finite(v: &crate::jsonv::Json, key: &str) -> Result<f64, ParseError> {
     } else {
         Err(ParseError(format!("field {key:?} is not finite")))
     }
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn num(v: f64) -> String {

@@ -71,6 +71,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ph_core::detector::{ground_truth_and_detector, StreamClassifier};
+use ph_core::features::ProfileLookup;
 use ph_core::monitor::{CollectedTweet, MonitorReport, RunState, Runner, StreamMonitor};
 use ph_core::network::PseudoHoneypotNetwork;
 use ph_exec::ExecConfig;
@@ -340,6 +341,37 @@ fn open_store(config: &ServeConfig) -> io::Result<(Store, MonitorReport, RunStat
     }
 }
 
+/// Classifies one hour's batch, whose first record is record `first` of
+/// the log, and appends the verdicts of the records the stream does not
+/// hold yet. With `explain` on, the classify fold has recorded one
+/// explanation per record (seq = record index), so each line carries its
+/// explain fields.
+fn classify_and_append<P: ProfileLookup + ?Sized>(
+    classifier: &mut StreamClassifier,
+    batch: &[CollectedTweet],
+    profiles: &P,
+    exec: &ExecConfig,
+    first: u64,
+    explain: bool,
+    verdicts: &mut VerdictWriter,
+) -> io::Result<()> {
+    let hour_verdicts = classifier.classify_hour(batch, profiles, exec);
+    let explanations = if explain {
+        ph_core::observe::explanations_from(first)
+    } else {
+        Vec::new()
+    };
+    for (offset, (collected, verdict)) in batch.iter().zip(&hour_verdicts).enumerate() {
+        if first + offset as u64 >= verdicts.next_seq() {
+            match explanations.get(offset) {
+                Some(e) => verdicts.append_explained(collected, *verdict, e)?,
+                None => verdicts.append(collected, *verdict)?,
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Replays the stored log hour-by-hour through the classifier: steps the
 /// replica across every already-monitored hour, rebuilds the
 /// stream-order-dependent extractor state, and rewrites verdict lines
@@ -350,8 +382,8 @@ fn warm_up(
     exec: &ExecConfig,
     store: &Store,
     state: &RunState,
+    explain: bool,
     verdicts: &mut VerdictWriter,
-    kept_lines: u64,
 ) -> io::Result<()> {
     let records: Vec<CollectedTweet> = store
         .reader()?
@@ -369,24 +401,15 @@ fn warm_up(
         while end < records.len() && records[end].hour == absolute_hour {
             end += 1;
         }
-        let batch = &records[base..end];
-        let hour_verdicts = classifier.classify_hour(batch, engine, exec);
-        // With observability on, the replay re-recorded an explanation
-        // per record (seq = record index), so rewritten lines carry the
-        // same explain fields an uninterrupted run would have flushed.
-        let explanations = if ph_core::observe::is_enabled() {
-            ph_core::observe::explanations_from(base as u64)
-        } else {
-            Vec::new()
-        };
-        for (offset, (collected, verdict)) in batch.iter().zip(&hour_verdicts).enumerate() {
-            if (base + offset) as u64 >= kept_lines {
-                match explanations.get(offset) {
-                    Some(e) => verdicts.append_explained(collected, *verdict, e)?,
-                    None => verdicts.append(collected, *verdict)?,
-                }
-            }
-        }
+        classify_and_append(
+            classifier,
+            &records[base..end],
+            engine,
+            exec,
+            base as u64,
+            explain,
+            verdicts,
+        )?;
         base = end;
     }
     verdicts.flush()?;
@@ -408,9 +431,9 @@ fn warm_up(
 /// (an hour-marker gap).
 pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
     let _span = ph_telemetry::span("serve");
-    if config.explain {
-        ph_core::observe::set_enabled(true);
-    }
+    // The session decides: an earlier in-process session may have left
+    // decision observability on.
+    ph_core::observe::set_enabled(config.explain);
     // Service-health setup. Each session starts healthy with a fresh
     // flight ring and, when targeted, a passing SLO check.
     crate::health::reset();
@@ -437,15 +460,15 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
         .clone()
         .unwrap_or_else(|| config.dir.join("verdicts.ndjson"));
     let mut verdicts = if config.resume {
-        let (mut writer, kept) = VerdictWriter::resume(&verdict_path, store.record_count())?;
+        let (mut writer, _) = VerdictWriter::resume(&verdict_path, store.record_count())?;
         warm_up(
             &mut engine,
             &mut classifier,
             &exec,
             &store,
             &state,
+            config.explain,
             &mut writer,
-            kept,
         )?;
         writer
     } else {
@@ -602,22 +625,15 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                             }
                             let delivered = std::mem::take(&mut buffered);
                             let batch = monitor.finish_hour(delivered, shed, &mut writer)?;
-                            let start_seq = verdicts.next_seq();
-                            let hour_verdicts =
-                                classifier.classify_hour(&batch, profiles.as_slice(), &exec);
-                            let explanations = if config.explain {
-                                ph_core::observe::explanations_from(start_seq)
-                            } else {
-                                Vec::new()
-                            };
-                            for (i, (collected, verdict)) in
-                                batch.iter().zip(&hour_verdicts).enumerate()
-                            {
-                                match explanations.get(i) {
-                                    Some(e) => verdicts.append_explained(collected, *verdict, e)?,
-                                    None => verdicts.append(collected, *verdict)?,
-                                }
-                            }
+                            classify_and_append(
+                                &mut classifier,
+                                &batch,
+                                profiles.as_slice(),
+                                &exec,
+                                verdicts.next_seq(),
+                                config.explain,
+                                &mut verdicts,
+                            )?;
                             verdicts.flush()?;
                             if let Some(slo_check) = &mut slo_check {
                                 // The verdicts are durable — the
@@ -694,19 +710,7 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
 
     // The durable observability record, shaped exactly like a batch
     // run's so `inspect` renders serve stores unchanged.
-    if config.explain {
-        // Before the journal snapshot: finalizing the open drift window
-        // may raise its last alarms.
-        ph_core::observe::drift_finalize();
-    }
-    let journal = ph_telemetry::journal_snapshot();
-    let points = ph_telemetry::run_series_points(monitor.state().next_hour.saturating_sub(1));
-    store.write_telemetry(&journal, &points)?;
-    if config.explain {
-        ph_store::write_explain(&config.dir, &ph_core::observe::explanations())?;
-        let (drift_hours, drift_alarms) = ph_core::observe::drift_results();
-        ph_store::write_drift(&config.dir, &drift_hours, &drift_alarms)?;
-    }
+    store.write_run_record(monitor.state().next_hour.saturating_sub(1))?;
 
     let outcome = ServeOutcome {
         hours_done: monitor.state().next_hour,

@@ -10,16 +10,18 @@
 //! replaying `h` hours from the manifest's seed, which the
 //! monitor-refactor tests prove is byte-equivalent.
 //!
-//! Checkpoints append to a single `checkpoints.log` file using the same
-//! `u32 length · u32 CRC-32 · payload` framing as segments, behind the
-//! magic `PHSTCKP\x01`. On reopen a torn tail is truncated, exactly like
-//! the segment log; resume then picks the newest checkpoint whose
-//! `records` the *recovered* segment log still covers — so a crash that
-//! tears the segment log simply rolls back to the previous durable hour.
+//! Checkpoints append to a single `checkpoints.log` file (magic
+//! `PHSTCKP\x01`), one per frame of the store's shared file format
+//! (described once, in `frame.rs`). On reopen everything past the valid
+//! prefix is truncated, exactly like the segment log — a frame whose
+//! payload does not decode ends the prefix too; resume then picks the
+//! newest checkpoint whose `records` the *recovered* segment log still
+//! covers — so a crash that tears the segment log simply rolls back to
+//! the previous durable hour.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use ph_core::attributes::SampleAttribute;
@@ -27,16 +29,11 @@ use ph_core::monitor::{MonitorReport, RunState};
 use ph_twitter_sim::AccountId;
 
 use crate::codec::{put_f64, put_u32, put_u64, take_f64, take_u32, take_u64};
-use crate::crc::crc32;
+use crate::frame::{self, FRAME_OVERHEAD};
 use crate::record::{put_slot, take_slot, StoreDecodeError};
 
 /// Magic bytes opening the checkpoint log.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"PHSTCKP\x01";
-
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
-
-const FILE_HEADER_LEN: u64 = 12;
 
 /// One durable snapshot of run progress, taken at an hour boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,8 +191,7 @@ impl CheckpointLog {
             .write(true)
             .create_new(true)
             .open(path)?;
-        file.write_all(&CHECKPOINT_MAGIC)?;
-        file.write_all(&CHECKPOINT_VERSION.to_le_bytes())?;
+        file.write_all(&frame::header(&CHECKPOINT_MAGIC))?;
         Ok(Self { file })
     }
 
@@ -209,41 +205,21 @@ impl CheckpointLog {
     pub fn open(path: &Path) -> io::Result<(Self, Vec<Checkpoint>)> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let file_len = file.metadata()?.len();
-        let mut header = [0u8; FILE_HEADER_LEN as usize];
-        file.read_exact(&mut header).map_err(|_| bad_header(path))?;
-        if header[0..8] != CHECKPOINT_MAGIC
-            || u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) != CHECKPOINT_VERSION
-        {
-            return Err(bad_header(path));
+        let mut reader = BufReader::new(&mut file);
+        if !frame::read_header(&mut reader, &CHECKPOINT_MAGIC)? {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{} is not a ph-store checkpoint log", path.display()),
+            ));
         }
         let mut checkpoints = Vec::new();
-        let mut valid_len = FILE_HEADER_LEN;
-        loop {
-            let mut frame_header = [0u8; 8];
-            match file.read_exact(&mut frame_header) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
-            }
-            let len = u32::from_le_bytes(frame_header[0..4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(frame_header[4..8].try_into().expect("4 bytes"));
-            if len > crate::log::MAX_RECORD_LEN {
-                break;
-            }
-            let mut payload = vec![0u8; len as usize];
-            match file.read_exact(&mut payload) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
-            }
-            if crc32(&payload) != crc {
-                break;
-            }
+        let mut valid_len = frame::HEADER_LEN;
+        for payload in frame::read_prefix(&mut reader)? {
             let Ok(checkpoint) = Checkpoint::decode(&payload) else {
                 break;
             };
             checkpoints.push(checkpoint);
-            valid_len += 8 + u64::from(len);
+            valid_len += FRAME_OVERHEAD + payload.len() as u64;
         }
         if valid_len < file_len {
             ph_telemetry::cached_counter!("store.recovery.truncated_bytes")
@@ -268,10 +244,8 @@ impl CheckpointLog {
     /// Propagates I/O failures.
     pub fn append(&mut self, checkpoint: &Checkpoint) -> io::Result<()> {
         let payload = checkpoint.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::with_capacity(FRAME_OVERHEAD as usize + payload.len());
+        frame::put_frame(&mut frame, &payload);
         self.file.write_all(&frame)?;
         let span = ph_telemetry::span("store.checkpoint_fsync");
         self.file.sync_all()?;
@@ -284,13 +258,6 @@ impl CheckpointLog {
         ph_telemetry::cached_counter!("store.bytes_written").add(frame.len() as u64);
         Ok(())
     }
-}
-
-fn bad_header(path: &Path) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{} is not a ph-store checkpoint log", path.display()),
-    )
 }
 
 #[cfg(test)]

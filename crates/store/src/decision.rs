@@ -2,9 +2,8 @@
 //! streams persisted next to `journal.log`/`series.log` when a run is
 //! recorded with `--explain`.
 //!
-//! Same framing as the other telemetry streams (`magic · u32 version`,
-//! then `u32 length · u32 CRC-32 · payload` frames), same
-//! truncate-and-replace write and torn-tail-tolerant read.
+//! Same file format as the other sidecar streams (described once, in
+//! `frame.rs`): truncate-and-replace write, torn-tail-tolerant read.
 //!
 //! - `explain.log` holds one [`VerdictExplanation`] per classified
 //!   tweet, in classification order; an explanation's `seq` equals the
@@ -27,8 +26,8 @@ use ph_core::features::FEATURE_COUNT;
 use ph_core::observe::{DriftAlarmRecord, DriftHourScores, VerdictExplanation};
 
 use crate::codec::{put_f64, put_u32, put_u64, put_u8, take_f64, take_u32, take_u64, take_u8};
+use crate::frame::{read_sidecar, write_framed};
 use crate::record::StoreDecodeError;
-use crate::telemetry::{read_framed, write_framed};
 
 /// Explanation stream file name inside a store directory.
 pub const EXPLAIN_FILE: &str = "explain.log";
@@ -203,11 +202,7 @@ pub fn write_explain(dir: &Path, explanations: &[VerdictExplanation]) -> io::Res
 /// not an explanation stream; corrupt frames end the stream (torn-tail
 /// recovery) rather than erroring.
 pub fn read_explain(dir: &Path) -> io::Result<Vec<VerdictExplanation>> {
-    let path = dir.join(EXPLAIN_FILE);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let payloads = read_framed(&path, &EXPLAIN_MAGIC)?;
+    let payloads = read_sidecar(dir, EXPLAIN_FILE, &EXPLAIN_MAGIC)?;
     let mut explanations = Vec::with_capacity(payloads.len());
     for payload in &payloads {
         match decode_explanation(payload) {
@@ -252,11 +247,7 @@ pub fn write_drift(
 /// not a drift stream; corrupt frames end the stream (torn-tail
 /// recovery) rather than erroring.
 pub fn read_drift(dir: &Path) -> io::Result<(Vec<DriftHourScores>, Vec<DriftAlarmRecord>)> {
-    let path = dir.join(DRIFT_FILE);
-    if !path.exists() {
-        return Ok((Vec::new(), Vec::new()));
-    }
-    let payloads = read_framed(&path, &DRIFT_MAGIC)?;
+    let payloads = read_sidecar(dir, DRIFT_FILE, &DRIFT_MAGIC)?;
     let mut hours = Vec::new();
     let mut alarms = Vec::new();
     for payload in &payloads {

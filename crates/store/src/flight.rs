@@ -2,9 +2,8 @@
 //! store directory when a run hits an abnormal path.
 //!
 //! `flight.log` (magic `PHSTFLT\x01`) carries the telemetry flight
-//! ring ([`ph_telemetry::FlightEntry`]) with the same
-//! `u32 length · u32 CRC-32 · payload` framing as every other store
-//! stream. Unlike `journal.log`, the recording is wall-clock stamped
+//! ring ([`ph_telemetry::FlightEntry`]), one entry per frame of the
+//! store's shared file format (described once, in `frame.rs`). Unlike `journal.log`, the recording is wall-clock stamped
 //! and includes diagnostic events, so it is deliberately **outside**
 //! the byte-stability contract — it is only ever written on SIGQUIT, a
 //! watchdog trip, or a panic (never by a clean run), and writing is
@@ -16,8 +15,8 @@ use std::path::Path;
 use ph_telemetry::FlightEntry;
 
 use crate::codec::{put_str, put_u64, take_str, take_u64};
+use crate::frame::{read_sidecar, write_framed};
 use crate::record::StoreDecodeError;
-use crate::telemetry::{read_framed, write_framed};
 
 /// Flight-recording file name inside a store directory.
 pub const FLIGHT_FILE: &str = "flight.log";
@@ -77,11 +76,7 @@ pub fn write_flight(dir: &Path, entries: &[FlightEntry]) -> io::Result<()> {
 /// Fails with [`io::ErrorKind::InvalidData`] if the file exists but is
 /// not a flight stream; propagates other I/O failures.
 pub fn read_flight(dir: &Path) -> io::Result<Vec<FlightEntry>> {
-    let path = dir.join(FLIGHT_FILE);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    Ok(read_framed(&path, &FLIGHT_MAGIC)?
+    Ok(read_sidecar(dir, FLIGHT_FILE, &FLIGHT_MAGIC)?
         .iter()
         .map_while(|p| decode_flight_entry(p).ok())
         .collect())

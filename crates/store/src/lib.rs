@@ -7,21 +7,27 @@
 //! periodic retraining. This crate persists a monitoring run as:
 //!
 //! - an **append-only segment log** ([`log::SegmentLog`]) of collected
-//!   tweets — fixed-size segment files, each record length-prefixed and
-//!   CRC-32-checksummed (the framing extends
-//!   [`ph_twitter_sim::wire`] with the monitoring context: category, node,
-//!   slot, hour — see [`record`]),
+//!   tweets — fixed-size segment files, one record per frame (the record
+//!   encoding extends [`ph_twitter_sim::wire`] with the monitoring
+//!   context: category, node, slot, hour — see [`record`]),
 //! - a **checkpoint log** ([`checkpoint::CheckpointLog`]) of hourly
 //!   [`ph_core::monitor::RunState`] snapshots (node-hours per slot, current
 //!   network membership, run cursor, dropped count, engine clock),
-//! - a **telemetry journal + series** ([`telemetry`]): the deterministic
-//!   event journal (`journal.log`, byte-stable across thread counts) and
-//!   flattened time-series points (`series.log`) written when a run
-//!   finishes, read back by the CLI's `inspect` subcommand,
+//! - a **run record** ([`Store::write_run_record`]): the deterministic
+//!   event journal (`journal.log`, byte-stable across thread counts),
+//!   flattened time-series points (`series.log`, [`telemetry`]) and, with
+//!   decision observability on, explained verdicts and drift windows
+//!   ([`decision`]) — written when a run finishes, read back by the
+//!   CLI's `inspect` and `explain` subcommands,
 //! - a **manifest** ([`manifest::Manifest`]) pinning the simulation and
 //!   runner configuration (the engine's full RNG state is implied: the
 //!   simulation is deterministic in its seed, so "engine state at hour
 //!   `h`" is reconstructed by replaying `h` hours from the seed).
+//!
+//! Every file but the manifest shares one format: a magic + version
+//! header, then `u32 length · u32 CRC-32 · payload` frames. The private
+//! `frame.rs` module describes it, and its recovery rule, once; every
+//! reader and writer goes through it.
 //!
 //! **Crash recovery** is truncation-based: on reopen, torn frames at the
 //! tail of the segment log (and of the checkpoint log) are cut off, the
@@ -43,6 +49,7 @@ mod codec;
 pub mod crc;
 pub mod decision;
 pub mod flight;
+mod frame;
 pub mod log;
 pub mod manifest;
 pub mod record;

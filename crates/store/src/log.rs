@@ -1,27 +1,26 @@
 //! The append-only, segmented, checksummed event log.
 //!
 //! A log is a directory of fixed-capacity segment files named
-//! `segment-XXXXXXXX.seg`. Each segment starts with a 24-byte header:
+//! `segment-XXXXXXXX.seg`, one record per frame in the store's shared
+//! file format (described once, in `frame.rs`). Each segment's 24-byte
+//! header is the shared magic + version header (magic `PHSTSEG\x01`)
+//! followed by two fields of its own:
 //!
 //! ```text
-//! [0..8)   magic  "PHSTSEG\x01"
-//! [8..12)  u32    format version (1)
 //! [12..16) u32    record count (0xFFFF_FFFF while the segment is active)
 //! [16..24) u64    global index of the segment's first record
 //! ```
 //!
-//! followed by records framed as `u32 payload length · u32 CRC-32 of the
-//! payload · payload`. A segment is *sealed* (its record count written
-//! back into the header) when the writer rolls to the next segment; the
-//! last segment is *active* and its count is discovered by scanning.
+//! A segment is *sealed* (its record count written back into the header)
+//! when the writer rolls to the next segment; the last segment is
+//! *active* and its count is discovered by scanning.
 //!
-//! **Recovery rule**: on reopen the whole log is scanned front to back;
-//! the first invalid frame (short frame, oversized length, CRC mismatch)
-//! or inconsistent segment header marks the end of the valid prefix.
-//! Everything after it — torn tail bytes and any later segment files — is
-//! truncated away and counted in the returned [`RecoveryReport`] and the
-//! `store.recovery.*` telemetry counters. Appending then continues from
-//! the valid prefix.
+//! **Recovery**: on reopen the whole log is scanned front to back; the
+//! shared recovery rule's first invalid frame, or an inconsistent segment
+//! header, marks the end of the valid prefix. Everything after it — torn
+//! tail bytes and any later segment files — is truncated away and counted
+//! in the returned [`RecoveryReport`] and the `store.recovery.*`
+//! telemetry counters. Appending then continues from the valid prefix.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
@@ -29,27 +28,19 @@ use std::path::{Path, PathBuf};
 
 use ph_core::monitor::CollectedTweet;
 
-use crate::crc::crc32;
+use crate::frame::{self, Frame};
 use crate::record::decode_collected;
+
+pub use crate::frame::{FRAME_OVERHEAD, MAX_RECORD_LEN};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"PHSTSEG\x01";
-
-/// Current segment format version.
-pub const SEGMENT_VERSION: u32 = 1;
 
 /// Header `record count` sentinel of an active (unsealed) segment.
 const ACTIVE: u32 = u32::MAX;
 
 /// Byte length of the segment header.
 pub const SEGMENT_HEADER_LEN: u64 = 24;
-
-/// Per-record framing overhead (length + CRC).
-pub const FRAME_OVERHEAD: u64 = 8;
-
-/// Upper bound on a single record payload; larger declared lengths are
-/// treated as corruption (prevents absurd allocations on torn frames).
-pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
 /// Default segment capacity before the writer rolls to a new file.
 pub const DEFAULT_MAX_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
@@ -108,15 +99,26 @@ struct SegmentScan {
     stranded_records: u64,
 }
 
+/// Reads a segment header off `reader`: its record count and first
+/// record index, or `None` when the header is short or not a segment's.
+fn read_segment_header<R: Read>(reader: &mut R) -> io::Result<Option<(u32, u64)>> {
+    if !frame::read_header(reader, &SEGMENT_MAGIC)? {
+        return Ok(None);
+    }
+    let mut fields = [0u8; (SEGMENT_HEADER_LEN - frame::HEADER_LEN) as usize];
+    if frame::fill(reader, &mut fields)? < fields.len() {
+        return Ok(None);
+    }
+    let count = u32::from_le_bytes(fields[0..4].try_into().expect("4 bytes"));
+    let base_record = u64::from_le_bytes(fields[4..12].try_into().expect("8 bytes"));
+    Ok(Some((count, base_record)))
+}
+
 fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut reader = BufReader::new(file);
-    let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
-    if reader.read_exact(&mut header).is_err()
-        || header[0..8] != SEGMENT_MAGIC
-        || u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) != SEGMENT_VERSION
-    {
+    let Some((count, base_record)) = read_segment_header(&mut reader)? else {
         return Ok(SegmentScan {
             header_ok: false,
             sealed: None,
@@ -126,41 +128,23 @@ fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
             torn_bytes: file_len,
             stranded_records: 0,
         });
-    }
-    let count = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-    let base_record = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
+    };
     let mut valid_records = 0u64;
     let mut valid_len = SEGMENT_HEADER_LEN;
     let mut stranded_records = 0u64;
     let mut past_cut = false;
     loop {
-        let mut frame_header = [0u8; 8];
-        match read_exact_or_eof(&mut reader, &mut frame_header) {
-            Ok(true) => {}
-            Ok(false) => break, // clean EOF
-            Err(e) => return Err(e),
-        }
-        let len = u32::from_le_bytes(frame_header[0..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(frame_header[4..8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_LEN {
-            break; // length itself untrustworthy: cannot even skip ahead
-        }
-        let mut payload = vec![0u8; len as usize];
-        match read_exact_or_eof(&mut reader, &mut payload) {
-            Ok(true) => {}
-            Ok(false) => break, // short payload: torn tail
-            Err(e) => return Err(e),
-        }
-        let intact = crc32(&payload) == crc;
-        if past_cut {
+        match frame::read_frame(&mut reader)? {
+            // Past a torn frame nothing can be framed, so nothing counts.
+            Frame::End | Frame::Torn => break,
             // Past the first bad frame we only keep counting what the
             // truncation is about to discard.
-            stranded_records += u64::from(intact);
-        } else if intact {
-            valid_records += 1;
-            valid_len += FRAME_OVERHEAD + u64::from(len);
-        } else {
-            past_cut = true;
+            Frame::Intact(_) if past_cut => stranded_records += 1,
+            Frame::Intact(payload) => {
+                valid_records += 1;
+                valid_len += FRAME_OVERHEAD + payload.len() as u64;
+            }
+            Frame::Corrupt => past_cut = true,
         }
     }
     Ok(SegmentScan {
@@ -172,21 +156,6 @@ fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
         torn_bytes: file_len - valid_len,
         stranded_records,
     })
-}
-
-/// Reads into `buf`; `Ok(false)` on EOF at the first byte *or* partway
-/// through (a partial read is a torn frame, not an I/O error).
-fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
 }
 
 /// The append side of the segment log.
@@ -335,37 +304,12 @@ impl SegmentLog {
         self.records
     }
 
-    /// Appends one record payload; returns its global record index.
-    /// Rolls to a new segment first when the current one is at capacity.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        let frame_len = FRAME_OVERHEAD + payload.len() as u64;
-        if self.segment_records > 0 && self.segment_bytes + frame_len > self.max_segment_bytes {
-            self.roll()?;
-        }
-        let mut frame = Vec::with_capacity(frame_len as usize);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
-        self.segment_bytes += frame_len;
-        self.segment_records += 1;
-        let index = self.records;
-        self.records += 1;
-        ph_telemetry::cached_counter!("store.bytes_written").add(frame_len);
-        ph_telemetry::cached_counter!("store.records_appended").add(1);
-        Ok(index)
-    }
-
-    /// Appends several record payloads at once; returns the global index
-    /// of the first. Framing, roll decisions, and telemetry are exactly
-    /// those of per-record [`SegmentLog::append`] — the roll check runs
-    /// per frame, so the on-disk bytes never depend on how records were
-    /// batched — but frames between rolls are coalesced into a single
-    /// `write_all`, amortizing the syscall cost across the batch.
+    /// Appends record payloads, one frame each; returns the global index
+    /// of the first. A new segment starts before any frame that would
+    /// overflow the current one's capacity — the check runs per frame, so
+    /// the on-disk bytes never depend on how records were batched — and
+    /// frames between rolls are coalesced into a single `write_all`,
+    /// amortizing the syscall cost across the batch.
     ///
     /// # Errors
     ///
@@ -381,9 +325,7 @@ impl SegmentLog {
                 self.flush_frames(&mut buffer)?;
                 self.roll()?;
             }
-            buffer.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buffer.extend_from_slice(&crc32(payload).to_le_bytes());
-            buffer.extend_from_slice(payload);
+            frame::put_frame(&mut buffer, payload);
             self.segment_bytes += frame_len;
             self.segment_records += 1;
             self.records += 1;
@@ -499,17 +441,17 @@ impl SegmentLog {
 
 /// Byte offset just past the `records`-th frame of an open segment file.
 fn frame_end_offset(file: &mut File, records: u64) -> io::Result<u64> {
-    file.seek(SeekFrom::Start(0))?;
+    file.seek(SeekFrom::Start(SEGMENT_HEADER_LEN))?;
     let mut reader = BufReader::new(&mut *file);
-    let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
-    reader.read_exact(&mut header)?;
     let mut offset = SEGMENT_HEADER_LEN;
     for _ in 0..records {
-        let mut frame_header = [0u8; 8];
-        reader.read_exact(&mut frame_header)?;
-        let len = u32::from_le_bytes(frame_header[0..4].try_into().expect("4 bytes"));
-        reader.seek_relative(i64::from(len))?;
-        offset += FRAME_OVERHEAD + u64::from(len);
+        let Frame::Intact(payload) = frame::read_frame(&mut reader)? else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "segment holds fewer intact frames than its recovered count",
+            ));
+        };
+        offset += FRAME_OVERHEAD + payload.len() as u64;
     }
     Ok(offset)
 }
@@ -523,8 +465,7 @@ fn start_segment(dir: &Path, index: u32, base_record: u64) -> io::Result<File> {
         .truncate(true)
         .open(segment_path(dir, index))?;
     let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
-    header.extend_from_slice(&SEGMENT_MAGIC);
-    header.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
+    header.extend_from_slice(&frame::header(&SEGMENT_MAGIC));
     header.extend_from_slice(&ACTIVE.to_le_bytes());
     header.extend_from_slice(&base_record.to_le_bytes());
     file.write_all(&header)?;
@@ -570,15 +511,9 @@ impl LogReader {
         let Some((_, path)) = self.segments.next() else {
             return Ok(false);
         };
-        let file = File::open(&path)?;
-        let mut reader = BufReader::new(file);
-        let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
-        if !read_exact_or_eof(&mut reader, &mut header)?
-            || header[0..8] != SEGMENT_MAGIC
-            || u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) != SEGMENT_VERSION
-        {
+        let mut reader = BufReader::new(File::open(&path)?);
+        if read_segment_header(&mut reader)?.is_none() {
             self.torn(&path, "unreadable segment header");
-            self.segments = Vec::new().into_iter();
             return Ok(false);
         }
         self.current = Some(reader);
@@ -586,7 +521,10 @@ impl LogReader {
         Ok(true)
     }
 
-    fn torn(&self, path: &Path, what: &str) {
+    /// Ends iteration at an invalid segment header or frame.
+    fn torn(&mut self, path: &Path, what: &str) {
+        self.current = None;
+        self.segments = Vec::new().into_iter();
         ph_telemetry::cached_counter!("store.read.torn_tail_bytes").add(1);
         ph_telemetry::log_warn!(
             "segment log reader stopped early at {}: {what}",
@@ -600,27 +538,20 @@ impl LogReader {
                 return Ok(None);
             }
             let reader = self.current.as_mut().expect("segment is open");
-            let mut frame_header = [0u8; 8];
-            if !read_exact_or_eof(reader, &mut frame_header)? {
-                self.current = None;
-                continue; // clean end of segment
+            match frame::read_frame(reader)? {
+                Frame::Intact(payload) => {
+                    ph_telemetry::cached_counter!("store.bytes_read")
+                        .add(FRAME_OVERHEAD + payload.len() as u64);
+                    ph_telemetry::cached_counter!("store.records_read").add(1);
+                    return Ok(Some(payload));
+                }
+                Frame::End => self.current = None, // clean end of segment
+                Frame::Torn | Frame::Corrupt => {
+                    let path = self.current_path.clone().expect("segment is open");
+                    self.torn(&path, "torn, oversized or checksum-failed frame");
+                    return Ok(None);
+                }
             }
-            let len = u32::from_le_bytes(frame_header[0..4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(frame_header[4..8].try_into().expect("4 bytes"));
-            if len > MAX_RECORD_LEN {
-                let path = self.current_path.clone().expect("segment is open");
-                self.torn(&path, "oversized frame length");
-                return Ok(None);
-            }
-            let mut payload = vec![0u8; len as usize];
-            if !read_exact_or_eof(reader, &mut payload)? || crc32(&payload) != crc {
-                let path = self.current_path.clone().expect("segment is open");
-                self.torn(&path, "torn or checksum-failed frame");
-                return Ok(None);
-            }
-            ph_telemetry::cached_counter!("store.bytes_read").add(FRAME_OVERHEAD + u64::from(len));
-            ph_telemetry::cached_counter!("store.records_read").add(1);
-            return Ok(Some(payload));
         }
     }
 }
@@ -700,7 +631,7 @@ mod tests {
         let mut log = SegmentLog::create(&dir, 64).unwrap();
         let records: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 20]).collect();
         for (i, r) in records.iter().enumerate() {
-            assert_eq!(log.append(r).unwrap(), i as u64);
+            assert_eq!(log.append_batch(&[r]).unwrap(), i as u64);
         }
         log.sync().unwrap();
         assert_eq!(log.record_count(), 10);
@@ -715,7 +646,7 @@ mod tests {
         let one_dir = temp_dir("batch-single");
         let mut one = SegmentLog::create(&one_dir, 96).unwrap();
         for r in &records {
-            one.append(r).unwrap();
+            one.append_batch(&[r]).unwrap();
         }
         one.sync().unwrap();
         let batch_dir = temp_dir("batch-bulk");
@@ -736,7 +667,7 @@ mod tests {
     fn reopen_continues_appending() {
         let dir = temp_dir("reopen");
         let mut log = SegmentLog::create(&dir, 1024).unwrap();
-        log.append(b"one").unwrap();
+        log.append_batch(&[b"one"]).unwrap();
         log.sync().unwrap();
         drop(log);
         let (mut log, report) = SegmentLog::open(&dir, 1024).unwrap();
@@ -747,7 +678,7 @@ mod tests {
                 ..Default::default()
             }
         );
-        log.append(b"two").unwrap();
+        log.append_batch(&[b"two"]).unwrap();
         log.sync().unwrap();
         assert_eq!(payloads(&dir), vec![b"one".to_vec(), b"two".to_vec()]);
     }
@@ -756,8 +687,8 @@ mod tests {
     fn torn_tail_is_truncated_on_open() {
         let dir = temp_dir("torn");
         let mut log = SegmentLog::create(&dir, 1 << 20).unwrap();
-        log.append(b"keep me").unwrap();
-        log.append(b"also keep").unwrap();
+        log.append_batch(&[b"keep me"]).unwrap();
+        log.append_batch(&[b"also keep"]).unwrap();
         log.sync().unwrap();
         drop(log);
         // Simulate a torn append: half a frame at the tail.
@@ -775,9 +706,9 @@ mod tests {
     fn corrupted_record_truncates_from_there() {
         let dir = temp_dir("corrupt");
         let mut log = SegmentLog::create(&dir, 1 << 20).unwrap();
-        log.append(&[1u8; 50]).unwrap();
-        log.append(&[2u8; 50]).unwrap();
-        log.append(&[3u8; 50]).unwrap();
+        log.append_batch(&[&[1u8; 50]]).unwrap();
+        log.append_batch(&[&[2u8; 50]]).unwrap();
+        log.append_batch(&[&[3u8; 50]]).unwrap();
         log.sync().unwrap();
         drop(log);
         // Flip one byte inside the second record's payload.
@@ -802,7 +733,7 @@ mod tests {
         let dir = temp_dir("truncate");
         let mut log = SegmentLog::create(&dir, 100).unwrap();
         for i in 0..12u8 {
-            log.append(&[i; 30]).unwrap();
+            log.append_batch(&[&[i; 30]]).unwrap();
         }
         log.sync().unwrap();
         let before = list_segments(&dir).unwrap().len();
@@ -815,7 +746,7 @@ mod tests {
             vec![vec![0u8; 30], vec![1u8; 30], vec![2u8; 30]]
         );
         // Appending after a rollback keeps the numbering consistent.
-        assert_eq!(log.append(&[9u8; 30]).unwrap(), 3);
+        assert_eq!(log.append_batch(&[&[9u8; 30]]).unwrap(), 3);
         log.sync().unwrap();
         assert_eq!(payloads(&dir).len(), 4);
     }
@@ -824,11 +755,11 @@ mod tests {
     fn truncate_to_zero_empties_the_log() {
         let dir = temp_dir("truncate-zero");
         let mut log = SegmentLog::create(&dir, 1 << 20).unwrap();
-        log.append(b"x").unwrap();
+        log.append_batch(&[b"x"]).unwrap();
         log.truncate_to(0).unwrap();
         assert_eq!(log.record_count(), 0);
         assert!(payloads(&dir).is_empty());
-        assert_eq!(log.append(b"y").unwrap(), 0);
+        assert_eq!(log.append_batch(&[b"y"]).unwrap(), 0);
     }
 
     #[test]

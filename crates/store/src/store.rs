@@ -10,7 +10,9 @@
 //! ├── checkpoints.log       hourly RunState + cumulative counters
 //! ├── segment-00000000.seg  collected tweets, CRC-framed
 //! ├── segment-00000001.seg
-//! └── …
+//! ├── …
+//! └── journal.log, series.log, explain.log, drift.log
+//!                           the run record (Store::write_run_record)
 //! ```
 //!
 //! **Resume invariant**: the log is rolled back to the newest checkpoint
@@ -192,21 +194,41 @@ impl Store {
         self.log.sync()
     }
 
-    /// Persists the run's telemetry (journal + series) into the store,
-    /// truncate-and-replace. Only deterministic journal events are
-    /// written — see [`crate::telemetry`] for the byte-stability
-    /// contract.
+    /// Persists what a finished run leaves beside its log, each stream
+    /// truncate-and-replace, so `inspect` and `explain` can render the
+    /// run without re-executing it. In order:
+    ///
+    /// 1. when decision observability is on, closes the open drift
+    ///    window — before the journal snapshot, because closing it may
+    ///    raise the run's last drift alarms;
+    /// 2. writes the journal (deterministic events only — see
+    ///    [`crate::telemetry`] for the byte-stability contract) and the
+    ///    series points up to `last_hour`;
+    /// 3. when decision observability is on, writes the explained
+    ///    verdicts and the drift windows and alarms ([`crate::decision`]).
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn write_telemetry(
-        &self,
-        entries: &[ph_telemetry::JournalEntry],
-        points: &[ph_telemetry::SeriesPoint],
-    ) -> io::Result<()> {
-        crate::telemetry::write_journal(&self.dir, entries)?;
-        crate::telemetry::write_series(&self.dir, points)
+    pub fn write_run_record(&self, last_hour: u64) -> io::Result<()> {
+        let observing = ph_core::observe::is_enabled();
+        if observing {
+            ph_core::observe::drift_finalize();
+        }
+        let journal = ph_telemetry::journal_snapshot();
+        crate::telemetry::write_journal(&self.dir, &journal)?;
+        crate::telemetry::write_series(&self.dir, &ph_telemetry::run_series_points(last_hour))?;
+        if observing {
+            crate::decision::write_explain(&self.dir, &ph_core::observe::explanations())?;
+            let (drift_hours, drift_alarms) = ph_core::observe::drift_results();
+            crate::decision::write_drift(&self.dir, &drift_hours, &drift_alarms)?;
+        }
+        ph_telemetry::log_info!(
+            "run record ({} journal events) persisted to {}",
+            journal.len(),
+            self.dir.display()
+        );
+        Ok(())
     }
 
     /// A [`MonitorSink`] appending this run segment into the store.
@@ -295,7 +317,9 @@ impl StoreWriter<'_> {
 
 impl MonitorSink for StoreWriter<'_> {
     fn on_tweet(&mut self, collected: &CollectedTweet) -> io::Result<()> {
-        self.store.log.append(&encode_collected(collected))?;
+        self.store
+            .log
+            .append_batch(&[encode_collected(collected)])?;
         Ok(())
     }
 

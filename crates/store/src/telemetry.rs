@@ -2,9 +2,9 @@
 //! next to the segment log, so `inspect` can reconstruct a run's
 //! behavior without re-executing anything.
 //!
-//! Two sibling streams live in the store directory, each with the same
-//! `u32 length · u32 CRC-32 · payload` framing as segments and
-//! checkpoints:
+//! Two sibling streams live in the store directory, each one event per
+//! frame of the store's shared file format (described once, in
+//! `frame.rs`):
 //!
 //! - **`journal.log`** (magic `PHSTJNL\x01`): the deterministic subset
 //!   of the process journal ([`ph_telemetry::TelemetryEvent`]), one
@@ -26,14 +26,13 @@
 //! consulted by resume, and a store without them (e.g. one cut short by
 //! a crash) is still fully inspectable from records + checkpoints.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::Path;
 
 use ph_telemetry::{JournalEntry, SeriesPoint, TelemetryEvent};
 
 use crate::codec::{put_f64, put_str, put_u64, put_u8, take_f64, take_str, take_u64, take_u8};
-use crate::crc::crc32;
+use crate::frame::{read_sidecar, write_framed};
 use crate::record::StoreDecodeError;
 
 /// Journal stream file name inside a store directory.
@@ -258,65 +257,6 @@ pub fn decode_series_point(payload: &[u8]) -> Result<SeriesPoint, StoreDecodeErr
     Ok(SeriesPoint { name, hour, value })
 }
 
-pub(crate) fn write_framed(path: &Path, magic: &[u8; 8], payloads: &[Vec<u8>]) -> io::Result<()> {
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(path)?;
-    let mut out = Vec::with_capacity(12 + payloads.iter().map(|p| 8 + p.len()).sum::<usize>());
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&1u32.to_le_bytes());
-    for payload in payloads {
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-    }
-    file.write_all(&out)?;
-    file.sync_all()?;
-    ph_telemetry::cached_counter!("store.bytes_written").add(out.len() as u64);
-    Ok(())
-}
-
-pub(crate) fn read_framed(path: &Path, magic: &[u8; 8]) -> io::Result<Vec<Vec<u8>>> {
-    let mut file = File::open(path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    if bytes.len() < 12 || bytes[0..8] != magic[..] {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{} is not a ph-store telemetry stream", path.display()),
-        ));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != 1 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "{}: unsupported telemetry version {version}",
-                path.display()
-            ),
-        ));
-    }
-    let mut payloads = Vec::new();
-    let mut at = 12usize;
-    // A torn or corrupted tail ends the stream rather than erroring —
-    // the same recovery-by-truncation stance as every other store file.
-    while bytes.len() - at >= 8 {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-        let Some(end) = (at + 8).checked_add(len) else {
-            break;
-        };
-        if end > bytes.len() || crc32(&bytes[at + 8..end]) != crc {
-            break;
-        }
-        payloads.push(bytes[at + 8..end].to_vec());
-        at = end;
-    }
-    Ok(payloads)
-}
-
 /// Writes the persisted journal for a run: keeps only deterministic
 /// events and renumbers them 0..n so the bytes are identical at any
 /// thread count (diagnostic events consume in-process sequence numbers
@@ -348,11 +288,7 @@ pub fn write_journal(dir: &Path, entries: &[JournalEntry]) -> io::Result<()> {
 /// Fails with [`io::ErrorKind::InvalidData`] if the file exists but is
 /// not a journal stream; propagates other I/O failures.
 pub fn read_journal(dir: &Path) -> io::Result<Vec<JournalEntry>> {
-    let path = dir.join(JOURNAL_FILE);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    Ok(read_framed(&path, &JOURNAL_MAGIC)?
+    Ok(read_sidecar(dir, JOURNAL_FILE, &JOURNAL_MAGIC)?
         .iter()
         .map_while(|p| decode_journal_entry(p).ok())
         .collect())
@@ -376,11 +312,7 @@ pub fn write_series(dir: &Path, points: &[SeriesPoint]) -> io::Result<()> {
 /// Fails with [`io::ErrorKind::InvalidData`] if the file exists but is
 /// not a series stream; propagates other I/O failures.
 pub fn read_series(dir: &Path) -> io::Result<Vec<SeriesPoint>> {
-    let path = dir.join(SERIES_FILE);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    Ok(read_framed(&path, &SERIES_MAGIC)?
+    Ok(read_sidecar(dir, SERIES_FILE, &SERIES_MAGIC)?
         .iter()
         .map_while(|p| decode_series_point(p).ok())
         .collect())

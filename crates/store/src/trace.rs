@@ -1,9 +1,8 @@
 //! Durable timeline traces: the `trace.log` stream persisted next to
 //! `journal.log`/`series.log` when a run is recorded with `--trace`.
 //!
-//! Same framing as the other telemetry streams (`magic · u32 version`,
-//! then `u32 length · u32 CRC-32 · payload` frames), same
-//! truncate-and-replace write and torn-tail-tolerant read. The first
+//! Same file format as the other sidecar streams (described once, in
+//! `frame.rs`): truncate-and-replace write, torn-tail-tolerant read. The first
 //! frame is a stream header carrying the recorder's dropped-event count;
 //! every following frame is one [`ph_trace::TraceEvent`]. Event names
 //! are stored inline (not interned), so a `trace.log` is
@@ -21,8 +20,8 @@ use std::path::Path;
 use ph_trace::{TraceEvent, TraceLog};
 
 use crate::codec::{put_str, put_u32, put_u64, put_u8, take_str, take_u32, take_u64, take_u8};
+use crate::frame::{read_framed, read_sidecar, write_framed};
 use crate::record::StoreDecodeError;
-use crate::telemetry::{read_framed, write_framed};
 
 /// Trace stream file name inside a store directory.
 pub const TRACE_FILE: &str = "trace.log";
@@ -166,7 +165,23 @@ pub fn write_trace(dir: &Path, log: &TraceLog) -> io::Result<()> {
 /// rather than erroring. Frames of the reserved kinds an older recorder
 /// wrote (stalls, merge waits, depth samples) are skipped.
 pub fn read_trace_file(path: &Path) -> io::Result<TraceLog> {
-    let payloads = read_framed(path, &TRACE_MAGIC)?;
+    Ok(decode_trace(&read_framed(path, &TRACE_MAGIC)?))
+}
+
+/// Reads a store's persisted trace. Returns an empty log when the store
+/// has none (e.g. the run was not traced).
+///
+/// # Errors
+///
+/// Fails with [`io::ErrorKind::InvalidData`] if the file exists but is
+/// not a trace stream; propagates other I/O failures.
+pub fn read_trace(dir: &Path) -> io::Result<TraceLog> {
+    Ok(decode_trace(&read_sidecar(dir, TRACE_FILE, &TRACE_MAGIC)?))
+}
+
+/// The trace a stream's payloads hold: the header frame's drop count,
+/// then every event up to the first that does not decode.
+fn decode_trace(payloads: &[Vec<u8>]) -> TraceLog {
     let mut dropped = 0u64;
     let mut events = Vec::with_capacity(payloads.len().saturating_sub(1));
     for (i, payload) in payloads.iter().enumerate() {
@@ -186,22 +201,7 @@ pub fn read_trace_file(path: &Path) -> io::Result<TraceLog> {
             Err(_) => break,
         }
     }
-    Ok(TraceLog::from_events(events, dropped))
-}
-
-/// Reads a store's persisted trace. Returns an empty log when the store
-/// has none (e.g. the run was not traced).
-///
-/// # Errors
-///
-/// Fails with [`io::ErrorKind::InvalidData`] if the file exists but is
-/// not a trace stream; propagates other I/O failures.
-pub fn read_trace(dir: &Path) -> io::Result<TraceLog> {
-    let path = dir.join(TRACE_FILE);
-    if !path.exists() {
-        return Ok(TraceLog::default());
-    }
-    read_trace_file(&path)
+    TraceLog::from_events(events, dropped)
 }
 
 #[cfg(test)]

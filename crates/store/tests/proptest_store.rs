@@ -168,7 +168,7 @@ proptest! {
         let mut log = SegmentLog::create(&dir, u64::MAX).unwrap();
         let mut frame_ends = vec![SEGMENT_HEADER_LEN];
         for p in &payloads {
-            log.append(p).unwrap();
+            log.append_batch(&[p]).unwrap();
             frame_ends.push(frame_ends.last().unwrap() + FRAME_OVERHEAD + p.len() as u64);
         }
         log.sync().unwrap();

@@ -5,7 +5,7 @@
 use std::fmt::Write as _;
 
 /// Appends `s` as a JSON string literal (quotes + escapes) to `out`.
-pub(crate) fn push_str_literal(out: &mut String, s: &str) {
+pub fn push_str_literal(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -51,7 +51,7 @@
 
 mod event;
 mod flight;
-mod json;
+pub mod json;
 mod logger;
 mod metrics;
 mod progress;

@@ -59,13 +59,11 @@ use pseudo_honeypot::core::detector::ground_truth_and_detector;
 use pseudo_honeypot::core::labeling::pipeline::{
     format_table3, label_collection_with, PipelineConfig,
 };
-use pseudo_honeypot::core::monitor::{
-    CollectedTweet, MonitorReport, RunState, Runner, RunnerConfig,
-};
+use pseudo_honeypot::core::monitor::{CollectedTweet, MonitorReport, RunState, Runner};
 use pseudo_honeypot::core::pge::{
     overall_pge, per_hour_attribute_pge, per_hour_stats, pge_ranking_with_min,
 };
-use pseudo_honeypot::sim::engine::{Engine, SimConfig};
+use pseudo_honeypot::sim::engine::Engine;
 use pseudo_honeypot::store::{Manifest, ResumedStore, Store, StoreConfig};
 
 mod cli;
@@ -497,23 +495,40 @@ fn exec_config(args: &Args) -> ExecConfig {
     ExecConfig::with_threads(args.get_u64("threads", 1) as usize)
 }
 
-fn sim_config(args: &Args) -> SimConfig {
-    let flip = args.get_u64(
-        "taste-flip",
-        pseudo_honeypot::store::manifest::NO_TASTE_FLIP,
-    );
-    SimConfig {
-        seed: args.get_u64("seed", 42),
-        num_organic: args.get_u64("organic", 2_000) as usize,
-        num_campaigns: args.get_u64("campaigns", 6) as usize,
-        accounts_per_campaign: args.get_u64("per-campaign", 20) as usize,
-        drift: (flip != pseudo_honeypot::store::manifest::NO_TASTE_FLIP).then(|| {
-            pseudo_honeypot::sim::drift::DriftSchedule::flip_at(
-                flip,
-                pseudo_honeypot::sim::drift::inverted_tastes(),
-            )
-        }),
-        ..Default::default()
+/// The run the CLI arguments describe. Every engine-driving subcommand
+/// builds its simulation and runner from this (`Manifest::sim_config`,
+/// `Manifest::runner_config`), and a fresh `--store` run pins it.
+fn manifest_from(args: &Args) -> Manifest {
+    Manifest {
+        sim_seed: args.get_u64("seed", 42),
+        organic: args.get_u64("organic", 2_000),
+        campaigns: args.get_u64("campaigns", 6),
+        per_campaign: args.get_u64("per-campaign", 20),
+        runner_seed: args.get_u64("seed", 42),
+        gt_hours: args.get_u64("gt-hours", 24),
+        hours: args.get_u64("hours", 24),
+        buffer_capacity: pseudo_honeypot::sim::api::DEFAULT_QUEUE_CAPACITY as u64,
+        taste_flip: args.get_u64(
+            "taste-flip",
+            pseudo_honeypot::store::manifest::NO_TASTE_FLIP,
+        ),
+    }
+}
+
+/// Warns about each run-shaping option given alongside `--resume`: the
+/// store's manifest pins the run, so they are ignored.
+fn warn_ignored_on_resume(args: &Args) {
+    for key in [
+        "seed",
+        "organic",
+        "campaigns",
+        "per-campaign",
+        "gt-hours",
+        "hours",
+    ] {
+        if args.options.contains_key(key) {
+            log_warn!("--{key} ignored on --resume: the store manifest pins it");
+        }
     }
 }
 
@@ -550,7 +565,7 @@ fn attributes() {
 
 fn simulate(args: &Args) {
     let hours = args.get_u64("hours", 24);
-    let mut engine = Engine::new(sim_config(args));
+    let mut engine = Engine::new(manifest_from(args).sim_config());
     log_info!(
         "simulating {hours} h over {} accounts…",
         engine.rest().num_accounts()
@@ -585,20 +600,14 @@ fn sniff(args: &Args) -> i32 {
 }
 
 fn sniff_in_memory(args: &Args) {
-    let gt_hours = args.get_u64("gt-hours", 24);
-    let hours = args.get_u64("hours", 24);
+    let manifest = manifest_from(args);
+    let (gt_hours, hours) = (manifest.gt_hours, manifest.hours);
     let name = args.get_str("name", "sniffing campaign");
     println!("== {name} ==");
     let exec = exec_config(args);
-    record_run_meta(exec.threads, args.get_u64("seed", 42));
-    let mut engine = Engine::new(sim_config(args));
-    let runner = Runner::with_exec(
-        RunnerConfig {
-            seed: args.get_u64("seed", 42),
-            ..Default::default()
-        },
-        exec.clone(),
-    );
+    record_run_meta(exec.threads, manifest.sim_seed);
+    let mut engine = Engine::new(manifest.sim_config());
+    let runner = Runner::with_exec(manifest.runner_config(), exec.clone());
 
     let (ground_truth, detector) = ground_truth_and_detector(&mut engine, &runner, gt_hours, &exec);
     println!("{}", format_table3(&ground_truth.summary));
@@ -702,18 +711,7 @@ fn sniff_stored(args: &Args, dir: &Path) -> i32 {
     let resumed: Option<ResumedStore> = if resume {
         let r = Store::open_resume(dir, StoreConfig::default())
             .unwrap_or_else(|e| die(&format!("cannot resume {}", dir.display()), e));
-        for key in [
-            "seed",
-            "organic",
-            "campaigns",
-            "per-campaign",
-            "gt-hours",
-            "hours",
-        ] {
-            if args.options.contains_key(key) {
-                log_warn!("--{key} ignored on --resume: the store manifest pins it");
-            }
-        }
+        warn_ignored_on_resume(args);
         log_info!(
             "resuming {}: {} of {} h done, {} records on log ({} bytes truncated in recovery)",
             dir.display(),
@@ -728,20 +726,7 @@ fn sniff_stored(args: &Args, dir: &Path) -> i32 {
     };
     let manifest = match &resumed {
         Some(r) => r.manifest,
-        None => Manifest {
-            sim_seed: args.get_u64("seed", 42),
-            organic: args.get_u64("organic", 2_000),
-            campaigns: args.get_u64("campaigns", 6),
-            per_campaign: args.get_u64("per-campaign", 20),
-            runner_seed: args.get_u64("seed", 42),
-            gt_hours: args.get_u64("gt-hours", 24),
-            hours: args.get_u64("hours", 24),
-            buffer_capacity: pseudo_honeypot::sim::api::DEFAULT_QUEUE_CAPACITY as u64,
-            taste_flip: args.get_u64(
-                "taste-flip",
-                pseudo_honeypot::store::manifest::NO_TASTE_FLIP,
-            ),
-        },
+        None => manifest_from(args),
     };
 
     let exec = exec_config(args);
@@ -850,26 +835,11 @@ fn sniff_stored(args: &Args, dir: &Path) -> i32 {
     );
 
     // Persist the run's observability record next to the data it
-    // describes: the deterministic event journal plus the flattened series
-    // (per-hour metrics and run-level `stage.*`/`span.*`/`hist.*`
-    // aggregates), so `inspect` can render the run later without
-    // re-executing anything.
-    if pseudo_honeypot::core::observe::is_enabled() {
-        // Before the journal snapshot: finalizing the open drift window
-        // may raise its last alarms.
-        pseudo_honeypot::core::observe::drift_finalize();
-    }
-    let journal = ph_telemetry::journal_snapshot();
-    let points = ph_telemetry::run_series_points(manifest.hours.saturating_sub(1));
+    // describes, so `inspect` and `explain` can render the run later
+    // without re-executing anything.
     store
-        .write_telemetry(&journal, &points)
-        .unwrap_or_else(|e| die("telemetry write failed", e));
-    log_info!(
-        "telemetry: {} journal events, {} series points persisted to {}",
-        journal.len(),
-        points.len(),
-        dir.display()
-    );
+        .write_run_record(manifest.hours.saturating_sub(1))
+        .unwrap_or_else(|e| die("run record write failed", e));
     if ph_trace::is_enabled() {
         // The durable twin of the --trace JSON export: the framed+CRC'd
         // trace.log lands next to journal.log/series.log so
@@ -883,25 +853,6 @@ fn sniff_stored(args: &Args, dir: &Path) -> i32 {
             trace.events.len(),
             dir.display(),
             trace.dropped
-        );
-    }
-    if pseudo_honeypot::core::observe::is_enabled() {
-        // The decision-observability twin of journal/series: one framed
-        // explanation per stored record (join on seq) plus the per-hour
-        // drift scores and alarm timeline — `explain` and
-        // `inspect --drift` render both from the store alone.
-        let explanations = pseudo_honeypot::core::observe::explanations();
-        pseudo_honeypot::store::write_explain(dir, &explanations)
-            .unwrap_or_else(|e| die("explain write failed", e));
-        let (drift_hours, drift_alarms) = pseudo_honeypot::core::observe::drift_results();
-        pseudo_honeypot::store::write_drift(dir, &drift_hours, &drift_alarms)
-            .unwrap_or_else(|e| die("drift write failed", e));
-        log_info!(
-            "observe: {} explanations, {} drift windows, {} alarms persisted to {}",
-            explanations.len(),
-            drift_hours.len(),
-            drift_alarms.len(),
-            dir.display()
         );
     }
     if args.has_flag("verify") {
@@ -1494,17 +1445,12 @@ fn print_journal_tail(journal: &[ph_telemetry::JournalEntry], tail: usize) {
 fn showdown(args: &Args) {
     let hours = args.get_u64("hours", 36);
     let nodes = args.get_u64("nodes", 100) as usize;
-    let seed = args.get_u64("seed", 42);
+    let manifest = manifest_from(args);
+    let seed = manifest.sim_seed;
     record_run_meta(exec_config(args).threads, seed);
 
-    let mut ph_engine = Engine::new(sim_config(args));
-    let runner = Runner::with_exec(
-        RunnerConfig {
-            seed,
-            ..Default::default()
-        },
-        exec_config(args),
-    );
+    let mut ph_engine = Engine::new(manifest.sim_config());
+    let runner = Runner::with_exec(manifest.runner_config(), exec_config(args));
     let ph = runner.run(&mut ph_engine, hours);
     let ph_oracle = ph_engine.ground_truth();
     let ph_flags: Vec<bool> = ph
@@ -1513,7 +1459,7 @@ fn showdown(args: &Args) {
         .map(|c| ph_oracle.is_spam(&c.tweet))
         .collect();
 
-    let mut rnd_engine = Engine::new(sim_config(args));
+    let mut rnd_engine = Engine::new(manifest.sim_config());
     let rnd = run_random_baseline(&mut rnd_engine, nodes, hours, seed);
     let rnd_oracle = rnd_engine.ground_truth();
     let rnd_flags: Vec<bool> = rnd

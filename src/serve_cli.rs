@@ -32,38 +32,19 @@
 use std::io;
 use std::path::PathBuf;
 
-use ph_telemetry::log_warn;
 use pseudo_honeypot::serve::daemon::{LoadgenConfig, ServeConfig, ThrottleConfig};
 use pseudo_honeypot::serve::loadgen::FeedConfig;
 use pseudo_honeypot::serve::slo::SloTarget;
 use pseudo_honeypot::serve::{daemon, loadgen, signal, BindAddr};
-use pseudo_honeypot::store::{Manifest, StoreConfig};
+use pseudo_honeypot::store::StoreConfig;
 
 use crate::cli::Args;
-use crate::{die, exec_config, record_run_meta};
+use crate::{die, exec_config, manifest_from, record_run_meta, warn_ignored_on_resume};
 
 /// A stopped-but-checkpointed run's exit code: the daemon (or a
 /// `--store` sniff) received SIGTERM/SIGINT, drained at an hour
 /// boundary, and wrote a checkpoint — `--resume` continues it.
 pub const EXIT_INTERRUPTED: i32 = 5;
-
-/// The manifest the CLI arguments describe (same defaults as `sniff`).
-fn manifest_from(args: &Args) -> Manifest {
-    Manifest {
-        sim_seed: args.get_u64("seed", 42),
-        organic: args.get_u64("organic", 2_000),
-        campaigns: args.get_u64("campaigns", 6),
-        per_campaign: args.get_u64("per-campaign", 20),
-        runner_seed: args.get_u64("seed", 42),
-        gt_hours: args.get_u64("gt-hours", 24),
-        hours: args.get_u64("hours", 24),
-        buffer_capacity: pseudo_honeypot::sim::api::DEFAULT_QUEUE_CAPACITY as u64,
-        taste_flip: args.get_u64(
-            "taste-flip",
-            pseudo_honeypot::store::manifest::NO_TASTE_FLIP,
-        ),
-    }
-}
 
 /// Parses `--rate R` (events/second, fractional allowed; 0 = unpaced).
 fn rate_from(args: &Args) -> f64 {
@@ -88,18 +69,7 @@ pub fn serve(args: &Args) -> i32 {
     };
     let resume = args.has_flag("resume");
     if resume {
-        for key in [
-            "seed",
-            "organic",
-            "campaigns",
-            "per-campaign",
-            "gt-hours",
-            "hours",
-        ] {
-            if args.options.contains_key(key) {
-                log_warn!("--{key} ignored on --resume: the store manifest pins it");
-            }
-        }
+        warn_ignored_on_resume(args);
     }
     let manifest = manifest_from(args);
     let exec = exec_config(args);
