@@ -234,9 +234,11 @@ impl Runner {
         Self::with_exec(config, ExecConfig::sequential())
     }
 
-    /// Creates a runner that shards per-hour categorization across the
-    /// given execution configuration. Collected output is byte-identical
-    /// to [`Runner::new`] at any thread count (see `ph-exec`).
+    /// Creates a runner carrying the run's execution configuration
+    /// ([`Runner::exec`]). Per-hour categorization itself stays on the
+    /// caller's thread at any thread count (see
+    /// [`StreamMonitor::finish_hour`]), so collected output is the same
+    /// as [`Runner::new`]'s.
     pub fn with_exec(config: RunnerConfig, exec: ExecConfig) -> Self {
         Self {
             config,
@@ -638,9 +640,10 @@ impl StreamMonitor {
     }
 
     /// Closes the hour opened by [`begin_hour`](StreamMonitor::begin_hour):
-    /// categorizes the delivered tweets (across workers through
-    /// [`ph_exec::map`], so the batch comes back in delivery order at any
-    /// thread count), hands the batch and the advanced cursor to the sink,
+    /// categorizes the delivered tweets (through [`ph_exec::map`] on the
+    /// caller's thread — one hash lookup a tweet costs less than a
+    /// worker spawn, so the `monitor.categorize` stage never fans out),
+    /// hands the batch and the advanced cursor to the sink,
     /// and accounts `shed` tweets dropped upstream this hour. Returns the
     /// categorized batch (the classifier's input).
     ///
@@ -662,7 +665,7 @@ impl StreamMonitor {
         let hour_index = self.state.next_hour;
         let (members, hour) = (&self.membership, self.hour);
         let batch: Vec<CollectedTweet> = ph_exec::map(
-            self.runner.exec(),
+            &ExecConfig::sequential(),
             "monitor.categorize",
             delivered,
             |tweet: Tweet| Runner::categorize(tweet, members, hour),

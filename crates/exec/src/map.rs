@@ -216,29 +216,13 @@ mod tests {
     }
 
     /// Few coarse items, one per claim — the shape of a clustering merge
-    /// (≤ 4 chunks per worker): every worker must get some. The first
-    /// `threads` items wait (bounded) until that many are in flight at
-    /// once, which only happens when every worker holds one.
+    /// (≤ 4 chunks per worker): every worker must get some, held there by
+    /// `forced_fan_out`.
     #[test]
     fn every_worker_processes_coarse_items() {
         for (threads, n) in [(2usize, 8u64), (4, 16)] {
             let name = format!("test.fanout.{threads}");
-            let in_flight = (Mutex::new(0usize), Condvar::new());
-            let out = map(
-                &ExecConfig::with_threads(threads),
-                &name,
-                (0..n).collect(),
-                |x: u64| {
-                    let (count, arrived) = &in_flight;
-                    let mut count = count.lock().expect("test counter poisoned");
-                    *count += 1;
-                    arrived.notify_all();
-                    let _ = arrived
-                        .wait_timeout_while(count, Duration::from_secs(10), |c| *c < threads)
-                        .expect("test counter poisoned");
-                    x + 1
-                },
-            );
+            let out = forced_fan_out(threads, &name, n);
             assert_eq!(out, (1..=n).collect::<Vec<u64>>());
             let processed: Vec<f64> = (0..threads)
                 .map(|w| ph_telemetry::gauge(&format!("exec.{name}.worker.{w}.processed")).get())
@@ -251,14 +235,46 @@ mod tests {
         }
     }
 
+    /// Maps `x + 1` over `0..n` on `threads` workers, each of the first
+    /// `threads` items waiting (bounded) until that many are in flight at
+    /// once — which only happens when every worker holds one.
+    fn forced_fan_out(threads: usize, name: &str, n: u64) -> Vec<u64> {
+        let in_flight = (Mutex::new(0usize), Condvar::new());
+        map(
+            &ExecConfig::with_threads(threads),
+            name,
+            (0..n).collect(),
+            |x: u64| {
+                let (count, arrived) = &in_flight;
+                let mut count = count.lock().expect("test counter poisoned");
+                *count += 1;
+                arrived.notify_all();
+                let _ = arrived
+                    .wait_timeout_while(count, Duration::from_secs(10), |c| *c < threads)
+                    .expect("test counter poisoned");
+                x + 1
+            },
+        )
+    }
+
     #[test]
     fn tracing_keeps_outputs_identical_and_records_the_timeline() {
         let untraced = square(&ExecConfig::sequential(), 300);
         ph_trace::enable();
         assert_eq!(square(&ExecConfig::sequential(), 300), untraced);
         assert_eq!(square(&ExecConfig::with_threads(3), 300), untraced);
+        forced_fan_out(2, "test.fanout.traced", 8);
         ph_trace::disable();
         let log = ph_trace::snapshot();
+        // Forced fan-out: each worker's batches on its own lane.
+        for worker in [0, 1] {
+            assert!(
+                log.events.iter().any(|e| matches!(e,
+                    ph_trace::TraceEvent::Batch { name, worker: w, .. }
+                        if name == "test.fanout.traced" && *w == worker)),
+                "no traced batch on worker {worker}"
+            );
+        }
         let events: Vec<&ph_trace::TraceEvent> = log
             .events
             .iter()

@@ -32,10 +32,14 @@
 //! loop as a `ReplicaHour` plan over a channel of `LOOKAHEAD_HOURS`.
 //! At a boundary the hour loop only applies the plan
 //! ([`StreamMonitor::begin_hour_with`]), re-stamps, categorizes, stores,
-//! classifies and writes verdicts. Classification reads profiles from the
-//! hour loop's own copy of the directory — profiles never change after an
-//! account is created and accounts are only ever appended, so each plan
-//! carries the profiles its hour created and the copy stays exact.
+//! classifies and writes verdicts. The store's writer thread makes the
+//! hour's checkpoint durable while the hour is classified; the hour loop
+//! waits for it before it writes the hour's verdict lines, so the
+//! verdict stream never runs ahead of the durable log. Classification
+//! reads profiles from the hour loop's own copy of the directory —
+//! profiles never change after an account is created and accounts are
+//! only ever appended, so each plan carries the profiles its hour created
+//! and the copy stays exact.
 //!
 //! The run cursor ([`RunState`]) still advances only at the boundary, on
 //! the hour loop's thread: checkpoints, `AttributeSwitch`/`HourTick`
@@ -70,10 +74,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ph_core::detector::{ground_truth_and_detector, StreamClassifier};
+use ph_core::detector::{ground_truth_and_detector, StreamClassifier, Verdict};
 use ph_core::features::ProfileLookup;
 use ph_core::monitor::{CollectedTweet, MonitorReport, RunState, Runner, StreamMonitor};
 use ph_core::network::PseudoHoneypotNetwork;
+use ph_core::observe::VerdictExplanation;
 use ph_exec::ExecConfig;
 use ph_store::{Manifest, Store, StoreConfig, StoreWriter};
 use ph_telemetry::{log_info, log_warn, TelemetryEvent};
@@ -341,27 +346,39 @@ fn open_store(config: &ServeConfig) -> io::Result<(Store, MonitorReport, RunStat
     }
 }
 
+/// One hour's verdicts, and with `explain` on their explanations (the
+/// classify fold records one per record, seq = record index).
+type HourVerdicts = (Vec<Verdict>, Vec<VerdictExplanation>);
+
 /// Classifies one hour's batch, whose first record is record `first` of
-/// the log, and appends the verdicts of the records the stream does not
-/// hold yet. With `explain` on, the classify fold has recorded one
-/// explanation per record (seq = record index), so each line carries its
-/// explain fields.
-fn classify_and_append<P: ProfileLookup + ?Sized>(
+/// the log.
+fn classify<P: ProfileLookup + ?Sized>(
     classifier: &mut StreamClassifier,
     batch: &[CollectedTweet],
     profiles: &P,
     exec: &ExecConfig,
     first: u64,
     explain: bool,
-    verdicts: &mut VerdictWriter,
-) -> io::Result<()> {
+) -> HourVerdicts {
     let hour_verdicts = classifier.classify_hour(batch, profiles, exec);
     let explanations = if explain {
         ph_core::observe::explanations_from(first)
     } else {
         Vec::new()
     };
-    for (offset, (collected, verdict)) in batch.iter().zip(&hour_verdicts).enumerate() {
+    (hour_verdicts, explanations)
+}
+
+/// Appends the verdicts of `batch` (first record `first`) that the
+/// stream does not hold yet; with explanations, each line carries its
+/// explain fields.
+fn append_verdicts(
+    verdicts: &mut VerdictWriter,
+    batch: &[CollectedTweet],
+    first: u64,
+    (hour_verdicts, explanations): &HourVerdicts,
+) -> io::Result<()> {
+    for (offset, (collected, verdict)) in batch.iter().zip(hour_verdicts).enumerate() {
         if first + offset as u64 >= verdicts.next_seq() {
             match explanations.get(offset) {
                 Some(e) => verdicts.append_explained(collected, *verdict, e)?,
@@ -401,15 +418,9 @@ fn warm_up(
         while end < records.len() && records[end].hour == absolute_hour {
             end += 1;
         }
-        classify_and_append(
-            classifier,
-            &records[base..end],
-            engine,
-            exec,
-            base as u64,
-            explain,
-            verdicts,
-        )?;
+        let batch = &records[base..end];
+        let classified = classify(classifier, batch, engine, exec, base as u64, explain);
+        append_verdicts(verdicts, batch, base as u64, &classified)?;
         base = end;
     }
     verdicts.flush()?;
@@ -625,15 +636,22 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                             }
                             let delivered = std::mem::take(&mut buffered);
                             let batch = monitor.finish_hour(delivered, shed, &mut writer)?;
-                            classify_and_append(
+                            // Classify while the hour's checkpoint is in
+                            // flight; its verdict lines wait until it is
+                            // durable, so they never run ahead of the log.
+                            let first = verdicts.next_seq();
+                            let classified = classify(
                                 &mut classifier,
                                 &batch,
                                 profiles.as_slice(),
                                 &exec,
-                                verdicts.next_seq(),
+                                first,
                                 config.explain,
-                                &mut verdicts,
-                            )?;
+                            );
+                            writer.wait_durable()?;
+                            #[cfg(test)]
+                            tests::before_verdicts(&config.dir, hour);
+                            append_verdicts(&mut verdicts, &batch, first, &classified)?;
                             verdicts.flush()?;
                             if let Some(slo_check) = &mut slo_check {
                                 // The verdicts are durable — the
@@ -742,6 +760,73 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::path::Path;
+
+    use ph_store::{CheckpointLog, CHECKPOINT_FILE};
+
+    thread_local! {
+        /// Hours `before_verdicts` has checked; `None` while unarmed.
+        static CHECKED: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// Called by the hour loop right before it writes `hour`'s verdicts:
+    /// when armed, hour `h`'s checkpoint (cursor `h + 1`) must already be
+    /// on disk, the newest there.
+    pub(super) fn before_verdicts(dir: &Path, hour: u64) {
+        let Some(checked) = CHECKED.get() else {
+            return;
+        };
+        let (_, checkpoints) =
+            CheckpointLog::open(&dir.join(CHECKPOINT_FILE)).expect("checkpoint log readable");
+        let cursors: Vec<u64> = checkpoints.iter().map(|c| c.state.next_hour).collect();
+        assert_eq!(
+            cursors,
+            (1..=hour + 1).collect::<Vec<u64>>(),
+            "the verdicts of hour {hour} ran ahead of its checkpoint"
+        );
+        CHECKED.set(Some(checked + 1));
+    }
+
+    #[test]
+    fn no_verdict_line_is_written_before_its_hours_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("ph-serve-durable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = Manifest {
+            sim_seed: 5,
+            organic: 200,
+            campaigns: 2,
+            per_campaign: 6,
+            runner_seed: 5,
+            gt_hours: 2,
+            hours: 4,
+            buffer_capacity: ph_twitter_sim::api::DEFAULT_QUEUE_CAPACITY as u64,
+            taste_flip: ph_store::manifest::NO_TASTE_FLIP,
+        };
+        CHECKED.set(Some(0));
+        let outcome = run(ServeConfig {
+            dir: dir.clone(),
+            manifest,
+            resume: false,
+            store: StoreConfig::default(),
+            exec: ExecConfig::with_threads(1),
+            listen: BindAddr::Unix(dir.join("ingest.sock")),
+            http: None,
+            verdicts: None,
+            loadgen: Some(LoadgenConfig { rate: 0.0 }),
+            stop: Arc::new(AtomicBool::new(false)),
+            stop_after_hours: None,
+            explain: false,
+            slo: None,
+            watchdog_ticks: 0,
+            throttle: None,
+        })
+        .unwrap();
+        assert_eq!(outcome.hours_done, manifest.hours);
+        assert_eq!(CHECKED.replace(None), Some(manifest.hours));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     fn empty_plan() -> ReplicaHour {
         ReplicaHour {

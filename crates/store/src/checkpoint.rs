@@ -236,6 +236,17 @@ impl CheckpointLog {
         Ok((Self { file }, checkpoints))
     }
 
+    /// A second handle on the same file, for the store's writer thread.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures duplicating the handle.
+    pub(crate) fn try_clone(&self) -> io::Result<Self> {
+        Ok(Self {
+            file: self.file.try_clone()?,
+        })
+    }
+
     /// Appends one checkpoint and fsyncs it — a checkpoint that is not
     /// durable is not a checkpoint.
     ///

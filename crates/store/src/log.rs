@@ -377,14 +377,17 @@ impl SegmentLog {
     ///
     /// Propagates I/O failures.
     pub fn sync(&mut self) -> io::Result<()> {
-        let span = ph_telemetry::span("store.fsync");
-        self.file.sync_all()?;
-        ph_telemetry::histogram(
-            "store.fsync_ms",
-            &ph_telemetry::default_latency_buckets_ms(),
-        )
-        .record(span.elapsed_ms());
-        Ok(())
+        fsync_timed(&self.file)
+    }
+
+    /// A second handle on the active segment file, for the store's
+    /// writer thread to fsync while appends go on through this one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures duplicating the handle.
+    pub(crate) fn try_clone_active(&self) -> io::Result<File> {
+        self.file.try_clone()
     }
 
     /// Truncates the log to its first `target` records — used on resume to
@@ -437,6 +440,19 @@ impl SegmentLog {
         ph_telemetry::cached_counter!("store.recovery.rolled_back_records").add(cut);
         Ok(())
     }
+}
+
+/// Fsyncs a segment `file`, recording the latency in the
+/// `store.fsync_ms` histogram.
+pub(crate) fn fsync_timed(file: &File) -> io::Result<()> {
+    let span = ph_telemetry::span("store.fsync");
+    file.sync_all()?;
+    ph_telemetry::histogram(
+        "store.fsync_ms",
+        &ph_telemetry::default_latency_buckets_ms(),
+    )
+    .record(span.elapsed_ms());
+    Ok(())
 }
 
 /// Byte offset just past the `records`-th frame of an open segment file.

@@ -21,9 +21,19 @@
 //! will be re-run — and because the simulation is deterministic, the
 //! re-run appends byte-identical records, so
 //! `run(N) ≡ run(k) → crash → resume → run(N−k)` on the log.
+//!
+//! **Writer thread**: the hour path frames records and writes them into
+//! the page cache; each hour's durability work — segment fsync, then the
+//! checkpoint append and its fsync — runs on the store's writer thread
+//! while the caller goes on with the next hour. At most one hour is in
+//! flight: handing over hour `h + 1` first waits until hour `h` is
+//! durable.
 
+use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
 use ph_core::monitor::{CollectedTweet, MonitorReport, MonitorSink, RunState};
 
@@ -42,8 +52,12 @@ pub const CHECKPOINT_FILE: &str = "checkpoints.log";
 /// durable at the hour boundary, with the checkpoint that covers them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
-    /// Fsync at every hour boundary, just before the checkpoint — at most
-    /// one hour of collection is re-run after a crash.
+    /// Fsync at every hour boundary, just before the checkpoint. The
+    /// writer thread does both while the next hour runs, so a crash
+    /// re-runs at most the open hour plus the one in flight (`sniff
+    /// --store`). A caller that waits for durability before it moves on
+    /// — the daemon, before it writes an hour's verdicts — re-runs at
+    /// most the open hour.
     #[default]
     EveryHour,
 }
@@ -77,6 +91,15 @@ pub struct Store {
     manifest: Manifest,
     log: SegmentLog,
     checkpoints: CheckpointLog,
+    /// The writer thread, started by the first hour handed over and
+    /// joined when the [`StoreWriter`] drops or the store syncs.
+    writer: Option<WriterThread>,
+    /// A durability failure a [`StoreWriter`] drop could not return;
+    /// the next [`Store::sync`] or hand-over does.
+    failed: Option<io::Error>,
+    /// Test fault for the next hour handed over.
+    #[cfg(test)]
+    fault: Option<Fault>,
 }
 
 impl Store {
@@ -102,13 +125,27 @@ impl Store {
         let log = SegmentLog::create(dir, config.max_segment_bytes)?;
         let checkpoints = CheckpointLog::create(&dir.join(CHECKPOINT_FILE))?;
         manifest.save(&manifest_path)?;
-        Ok(Self {
+        Ok(Self::new(dir, config, manifest, log, checkpoints))
+    }
+
+    fn new(
+        dir: &Path,
+        config: StoreConfig,
+        manifest: Manifest,
+        log: SegmentLog,
+        checkpoints: CheckpointLog,
+    ) -> Self {
+        Self {
             dir: dir.to_path_buf(),
             config,
             manifest,
             log,
             checkpoints,
-        })
+            writer: None,
+            failed: None,
+            #[cfg(test)]
+            fault: None,
+        }
     }
 
     /// Reopens the store in `dir` after a crash (or a clean stop):
@@ -143,13 +180,7 @@ impl Store {
             ),
         };
         log.truncate_to(target)?;
-        let store = Self {
-            dir: dir.to_path_buf(),
-            config,
-            manifest,
-            log,
-            checkpoints,
-        };
+        let store = Self::new(dir, config, manifest, log, checkpoints);
         Ok(ResumedStore {
             store,
             manifest,
@@ -184,14 +215,61 @@ impl Store {
         CollectedReader::open(&self.dir)
     }
 
-    /// Fsyncs the segment log (the writer also syncs at each checkpoint;
-    /// call this once more when a run finishes cleanly).
+    /// Drains the writer thread — every hour handed over durable, the
+    /// thread joined — then fsyncs the segment log. Call this once when a
+    /// run finishes cleanly.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
+    /// Returns the writer thread's failure (a panic as an `io::Error`)
+    /// if an hour could not be made durable; propagates I/O failures.
     pub fn sync(&mut self) -> io::Result<()> {
+        self.drain()?;
         self.log.sync()
+    }
+
+    /// Waits until every hour handed to the writer thread is durable.
+    fn wait_durable(&mut self) -> io::Result<()> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        let Some(writer) = &mut self.writer else {
+            return Ok(());
+        };
+        let result = writer.wait();
+        if writer.thread.is_none() {
+            // It died; the next hand-over starts a fresh one.
+            self.writer = None;
+        }
+        result
+    }
+
+    /// [`Store::wait_durable`], then stops and joins the writer thread.
+    fn drain(&mut self) -> io::Result<()> {
+        let waited = self.wait_durable();
+        let joined = self.writer.take().map_or(Ok(()), |mut w| w.join());
+        waited.and(joined)
+    }
+
+    /// Hands `checkpoint` to the writer thread once the hour before it is
+    /// durable. Every record it covers is already written, so fsyncing
+    /// the active segment makes them all durable: earlier segments were
+    /// fsynced when they rolled.
+    fn hand_over(&mut self, checkpoint: Checkpoint) -> io::Result<()> {
+        self.wait_durable()?;
+        let hour = HourSync {
+            segment: self.log.try_clone_active()?,
+            checkpoint,
+            #[cfg(test)]
+            fault: self.fault.take(),
+        };
+        let writer = match &mut self.writer {
+            Some(writer) => writer,
+            None => self
+                .writer
+                .insert(WriterThread::spawn(self.checkpoints.try_clone()?)?),
+        };
+        writer.send(hour)
     }
 
     /// Persists what a finished run leaves beside its log, each stream
@@ -243,6 +321,126 @@ impl Store {
     }
 }
 
+impl Drop for Store {
+    fn drop(&mut self) {
+        if let Err(e) = self.drain() {
+            ph_telemetry::log_warn!("store {}: {e}", self.dir.display());
+        }
+    }
+}
+
+/// One hour handed to the writer thread: a handle on the segment its
+/// last records went to, and the checkpoint that covers them.
+struct HourSync {
+    segment: File,
+    checkpoint: Checkpoint,
+    #[cfg(test)]
+    fault: Option<Fault>,
+}
+
+/// A failure the tests make the writer thread run into.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// The segment fsync fails.
+    Fsync,
+    /// The thread panics.
+    Panic,
+    /// The thread stops for good before any durability work — a crash
+    /// with the hour in flight.
+    Stall,
+}
+
+/// The writer thread's durability work for one hour, in order.
+fn make_durable(checkpoints: &mut CheckpointLog, hour: HourSync) -> io::Result<()> {
+    #[cfg(test)]
+    match hour.fault {
+        Some(Fault::Fsync) => return Err(io::Error::other("injected segment fsync failure")),
+        Some(Fault::Panic) => panic!("injected writer panic"),
+        Some(Fault::Stall) => loop {
+            std::thread::park();
+        },
+        None => {}
+    }
+    // Records must be durable before the checkpoint that covers them.
+    crate::log::fsync_timed(&hour.segment)?;
+    checkpoints.append(&hour.checkpoint)
+}
+
+/// The store's writer thread and its two channels: hours go in, one
+/// result per hour comes back.
+#[derive(Debug)]
+struct WriterThread {
+    hours: Option<SyncSender<HourSync>>,
+    done: Receiver<io::Result<()>>,
+    in_flight: bool,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl WriterThread {
+    fn spawn(mut checkpoints: CheckpointLog) -> io::Result<Self> {
+        let (hours, inbox) = mpsc::sync_channel::<HourSync>(1);
+        let (results, done) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("ph-store-writer".to_string())
+            .spawn(move || {
+                for hour in inbox {
+                    if results.send(make_durable(&mut checkpoints, hour)).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Self {
+            hours: Some(hours),
+            done,
+            in_flight: false,
+            thread: Some(thread),
+        })
+    }
+
+    /// Hands `hour` over; the caller has waited for the one before.
+    fn send(&mut self, hour: HourSync) -> io::Result<()> {
+        if self.hours.as_ref().is_some_and(|h| h.send(hour).is_ok()) {
+            self.in_flight = true;
+            return Ok(());
+        }
+        self.join()?;
+        Err(io::Error::other("the store writer thread stopped"))
+    }
+
+    /// Waits until the hour in flight, if any, is durable, and returns
+    /// its result.
+    fn wait(&mut self) -> io::Result<()> {
+        if !std::mem::take(&mut self.in_flight) {
+            return Ok(());
+        }
+        if let Ok(result) = self.done.recv() {
+            return result;
+        }
+        self.join()?;
+        Err(io::Error::other("the store writer thread stopped"))
+    }
+
+    /// Closes the hour channel and waits for the thread, surfacing its
+    /// panic as an `io::Error`. Idempotent.
+    fn join(&mut self) -> io::Result<()> {
+        self.hours = None;
+        match self.thread.take().map(JoinHandle::join) {
+            None | Some(Ok(())) => Ok(()),
+            Some(Err(panic)) => {
+                let what = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string payload");
+                Err(io::Error::other(format!(
+                    "store writer thread panicked: {what}"
+                )))
+            }
+        }
+    }
+}
+
 /// Everything [`Store::open_resume`] hands back.
 #[derive(Debug)]
 pub struct ResumedStore {
@@ -275,7 +473,10 @@ impl ResumedStore {
 }
 
 /// The durable [`MonitorSink`]: appends every collected tweet to the
-/// segment log and checkpoints the run cursor at hour boundaries.
+/// segment log and checkpoints the run cursor at hour boundaries. Each
+/// checkpoint is handed to the store's writer thread, which makes it
+/// durable while the caller goes on; dropping the writer waits for that
+/// and joins the thread.
 #[derive(Debug)]
 pub struct StoreWriter<'a> {
     store: &'a mut Store,
@@ -291,13 +492,14 @@ impl StoreWriter<'_> {
     /// Duplicate checkpoints at the same cursor are harmless: resume
     /// picks the newest one the log covers.
     ///
+    /// The checkpoint is handed to the writer thread, after the one
+    /// before it is durable; [`StoreWriter::wait_durable`] waits for it.
+    ///
     /// # Errors
     ///
-    /// Propagates I/O failures syncing the log or appending the
-    /// checkpoint.
+    /// Returns the failure of the hour handed over before this one, or
+    /// of starting the writer thread.
     pub fn checkpoint_now(&mut self, state: &RunState, segment: &MonitorReport) -> io::Result<()> {
-        // Records must be durable before the checkpoint that covers them.
-        self.store.log.sync()?;
         let mut cumulative = self.base.clone();
         cumulative.merge(segment);
         let checkpoint = Checkpoint::new(
@@ -306,12 +508,32 @@ impl StoreWriter<'_> {
             state,
             &cumulative,
         );
-        self.store.checkpoints.append(&checkpoint)?;
+        let records = checkpoint.records;
+        self.store.hand_over(checkpoint)?;
         ph_telemetry::journal_emit(ph_telemetry::TelemetryEvent::CheckpointWritten {
             hour: state.next_hour,
-            records: checkpoint.records,
+            records,
         });
         Ok(())
+    }
+
+    /// Waits until everything handed over so far is durable: the records
+    /// fsynced, then the checkpoint that covers them appended and
+    /// fsynced.
+    ///
+    /// # Errors
+    ///
+    /// Returns the writer thread's failure, a panic as an `io::Error`.
+    pub fn wait_durable(&mut self) -> io::Result<()> {
+        self.store.wait_durable()
+    }
+}
+
+impl Drop for StoreWriter<'_> {
+    fn drop(&mut self) {
+        if let Err(e) = self.store.drain() {
+            self.store.failed = Some(e);
+        }
     }
 }
 
@@ -349,7 +571,7 @@ impl MonitorSink for StoreWriter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ph_core::monitor::{Runner, RunnerConfig};
+    use ph_core::monitor::{MemorySink, Runner, RunnerConfig};
     use ph_twitter_sim::engine::Engine;
     use std::fs;
 
@@ -499,6 +721,148 @@ mod tests {
         assert!(resumed.store.record_count() < records_at_5);
         assert!(resumed.recovery.truncated_bytes > 0);
         assert_eq!(resumed.report.hours, 4);
+    }
+
+    /// Runs hours `state.next_hour..state.next_hour + hours` of `m`'s run
+    /// into `sink`, on an engine fast-forwarded to the cursor.
+    fn run_hours(
+        m: &Manifest,
+        state: &mut RunState,
+        hours: u64,
+        sink: &mut impl MonitorSink,
+    ) -> io::Result<MonitorReport> {
+        let mut eng = engine(m);
+        eng.run_hours(state.next_hour);
+        let r = runner(m);
+        r.run_segment(&mut eng, state, m.hours, hours, r.standard_networks(), sink)
+    }
+
+    fn checkpoints_on_disk(dir: &Path) -> Vec<Checkpoint> {
+        // A second handle: the store under test keeps its own open.
+        CheckpointLog::open(&dir.join(CHECKPOINT_FILE)).unwrap().1
+    }
+
+    #[test]
+    fn a_failed_segment_fsync_comes_back_from_the_next_hand_over_and_writes_no_checkpoint() {
+        let m = manifest();
+        let dir = temp_dir("fault-on-hour");
+        let mut store = Store::create(&dir, m, store_config()).unwrap();
+        store.fault = Some(Fault::Fsync);
+        let mut state = RunState::default();
+        let mut writer = store.writer(&MonitorReport::default());
+        let err = run_hours(&m, &mut state, 2, &mut writer).unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        // The hour-1 checkpoint was never handed over; the hour-0 one
+        // failed before its append: records come first, or nothing.
+        drop(writer);
+        assert!(checkpoints_on_disk(&dir).is_empty());
+        store.sync().unwrap();
+    }
+
+    #[test]
+    fn a_failed_segment_fsync_comes_back_from_the_barrier_or_from_sync() {
+        let m = manifest();
+        let dir = temp_dir("fault-barrier");
+        let mut store = Store::create(&dir, m, store_config()).unwrap();
+        store.fault = Some(Fault::Fsync);
+        let mut state = RunState::default();
+        let mut writer = store.writer(&MonitorReport::default());
+        run_hours(&m, &mut state, 1, &mut writer).unwrap();
+        let err = writer.wait_durable().unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        // Reported once; the next hour goes through.
+        run_hours(&m, &mut state, 1, &mut writer).unwrap();
+        writer.wait_durable().unwrap();
+        drop(writer);
+        assert_eq!(checkpoints_on_disk(&dir).len(), 1);
+
+        // Dropping the writer keeps the failure for Store::sync.
+        store.fault = Some(Fault::Fsync);
+        let mut writer = store.writer(&MonitorReport::default());
+        run_hours(&m, &mut state, 1, &mut writer).unwrap();
+        drop(writer);
+        let err = store.sync().unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        store.sync().unwrap();
+    }
+
+    #[test]
+    fn a_writer_thread_panic_comes_back_as_an_io_error() {
+        let m = manifest();
+        let dir = temp_dir("fault-panic");
+        let mut store = Store::create(&dir, m, store_config()).unwrap();
+        store.fault = Some(Fault::Panic);
+        let mut state = RunState::default();
+        let mut writer = store.writer(&MonitorReport::default());
+        run_hours(&m, &mut state, 1, &mut writer).unwrap();
+        let err = writer.wait_durable().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        assert!(err.to_string().contains("injected writer panic"), "{err}");
+        // A fresh thread takes the next hour.
+        run_hours(&m, &mut state, 1, &mut writer).unwrap();
+        drop(writer);
+        store.sync().unwrap();
+        assert_eq!(checkpoints_on_disk(&dir).len(), 1);
+    }
+
+    #[test]
+    fn dropping_the_writer_leaves_every_handed_over_hour_checkpointed() {
+        let m = manifest();
+        let dir = temp_dir("drop-drains");
+        let mut store = Store::create(&dir, m, store_config()).unwrap();
+        let mut state = RunState::default();
+        let mut writer = store.writer(&MonitorReport::default());
+        run_hours(&m, &mut state, 3, &mut writer).unwrap();
+        drop(writer);
+        // What `--crash-after` does next: exit without running the
+        // store's destructor.
+        let records = store.record_count();
+        std::mem::forget(store);
+        let last = checkpoints_on_disk(&dir).pop().unwrap();
+        assert_eq!((last.state.next_hour, last.records), (3, records));
+    }
+
+    #[test]
+    fn a_store_lost_with_an_hour_in_flight_resumes_before_that_hour() {
+        let m = manifest();
+        let full = runner(&m).run(&mut engine(&m), m.hours);
+        let dir = temp_dir("in-flight");
+        let mut store = Store::create(&dir, m, store_config()).unwrap();
+        let mut state = RunState::default();
+        run_hours(
+            &m,
+            &mut state,
+            3,
+            &mut store.writer(&MonitorReport::default()),
+        )
+        .unwrap();
+        // Hour 3 is handed over to a writer that never gets to it; hour 4
+        // is open, its first records written. Then the process is gone.
+        store.fault = Some(Fault::Stall);
+        let mut writer = store.writer(&MonitorReport::default());
+        run_hours(&m, &mut state, 1, &mut writer).unwrap();
+        let open_hour = run_hours(&m, &mut state.clone(), 1, &mut MemorySink).unwrap();
+        writer
+            .on_batch(&open_hour.collected[..open_hour.collected.len() / 2])
+            .unwrap();
+        std::mem::forget(writer);
+        std::mem::forget(store);
+
+        let mut resumed = Store::open_resume(&dir, store_config()).unwrap();
+        // The hour in flight and the open hour are lost, no more.
+        assert_eq!(resumed.state.next_hour, 3);
+        let kept = read_all(&resumed.store);
+        assert_eq!(kept, full.collected[..kept.len()]);
+        let mut state = resumed.state.clone();
+        run_hours(
+            &m,
+            &mut state,
+            u64::MAX,
+            &mut resumed.store.writer(&resumed.report),
+        )
+        .unwrap();
+        resumed.store.sync().unwrap();
+        assert_eq!(read_all(&resumed.store), full.collected);
     }
 
     #[test]

@@ -86,11 +86,16 @@ fn drained_and_resumed_serve_matches_an_uninterrupted_run_byte_for_byte() {
     let first = run(config(&interrupted, false, Some(3))).unwrap();
     assert!(first.stopped_early, "stop-after must report an early stop");
     assert_eq!(first.hours_done, 3);
+    // Each hour's verdicts wait for its checkpoint, and the drain waits
+    // for the store's writer thread: the stream holds one line per
+    // durable record, no more and no fewer.
+    assert_eq!(verdict_lines(&interrupted), first.records);
 
     // Session 2: resume to completion.
     let second = run(config(&interrupted, true, None)).unwrap();
     assert!(!second.stopped_early);
     assert_eq!(second.hours_done, 6);
+    assert_eq!(verdict_lines(&interrupted), second.records);
 
     // The control: one uninterrupted daemon over the same manifest.
     let full = run(config(&uninterrupted, false, None)).unwrap();
@@ -112,6 +117,12 @@ fn drained_and_resumed_serve_matches_an_uninterrupted_run_byte_for_byte() {
         "restart broke segment-log byte identity"
     );
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Lines in a store's verdict stream.
+fn verdict_lines(dir: &Path) -> u64 {
+    let stream = std::fs::read(dir.join("verdicts.ndjson")).unwrap();
+    stream.iter().filter(|&&b| b == b'\n').count() as u64
 }
 
 /// The run cursor of every checkpoint in a store, in append order.
