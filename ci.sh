@@ -40,19 +40,23 @@ BIN=target/release/pseudo-honeypot
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 
-echo "==> results gate (Tables II, III, IV, VI, feature importance, three ablations vs results/)"
-# These eight bins print no wall-clock line on stdout, so it must match the
-# committed tables byte for byte. They run with $SMOKE as the working
-# directory because each also writes results/<name>.metrics.json there.
+echo "==> results gate (all 18 tables and both figure series vs results/)"
+# One `paper` process renders every registered table over shared
+# fixtures; no table prints wall-clock data, so each must match its
+# committed file byte for byte. The set of names must match too: a table
+# added to the registry without a committed result, or a result left
+# behind by a removed table, fails here. About 55 s on 2 cores (the
+# previous one-binary-per-table loop gated 8 tables in about 45 s).
 cargo build --release -q -p ph-bench
-REPO=$(pwd)
-for bin in table2_selection table3_labeling table4_classifiers table6_pge \
-    feature_importance ablation_env_score ablation_drift ablation_sketch; do
-    (cd "$SMOKE" && "$REPO/target/release/$bin" --scale default > "$SMOKE/$bin.txt")
-    diff "results/$bin.txt" "$SMOKE/$bin.txt" \
-        || { echo "$bin output diverged from results/$bin.txt"; exit 1; }
+target/release/paper --scale default --out "$SMOKE/paper" 2> "$SMOKE/paper.err" \
+    || { cat "$SMOKE/paper.err"; echo "paper driver failed"; exit 1; }
+diff <(cd results && ls -- *.txt *_series.csv) <(cd "$SMOKE/paper" && ls -- *.txt *_series.csv) \
+    || { echo "the table registry and results/ disagree on the set of names"; exit 1; }
+for f in results/*.txt results/*_series.csv; do
+    diff "$f" "$SMOKE/paper/$(basename "$f")" \
+        || { echo "$(basename "$f") diverged from $f"; exit 1; }
 done
-echo "    8 result tables regenerate byte-identical"
+echo "    $(ls results/*.txt | wc -l) result tables and 2 series regenerate byte-identical"
 
 echo "==> store crash / corrupt / resume / replay smoke"
 SNIFF_ARGS=(--seed 7 --organic 500 --campaigns 3 --gt-hours 6 --hours 8)

@@ -1,6 +1,6 @@
-//! Shared harness for regenerating the paper's tables and figures.
+//! Regenerates the paper's tables and figures.
 //!
-//! Every binary in this crate follows the same two-phase protocol the paper
+//! Every table in this crate follows the same two-phase protocol the paper
 //! uses (§V):
 //!
 //! 1. **Ground-truth phase** — a small random-attribute network monitors
@@ -11,25 +11,135 @@
 //!    per-attribute statistics, PGE rankings and comparisons are computed
 //!    (Tables V–VII, Figures 2–6).
 //!
-//! Binaries accept `--scale small|default|paper` plus `--hours`,
-//! `--gt-hours` and `--seed` overrides, and default to sizes that finish in
-//! seconds while preserving the paper's shapes. EXPERIMENTS.md records the
-//! outputs.
+//! Each table is a function in the [`TABLES`] registry that renders into a
+//! [`Report`] from shared [`Fixtures`], which build each phase's world at
+//! most once. The `paper` binary runs the registry into `results/`;
+//! EXPERIMENTS.md records the outputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use ph_core::attributes::SampleAttribute;
 use ph_core::detector::{build_training_data, DetectorConfig, SpamDetector};
+use ph_core::features::DEFAULT_TAU;
 use ph_core::labeling::pipeline::{label_collection, GroundTruthDataset, PipelineConfig};
 use ph_core::monitor::{MonitorReport, Runner, RunnerConfig};
+use ph_core::pge::{pge_ranking_with_min, PgeEntry};
 use ph_core::selection::SelectorConfig;
 use ph_ml::data::Dataset;
 use ph_ml::forest::RandomForestConfig;
+use ph_ml::metrics::ClassificationReport;
 use ph_twitter_sim::engine::{Engine, SimConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::cell::OnceCell;
+use std::fmt::{self, Write};
+
+mod ablations;
+mod figures;
+mod tables;
+
+/// Renders one table from the shared fixtures into a report.
+pub type Render = fn(&Fixtures, &mut Report) -> fmt::Result;
+
+/// `[(name, render)]` for tables named after their render functions.
+macro_rules! registry {
+    ($($module:ident::$table:ident),* $(,)?) => {
+        [$((stringify!($table), $module::$table as Render)),*]
+    };
+}
+
+/// Every table the driver regenerates, by the stem of its
+/// `results/<name>.txt`, in run order.
+pub const TABLES: [(&str, Render); 18] = registry![
+    tables::table2_selection,
+    tables::table3_labeling,
+    tables::table4_classifiers,
+    tables::table5_top_attributes,
+    tables::table6_pge,
+    tables::table7_comparison,
+    figures::fig2_spam_distribution,
+    figures::fig3_profile_attributes,
+    figures::fig4_hashtag_attributes,
+    figures::fig5_trending_attributes,
+    figures::fig6_advanced_vs_random,
+    ablations::ablation_switching,
+    ablations::ablation_active_screening,
+    ablations::ablation_env_score,
+    ablations::ablation_mention_only,
+    ablations::ablation_sketch,
+    ablations::ablation_drift,
+    ablations::feature_importance,
+];
+
+/// One table's output: its text, byte for byte what `results/<name>.txt`
+/// holds, and the plottable series written beside it.
+#[derive(Debug, Default, PartialEq)]
+pub struct Report {
+    /// The rendered text.
+    pub text: String,
+    /// Series CSVs by file name (e.g. `fig2_series.csv`).
+    pub csvs: Vec<(&'static str, String)>,
+}
+
+impl Report {
+    /// A horizontal rule + title, shared by all tables.
+    pub(crate) fn banner(&mut self, title: &str) -> fmt::Result {
+        let rule = "=".repeat(72);
+        writeln!(self, "{rule}\n{title}\n{rule}")
+    }
+}
+
+impl fmt::Write for Report {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.text.write_str(s)
+    }
+}
+
+/// The worlds the tables share, each built on first use and at most once:
+/// the ground-truth phase (Tables III/IV, feature importance, the
+/// environment-score ablation) and the full two-phase protocol (Tables
+/// V–VII, Figures 2–6). Tables that change the world build their own.
+pub struct Fixtures {
+    /// The scale every table runs at.
+    pub(crate) scale: ExperimentScale,
+    ground_truth: OnceCell<GroundTruth>,
+    full_run: OnceCell<FullRun>,
+}
+
+impl Fixtures {
+    /// Fixtures at `scale`, none built yet.
+    pub fn new(scale: ExperimentScale) -> Self {
+        Self {
+            scale,
+            ground_truth: OnceCell::new(),
+            full_run: OnceCell::new(),
+        }
+    }
+
+    /// The ground-truth phase, built on first use.
+    pub(crate) fn ground_truth(&self) -> &GroundTruth {
+        self.ground_truth
+            .get_or_init(|| GroundTruth::build(&self.scale))
+    }
+
+    /// The full two-phase protocol, built on first use.
+    pub(crate) fn full_run(&self) -> &FullRun {
+        self.full_run.get_or_init(|| FullRun::build(&self.scale))
+    }
+
+    /// The full run's PGE ranking over slots with at least half their
+    /// nominal node-hours (10 nodes for every measured hour).
+    pub(crate) fn pge_ranking(&self) -> Vec<PgeEntry> {
+        let run = self.full_run();
+        pge_ranking_with_min(
+            &run.report,
+            &run.predictions,
+            0.5 * self.scale.hours as f64 * 10.0,
+        )
+    }
+}
 
 /// Scale of an experiment run.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,52 +201,6 @@ impl ExperimentScale {
         }
     }
 
-    /// Parses `--scale/--hours/--gt-hours/--seed` from `std::env::args`.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = Self::small();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    if let Some(v) = args.get(i + 1) {
-                        scale = match v.as_str() {
-                            "small" => Self::small(),
-                            "default" => Self::default_scale(),
-                            "paper" => Self::paper(),
-                            other => {
-                                eprintln!("unknown scale '{other}', using small");
-                                Self::small()
-                            }
-                        };
-                        i += 1;
-                    }
-                }
-                "--hours" => {
-                    if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                        scale.hours = v;
-                        i += 1;
-                    }
-                }
-                "--gt-hours" => {
-                    if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                        scale.gt_hours = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                        scale.seed = v;
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        scale
-    }
-
     /// The simulator configuration at this scale.
     pub fn sim_config(&self) -> SimConfig {
         SimConfig {
@@ -165,224 +229,124 @@ impl ExperimentScale {
     }
 }
 
-/// The paper's ground-truth protocol (§V-C): a 100-node network with
-/// attributes randomly drawn from Table I monitors for `gt_hours`; its
-/// collection is pipeline-labeled.
-pub fn ground_truth_phase(
-    engine: &mut Engine,
-    scale: &ExperimentScale,
-) -> (MonitorReport, GroundTruthDataset) {
-    let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x6007);
-    let mut slots = SampleAttribute::standard_slots();
-    slots.shuffle(&mut rng);
-    slots.truncate(10); // 10 slots × 10 accounts = the paper's 100 nodes
-    let runner = Runner::new(RunnerConfig {
-        slots,
-        selector: SelectorConfig::default(),
-        switch_interval_hours: 1,
-        seed: scale.seed ^ 0x17ab,
-        ..Default::default()
-    });
-    let report = runner.run(engine, scale.gt_hours);
-    // The paper collected in March 2018 and labeled in September: by
-    // labeling time Twitter's suspension process had months to catch up.
-    // Age the network before checking suspension flags.
-    engine.run_hours(scale.gt_hours / 2);
-    let dataset = label_collection(&report.collected, engine, &PipelineConfig::default());
-    (report, dataset)
+/// The ground-truth phase (§V-C): a 100-node network with attributes
+/// randomly drawn from Table I monitors for `gt_hours`; its collection is
+/// pipeline-labeled and becomes the training matrix at the default τ
+/// (Table IV cross-validates on it).
+pub(crate) struct GroundTruth {
+    /// The engine after monitoring and ageing.
+    pub(crate) engine: Engine,
+    /// The ground-truth network's collection.
+    pub(crate) report: MonitorReport,
+    /// Table III's labels and summary.
+    pub(crate) dataset: GroundTruthDataset,
+    /// The labeled collection as a feature matrix.
+    pub(crate) data: Dataset,
 }
 
-/// Ground-truth phase plus detector training. Returns the training matrix
-/// too (Table IV runs cross-validation on it).
-pub fn trained_detector(
-    engine: &mut Engine,
-    scale: &ExperimentScale,
-) -> (GroundTruthDataset, Dataset, SpamDetector) {
-    let (report, ground_truth) = ground_truth_phase(engine, scale);
-    let (data, _) = build_training_data(
-        &report.collected,
-        &ground_truth.labels,
-        engine,
-        ph_core::features::DEFAULT_TAU,
-    );
-    let detector = SpamDetector::train(&scale.detector_config(), &data);
-    (ground_truth, data, detector)
-}
-
-/// The measurement phase: the full standard network monitors for
-/// `scale.hours` with hourly switching.
-pub fn standard_run(engine: &mut Engine, scale: &ExperimentScale) -> MonitorReport {
-    let runner = Runner::new(RunnerConfig {
-        slots: SampleAttribute::standard_slots(),
-        selector: SelectorConfig::default(),
-        switch_interval_hours: 1,
-        seed: scale.seed ^ 0x2bad,
-        ..Default::default()
-    });
-    runner.run(engine, scale.hours)
-}
-
-/// A completed two-phase protocol: trained detector, measurement run and
-/// its classification.
-pub struct FullRun {
-    /// The engine after both phases (REST/oracle lookups stay valid).
-    pub engine: Engine,
-    /// Table III summary from the ground-truth phase.
-    pub ground_truth: GroundTruthDataset,
-    /// The trained detector.
-    pub detector: SpamDetector,
-    /// The measurement-phase monitoring report.
-    pub report: MonitorReport,
-    /// Per-tweet spam predictions over `report.collected`.
-    pub predictions: Vec<bool>,
-}
-
-/// Runs the full two-phase protocol at the given scale.
-pub fn full_protocol(scale: &ExperimentScale) -> FullRun {
-    let mut engine = scale.build_engine();
-    let (ground_truth, _data, detector) = trained_detector(&mut engine, scale);
-    let report = standard_run(&mut engine, scale);
-    let outcome = detector.classify_collection(&report.collected, &engine);
-    FullRun {
-        engine,
-        ground_truth,
-        detector,
-        report,
-        predictions: outcome.predictions,
-    }
-}
-
-/// A small tabular result that can be rendered as CSV (for plotting the
-/// regenerated figures outside the terminal).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CsvTable {
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Data rows; each must match the header width.
-    pub rows: Vec<Vec<String>>,
-}
-
-impl CsvTable {
-    /// Creates a table with the given headers.
-    pub fn new<I, S>(headers: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
+impl GroundTruth {
+    /// Runs the phase on a fresh engine.
+    pub(crate) fn build(scale: &ExperimentScale) -> Self {
+        let mut engine = scale.build_engine();
+        let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x6007);
+        let mut slots = SampleAttribute::standard_slots();
+        slots.shuffle(&mut rng);
+        slots.truncate(10); // 10 slots × 10 accounts = the paper's 100 nodes
+        let runner = Runner::new(RunnerConfig {
+            slots,
+            selector: SelectorConfig::default(),
+            switch_interval_hours: 1,
+            seed: scale.seed ^ 0x17ab,
+            ..Default::default()
+        });
+        let report = runner.run(&mut engine, scale.gt_hours);
+        // The paper collected in March 2018 and labeled in September: by
+        // labeling time Twitter's suspension process had months to catch up.
+        // Age the network before checking suspension flags.
+        engine.run_hours(scale.gt_hours / 2);
+        let dataset = label_collection(&report.collected, &engine, &PipelineConfig::default());
+        let (data, _) =
+            build_training_data(&report.collected, &dataset.labels, &engine, DEFAULT_TAU);
         Self {
-            headers: headers.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width differs from the header width.
-    pub fn push_row<I, S>(&mut self, row: I)
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let row: Vec<String> = row.into_iter().map(Into::into).collect();
-        assert_eq!(
-            row.len(),
-            self.headers.len(),
-            "row width must match headers"
-        );
-        self.rows.push(row);
-    }
-
-    /// Renders RFC-4180-ish CSV (quotes fields containing commas, quotes
-    /// or newlines; doubles embedded quotes).
-    pub fn to_csv(&self) -> String {
-        let escape = |field: &str| -> String {
-            if field.contains(',') || field.contains('"') || field.contains('\n') {
-                format!("\"{}\"", field.replace('"', "\"\""))
-            } else {
-                field.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|f| escape(f)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes the CSV next to the terminal output when binaries are run
-    /// with `--csv <path>`, creating missing parent directories so
-    /// `--csv results/new-dir/table.csv` works on a fresh checkout.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_csv())
-    }
-}
-
-/// Parses an optional `--csv <path>` argument.
-pub fn csv_path_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--csv")
-        .map(|w| std::path::PathBuf::from(&w[1]))
-}
-
-/// RAII guard writing a stage-timing report when the experiment ends.
-/// See [`metrics_scope`].
-#[derive(Debug)]
-pub struct MetricsScope {
-    name: &'static str,
-}
-
-/// Starts a metrics scope for an experiment binary: resets the telemetry
-/// registry so the report covers exactly this run, and on drop writes
-/// `results/<name>.metrics.json` next to the experiment's text output.
-/// Every table/figure binary opens one as its first line of `main`.
-pub fn metrics_scope(name: &'static str) -> MetricsScope {
-    ph_telemetry::reset();
-    MetricsScope { name }
-}
-
-impl Drop for MetricsScope {
-    fn drop(&mut self) {
-        // Same shared writer as the CLI's `--metrics-out` (one JSON
-        // emitter for the whole workspace).
-        let path = std::path::Path::new("results").join(format!("{}.metrics.json", self.name));
-        match ph_telemetry::write_report(&path, ph_telemetry::ReportFormat::Json) {
-            Ok(()) => eprintln!("stage timings written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+            engine,
+            report,
+            dataset,
+            data,
         }
     }
 }
 
-/// Prints a horizontal rule + title, shared by all binaries.
-pub fn banner(title: &str) {
-    println!("{}", "=".repeat(72));
-    println!("{title}");
-    println!("{}", "=".repeat(72));
+/// The measurement phase after the ground-truth one: the detector trained
+/// on its matrix, the full standard network's run with hourly switching,
+/// and the detector's verdicts on that run.
+pub(crate) struct FullRun {
+    /// The trained detector.
+    pub(crate) detector: SpamDetector,
+    /// The measurement-phase monitoring report.
+    pub(crate) report: MonitorReport,
+    /// Per-tweet spam predictions over `report.collected`.
+    pub(crate) predictions: Vec<bool>,
+}
+
+impl FullRun {
+    /// Runs both phases on a fresh engine.
+    pub(crate) fn build(scale: &ExperimentScale) -> Self {
+        let GroundTruth {
+            mut engine, data, ..
+        } = GroundTruth::build(scale);
+        let detector = SpamDetector::train(&scale.detector_config(), &data);
+        let runner = Runner::new(RunnerConfig {
+            slots: SampleAttribute::standard_slots(),
+            selector: SelectorConfig::default(),
+            switch_interval_hours: 1,
+            seed: scale.seed ^ 0x2bad,
+            ..Default::default()
+        });
+        let report = runner.run(&mut engine, scale.hours);
+        let predictions = detector
+            .classify_collection(&report.collected, &engine)
+            .predictions;
+        Self {
+            detector,
+            report,
+            predictions,
+        }
+    }
+}
+
+/// A cross-validation table: one row per model, its name in a first
+/// column `width` wide, then accuracy, precision, recall and FPR.
+fn cv_table<'a>(
+    out: &mut Report,
+    (header, width): (&str, usize),
+    rows: impl IntoIterator<Item = (&'a str, &'a ClassificationReport)>,
+) -> fmt::Result {
+    writeln!(
+        out,
+        "{header:<width$} {:>10} {:>10} {:>8} {:>16}",
+        "Accuracy", "Precision", "Recall", "False Positive"
+    )?;
+    for (name, m) in rows {
+        writeln!(
+            out,
+            "{name:<width$} {:>10.3} {:>10.3} {:>8.3} {:>16.3}",
+            m.accuracy, m.precision, m.recall, m.false_positive_rate
+        )?;
+    }
+    Ok(())
+}
+
+/// Formats a sample value: integers bare, fractions to three places.
+fn fmt_sample(value: f64) -> String {
+    if value.fract().abs() < 1e-9 {
+        format!("{}", value as i64)
+    } else {
+        format!("{value:.3}")
+    }
 }
 
 /// Formats a count with thousands separators.
-pub fn fmt_count(n: u64) -> String {
+pub(crate) fn fmt_count(n: u64) -> String {
     let s = n.to_string();
     let mut out = String::new();
     for (i, c) in s.chars().enumerate() {
@@ -411,46 +375,15 @@ mod tests {
     }
 
     #[test]
-    fn csv_rendering_escapes_fields() {
-        let mut t = CsvTable::new(["a", "b,c"]);
-        t.push_row(["1", "plain"]);
-        t.push_row(["2", "with \"quotes\" and, comma"]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "a,\"b,c\"");
-        assert_eq!(lines[1], "1,plain");
-        assert_eq!(lines[2], "2,\"with \"\"quotes\"\" and, comma\"");
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn csv_ragged_row_panics() {
-        let mut t = CsvTable::new(["a", "b"]);
-        t.push_row(["only one"]);
-    }
-
-    #[test]
-    fn csv_write_creates_missing_parent_dirs() {
-        let dir = std::env::temp_dir().join("ph-bench-test-csv-parents");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("nested").join("deeper").join("out.csv");
-        let mut t = CsvTable::new(["a"]);
-        t.push_row(["1"]);
-        t.write_to(&path).expect("write with missing parents");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a\n1\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn fmt_count_inserts_separators() {
         assert_eq!(fmt_count(5), "5");
         assert_eq!(fmt_count(1_234), "1,234");
         assert_eq!(fmt_count(5_618_476), "5,618,476");
     }
 
-    #[test]
-    fn ground_truth_phase_produces_training_data() {
-        let scale = ExperimentScale {
+    /// Seconds-scale worlds for protocol tests.
+    fn tiny() -> ExperimentScale {
+        ExperimentScale {
             organic: 500,
             campaigns: 3,
             per_campaign: 6,
@@ -458,11 +391,47 @@ mod tests {
             hours: 5,
             seed: 9,
             forest_trees: 5,
-        };
-        let mut engine = scale.build_engine();
-        let (report, dataset) = ground_truth_phase(&mut engine, &scale);
+        }
+    }
+
+    #[test]
+    fn ground_truth_phase_produces_training_data() {
+        let GroundTruth {
+            report,
+            dataset,
+            data,
+            ..
+        } = GroundTruth::build(&tiny());
         assert!(!report.collected.is_empty());
         assert_eq!(dataset.labels.tweet_labels.len(), report.collected.len());
         assert!(dataset.summary.total_spams > 0, "no spam labeled");
+        assert_eq!(data.len(), report.collected.len());
+    }
+
+    #[test]
+    fn tables_render_the_same_alone_and_after_each_other() {
+        let render = |fixtures: &Fixtures, render: Render| {
+            let mut report = Report::default();
+            render(fixtures, &mut report).expect("a String takes every write");
+            report
+        };
+        // Alone first, last table first: a table that leaves process-global
+        // state behind has not yet run when the tables after it render
+        // alone, but has when they render after it over shared fixtures.
+        let mut alone: Vec<Report> = TABLES
+            .iter()
+            .rev()
+            .map(|&(_, r)| render(&Fixtures::new(tiny()), r))
+            .collect();
+        alone.reverse();
+        let shared = Fixtures::new(tiny());
+        for (&(name, r), alone) in TABLES.iter().zip(&alone) {
+            assert!(!alone.text.is_empty(), "{name} rendered nothing");
+            assert_eq!(
+                render(&shared, r),
+                *alone,
+                "{name} renders differently after the tables before it"
+            );
+        }
     }
 }
