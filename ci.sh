@@ -14,7 +14,13 @@ echo "==> cargo test --workspace --release -q (every crate's unit tests and prop
 cargo test --workspace --release -q
 
 echo "==> benchmark harness tests"
+# benchmark/Cargo.lock is frozen with the benchmark, but cargo rewrites it
+# without a word when a ph-* crate's dependencies change: fail if the first
+# cargo call under benchmark/ moved it.
+BENCH_LOCK=$(cksum < benchmark/Cargo.lock)
 (cd benchmark && cargo test --release --offline -q)
+[ "$(cksum < benchmark/Cargo.lock)" = "$BENCH_LOCK" ] \
+    || { echo "benchmark/Cargo.lock changed: a ph-* crate's dependencies moved"; exit 1; }
 
 echo "==> benchmark smoke (check --smoke + every workload, traced and untraced)"
 # Builds the driver offline and exits non-zero on any verdict that is

@@ -19,6 +19,7 @@ use crate::features::{self, FeatureExtractor, ProfileLookup};
 use crate::labeling::pipeline::{label_collection_with, GroundTruthDataset, PipelineConfig};
 use crate::labeling::LabeledCollection;
 use crate::monitor::{CollectedTweet, Runner};
+use crate::observe::DecisionLog;
 
 /// Detector configuration. Defaults follow the paper: RF with 70 trees,
 /// each capped at depth 700. Random Forest is the one deployed model —
@@ -113,8 +114,9 @@ pub fn build_training_data_with(
 /// passes, and Random-Forest training on the labeled rows, on `exec`'s
 /// threads. Leaves `engine` stepped to the monitoring start.
 ///
-/// Returns the labeled ground truth (its summary is Table III) and the
-/// trained detector.
+/// Returns the labeled ground truth (its summary is Table III), the
+/// training matrix (a session that explains builds its [`DecisionLog`]
+/// from it) and the trained detector.
 ///
 /// # Panics
 ///
@@ -124,7 +126,7 @@ pub fn ground_truth_and_detector(
     runner: &Runner,
     gt_hours: u64,
     exec: &ExecConfig,
-) -> (GroundTruthDataset, SpamDetector) {
+) -> (GroundTruthDataset, Dataset, SpamDetector) {
     ph_telemetry::log_info!("phase 1: ground truth — standard network, {gt_hours} h…");
     let report = runner.run(engine, gt_hours);
     let ground_truth =
@@ -140,7 +142,7 @@ pub fn ground_truth_and_detector(
     let mut config = DetectorConfig::default();
     config.forest.threads = exec.threads;
     let detector = SpamDetector::train(&config, &data);
-    (ground_truth, detector)
+    (ground_truth, data, detector)
 }
 
 /// Cross-validates all five Table IV algorithms on a training set.
@@ -158,6 +160,18 @@ pub struct ClassificationOutcome {
 }
 
 impl ClassificationOutcome {
+    /// The outcome of `verdicts`, parallel to `collected`.
+    pub fn from_verdicts(collected: &[CollectedTweet], verdicts: &[Verdict]) -> Self {
+        let mut outcome = Self::default();
+        for (c, v) in collected.iter().zip(verdicts) {
+            outcome.predictions.push(v.spam);
+            if v.spam {
+                outcome.spammers.insert(c.tweet.author);
+            }
+        }
+        outcome
+    }
+
     /// Number of tweets classified spam.
     pub fn num_spam(&self) -> usize {
         self.predictions.iter().filter(|&&p| p).count()
@@ -210,12 +224,6 @@ impl SpamDetector {
         // layout: bit-identical predictions, no per-level enum branch or
         // pointer chase on the classify hot path.
         let forest = FlatForest::from_forest(&RandomForest::fit(&config.forest, data, config.seed));
-        if crate::observe::is_enabled() {
-            // Capture the per-feature reference histograms this model
-            // was trained against; the drift monitor scores live hours
-            // against them.
-            crate::observe::install_reference(crate::observe::FeatureReference::from_dataset(data));
-        }
         Self {
             forest,
             tau: config.tau,
@@ -246,22 +254,16 @@ impl SpamDetector {
         exec: &ExecConfig,
     ) -> ClassificationOutcome {
         let mut extractor = FeatureExtractor::with_tau(self.tau);
-        let verdicts = self.classify_fold(&mut extractor, collected, engine, exec);
-        let mut outcome = ClassificationOutcome::default();
-        for (c, v) in collected.iter().zip(verdicts) {
-            outcome.predictions.push(v.spam);
-            if v.spam {
-                outcome.spammers.insert(c.tweet.author);
-            }
-        }
-        outcome
+        let verdicts = self.classify_fold(&mut extractor, collected, engine, exec, None);
+        ClassificationOutcome::from_verdicts(collected, &verdicts)
     }
 
     /// The one classify fold: sharded pure-feature phase, then the
     /// sequential predict + environment-score feedback loop against the
     /// *caller's* extractor — which is what lets the streaming classifier
     /// carry extractor state across hourly batches while the batch path
-    /// uses a fresh one. Owns the `detect.classify` span/phase and the
+    /// uses a fresh one. With a decision log, every row is explained into
+    /// it. Owns the `detect.classify` span/phase and the
     /// `detect.tweets_classified` / `detect.spam_predicted` counters.
     fn classify_fold<P: ProfileLookup + ?Sized>(
         &self,
@@ -269,15 +271,15 @@ impl SpamDetector {
         collected: &[CollectedTweet],
         profiles: &P,
         exec: &ExecConfig,
+        mut log: Option<&mut DecisionLog>,
     ) -> Vec<Verdict> {
         let _span = ph_telemetry::span("detect.classify");
         let _phase = ph_trace::phase("detect.classify");
         let mut matrix = features::pure_batch_matrix(collected, profiles, exec);
         let confidence = confidence_histogram();
         let margin = margin_histogram();
-        // Zero-cost when off: one relaxed load decides; the explainer's
-        // node-value table is only built for observed batches.
-        let explainer = crate::observe::is_enabled().then(|| self.forest.explainer());
+        // The explainer's node-value table is only built for a logged batch.
+        let explainer = log.is_some().then(|| self.forest.explainer());
         let mut verdicts = Vec::with_capacity(collected.len());
         for (i, c) in collected.iter().enumerate() {
             extractor.finish_into(c, matrix.row_mut(i));
@@ -285,9 +287,8 @@ impl SpamDetector {
             let (spam, score) = self.forest.predict_with_score(row);
             confidence.record(score);
             margin.record((2.0 * score - 1.0).abs());
-            if let Some(explainer) = &explainer {
-                crate::observe::drift_observe(c.hour, row);
-                crate::observe::record_explanation(c.hour, spam, score, &explainer.explain(row));
+            if let (Some(log), Some(explainer)) = (log.as_deref_mut(), &explainer) {
+                log.record(c.hour, row, spam, score, &explainer.explain(row));
             }
             extractor.record_verdict(c.slot, spam);
             verdicts.push(Verdict { spam, score });
@@ -316,25 +317,41 @@ pub struct Verdict {
 /// [`SpamDetector::classify_batch`] over the whole collection at once —
 /// the property the serve restart-equivalence contract rests on (a
 /// resumed daemon rebuilds this state by replaying stored hours).
+///
+/// An explaining session's classifier also owns its [`DecisionLog`],
+/// which every verdict is recorded into.
 #[derive(Debug)]
 pub struct StreamClassifier {
     detector: SpamDetector,
     extractor: FeatureExtractor,
+    log: Option<DecisionLog>,
 }
 
 impl StreamClassifier {
     /// Wraps a trained detector with fresh stream state (start of hour 0).
     pub fn new(detector: SpamDetector) -> Self {
+        Self::with_log(detector, None)
+    }
+
+    /// [`new`](Self::new), recording every verdict into `log` when one
+    /// is given.
+    pub fn with_log(detector: SpamDetector, log: Option<DecisionLog>) -> Self {
         let extractor = FeatureExtractor::with_tau(detector.tau);
         Self {
             detector,
             extractor,
+            log,
         }
     }
 
-    /// The wrapped detector.
-    pub fn detector(&self) -> &SpamDetector {
-        &self.detector
+    /// The decision log, when this classifier explains.
+    pub fn log(&self) -> Option<&DecisionLog> {
+        self.log.as_ref()
+    }
+
+    /// Gives up the decision log, for the store's run record.
+    pub fn into_log(self) -> Option<DecisionLog> {
+        self.log
     }
 
     /// Classifies one hour's collected batch in delivery order, carrying
@@ -348,8 +365,13 @@ impl StreamClassifier {
         profiles: &P,
         exec: &ExecConfig,
     ) -> Vec<Verdict> {
-        self.detector
-            .classify_fold(&mut self.extractor, collected, profiles, exec)
+        self.detector.classify_fold(
+            &mut self.extractor,
+            collected,
+            profiles,
+            exec,
+            self.log.as_mut(),
+        )
     }
 }
 
@@ -492,6 +514,34 @@ mod tests {
             i = j;
         }
         assert_eq!(predictions, batch.predictions);
+    }
+
+    #[test]
+    fn a_decision_log_explains_every_verdict_and_changes_none() {
+        let (engine, collected, labels) = pipeline_run();
+        let (data, _) = build_training_data(&collected, &labels, &engine, 0.01);
+        let config = DetectorConfig {
+            forest: RandomForestConfig {
+                num_trees: 10,
+                ..DetectorConfig::default().forest
+            },
+            ..Default::default()
+        };
+        let plain = SpamDetector::train(&config, &data).classify_collection(&collected, &engine);
+        let mut explaining = StreamClassifier::with_log(
+            SpamDetector::train(&config, &data),
+            Some(DecisionLog::new(&data)),
+        );
+        let verdicts = explaining.classify_hour(&collected, &engine, &ExecConfig::sequential());
+        assert_eq!(
+            ClassificationOutcome::from_verdicts(&collected, &verdicts),
+            plain
+        );
+        let log = explaining.into_log().expect("the classifier explains");
+        assert_eq!(log.explanations().len(), collected.len());
+        for (i, (e, v)) in log.explanations().iter().zip(&verdicts).enumerate() {
+            assert_eq!((e.seq, e.spam, e.score), (i as u64, v.spam, v.score));
+        }
     }
 
     /// The daemon classifies from its own copy of the replica's profile

@@ -101,7 +101,7 @@ impl AdaptiveDetector {
             Some(at) => hour.saturating_sub(at) >= self.config.retrain_interval_hours,
         };
         if due && !self.window.is_empty() {
-            self.retrain(engine, hour);
+            self.retrain(engine);
             self.last_trained_hour = Some(hour);
         }
         predictions
@@ -110,13 +110,7 @@ impl AdaptiveDetector {
     /// Re-labels the window with the full pipeline and fits a fresh model.
     /// Skipped (silently) when the window only contains one class — there
     /// is nothing to separate yet.
-    ///
-    /// With decision observability on, the round is journaled as a
-    /// [`ph_telemetry::TelemetryEvent::DriftRetrain`] carrying the
-    /// window's mean PSI against the old reference (how far the world
-    /// had drifted) and against the refreshed one (how much the retrain
-    /// recovered).
-    fn retrain(&mut self, engine: &Engine, hour: u64) {
+    fn retrain(&mut self, engine: &Engine) {
         let ground_truth = label_collection(&self.window, engine, &self.config.pipeline);
         let spam = ground_truth.labels.num_spam();
         let labeled = ground_truth
@@ -134,19 +128,8 @@ impl AdaptiveDetector {
             engine,
             self.config.detector.tau,
         );
-        let psi_before = crate::observe::mean_psi_of(&data);
-        // Training installs the fresh reference when observability is on.
         self.detector = Some(SpamDetector::train(&self.config.detector, &data));
         self.retrain_count += 1;
-        if crate::observe::is_enabled() {
-            let psi_after = crate::observe::mean_psi_of(&data).unwrap_or(0.0);
-            ph_telemetry::journal_emit(ph_telemetry::TelemetryEvent::DriftRetrain {
-                hour,
-                round: self.retrain_count as u64,
-                psi_before: psi_before.unwrap_or(0.0),
-                psi_after,
-            });
-        }
     }
 }
 

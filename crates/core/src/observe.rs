@@ -1,28 +1,33 @@
 //! Decision observability: verdict explanations and per-feature drift
 //! monitoring for the production detector.
 //!
-//! A verdict is normally a bare probability. This module makes the
-//! *decision* inspectable after the fact:
+//! A verdict is normally a bare probability. A [`DecisionLog`] makes the
+//! *decisions* of one session inspectable after the fact:
 //!
-//! - **Explanations** — when enabled, every classified tweet gets a
+//! - **Explanations** — every tweet the log sees classified gets a
 //!   [`VerdictExplanation`]: the signed vote margin plus a fixed
 //!   `[f64; 58]` attribution vector from the flat forest's Saabas-style
 //!   path decomposition ([`ph_ml::flat::ForestExplainer`]).
-//! - **Drift** — [`SpamDetector::train`](crate::detector::SpamDetector)
-//!   captures per-feature reference histograms (fixed-bin, bounded by
-//!   the 1st/99th percentile so outliers cannot stretch the bins) from
-//!   its training matrix; a streaming [`DriftMonitor`] then scores every
-//!   live hour against that reference with a per-feature population
-//!   stability index (PSI), publishes `drift.feature.<i>.psi` gauges,
-//!   and emits a typed [`TelemetryEvent::DriftAlarm`] journal event when
-//!   a feature crosses the alarm threshold.
+//! - **Drift** — the log captures per-feature reference histograms
+//!   (fixed-bin, bounded by the 1st/99th percentile so outliers cannot
+//!   stretch the bins) from the session's training matrix; its
+//!   [`DriftMonitor`] then scores every live hour against that reference
+//!   with a per-feature population stability index (PSI), publishes
+//!   `drift.feature.<i>.psi` gauges, and emits a typed
+//!   [`TelemetryEvent::DriftAlarm`] journal event when a feature crosses
+//!   the alarm threshold.
 //!
-//! # Cost when off
+//! # Ownership and cost when off
 //!
-//! Everything is gated behind one process-global flag read with a single
-//! relaxed atomic load ([`is_enabled`]) — the same zero-overhead pattern
-//! as `ph_prof` and `ph_trace`. Disabled, the classify hot path pays one
-//! load per batch and allocates nothing.
+//! The log is a value the session owns: `serve` and `sniff --store
+//! --explain` build one from their training set, hand it to the
+//! [`StreamClassifier`](crate::detector::StreamClassifier) whose classify
+//! fold records into it, and pass it on to the store's run record. Two
+//! sessions in one process keep separate logs. A session that does not
+//! explain builds none, and the fold then builds no explainer and
+//! allocates nothing for it. The gauges and journal events go to the
+//! process-global `ph_telemetry` registry and journal, as every other
+//! metric does.
 //!
 //! # Determinism
 //!
@@ -30,9 +35,6 @@
 //! predict/feedback fold over a deterministic feature matrix, so the
 //! captured records (and the `explain.log`/`drift.log` streams ph-store
 //! derives from them) are byte-identical at any `--threads N`.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 use ph_ml::data::Dataset;
 use ph_ml::flat::Explanation;
@@ -54,21 +56,6 @@ pub const PSI_ALARM_THRESHOLD: f64 = 0.25;
 /// Minimum rows an hourly window needs before its PSI scores may raise
 /// alarms (tiny windows produce noisy scores; gauges are still set).
 pub const MIN_ALARM_SAMPLES: u64 = 20;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns decision observability on or off process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether decision observability is on. One relaxed load — cheap enough
-/// for the classify hot path.
-#[inline]
-#[must_use]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// One explained verdict, parallel to the stored record at index `seq`.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,24 +186,6 @@ impl FeatureReference {
         }
         psi
     }
-
-    /// Mean PSI across all features of `data`'s rows treated as one
-    /// window — the summary the adaptive detector journals around a
-    /// retrain.
-    #[must_use]
-    pub fn mean_psi(&self, data: &Dataset) -> f64 {
-        let width = self.bounds.len();
-        let mut live = vec![[0u64; DRIFT_BINS]; width];
-        for row in data.rows() {
-            for (f, &(lo, hi)) in self.bounds.iter().enumerate() {
-                live[f][bin_of(lo, hi, row[f])] += 1;
-            }
-        }
-        (0..width)
-            .map(|f| self.psi(f, &live[f], data.len() as u64))
-            .sum::<f64>()
-            / width as f64
-    }
 }
 
 /// One finalized hourly window: PSI per feature.
@@ -268,12 +237,6 @@ impl DriftMonitor {
             hours: Vec::new(),
             alarms: Vec::new(),
         }
-    }
-
-    /// The wrapped reference.
-    #[must_use]
-    pub fn reference(&self) -> &FeatureReference {
-        &self.reference
     }
 
     /// Observes one classified row. Rows must arrive in stream order
@@ -343,104 +306,72 @@ impl DriftMonitor {
     }
 }
 
-/// The process-global observability state, mirroring the journal: the
-/// classify fold appends here, the CLI snapshots at persist time.
-#[derive(Default)]
-struct ObserveState {
-    records: Vec<VerdictExplanation>,
-    monitor: Option<DriftMonitor>,
+/// One session's decision log: every explained verdict in classification
+/// order, and the drift monitor scoring live hours against the session's
+/// training set.
+#[derive(Debug)]
+pub struct DecisionLog {
+    explanations: Vec<VerdictExplanation>,
+    drift: DriftMonitor,
 }
 
-fn state() -> &'static Mutex<ObserveState> {
-    static GLOBAL: OnceLock<Mutex<ObserveState>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(ObserveState::default()))
-}
-
-fn lock() -> std::sync::MutexGuard<'static, ObserveState> {
-    state().lock().expect("observe lock poisoned")
-}
-
-/// Appends one explained verdict; `seq` is assigned in arrival order
-/// (the sequential classify fold), matching the store's record index.
-pub fn record_explanation(hour: u64, spam: bool, score: f64, explanation: &Explanation) {
-    let mut attributions = [0.0f64; FEATURE_COUNT];
-    let n = explanation.contributions.len().min(FEATURE_COUNT);
-    attributions[..n].copy_from_slice(&explanation.contributions[..n]);
-    let mut s = lock();
-    let seq = s.records.len() as u64;
-    s.records.push(VerdictExplanation {
-        seq,
-        hour,
-        spam,
-        score,
-        margin: explanation.margin,
-        baseline: explanation.baseline,
-        attributions,
-    });
-}
-
-/// Installs the train-time reference, replacing any previous monitor
-/// (a retrain starts fresh windows against the new reference).
-pub fn install_reference(reference: FeatureReference) {
-    lock().monitor = Some(DriftMonitor::new(reference));
-}
-
-/// Feeds one classified row into the installed drift monitor (no-op
-/// until a reference is installed).
-pub fn drift_observe(hour: u64, row: &[f64]) {
-    if let Some(monitor) = lock().monitor.as_mut() {
-        monitor.observe(hour, row);
+impl DecisionLog {
+    /// An empty log whose drift reference is captured from the training
+    /// matrix the session's detector was fitted on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `training` is empty.
+    #[must_use]
+    pub fn new(training: &Dataset) -> Self {
+        Self {
+            explanations: Vec::new(),
+            drift: DriftMonitor::new(FeatureReference::from_dataset(training)),
+        }
     }
-}
 
-/// Finalizes the monitor's open window (call before persisting).
-pub fn drift_finalize() {
-    if let Some(monitor) = lock().monitor.as_mut() {
-        monitor.finish();
+    /// Records one classified row; its `seq` is its arrival index, which
+    /// the sequential classify fold makes the store's record index.
+    pub(crate) fn record(
+        &mut self,
+        hour: u64,
+        row: &[f64],
+        spam: bool,
+        score: f64,
+        explanation: &Explanation,
+    ) {
+        self.drift.observe(hour, row);
+        let mut attributions = [0.0f64; FEATURE_COUNT];
+        let n = explanation.contributions.len().min(FEATURE_COUNT);
+        attributions[..n].copy_from_slice(&explanation.contributions[..n]);
+        self.explanations.push(VerdictExplanation {
+            seq: self.explanations.len() as u64,
+            hour,
+            spam,
+            score,
+            margin: explanation.margin,
+            baseline: explanation.baseline,
+            attributions,
+        });
     }
-}
 
-/// Mean PSI of pre-extracted rows against the currently installed
-/// reference, if any — the retrain before/after summary.
-#[must_use]
-pub fn mean_psi_of(data: &Dataset) -> Option<f64> {
-    lock()
-        .monitor
-        .as_ref()
-        .map(|m| m.reference().mean_psi(data))
-}
-
-/// Copies out every explained verdict in classification order.
-#[must_use]
-pub fn explanations() -> Vec<VerdictExplanation> {
-    lock().records.clone()
-}
-
-/// Copies out the explained verdicts with `seq >= start` — the slice a
-/// streaming consumer (the serve daemon's hourly verdict flush) needs
-/// without re-copying the whole history every hour.
-#[must_use]
-pub fn explanations_from(start: u64) -> Vec<VerdictExplanation> {
-    let s = lock();
-    let at = (start as usize).min(s.records.len());
-    s.records[at..].to_vec()
-}
-
-/// Copies out the finished drift windows and alarms.
-#[must_use]
-pub fn drift_results() -> (Vec<DriftHourScores>, Vec<DriftAlarmRecord>) {
-    let s = lock();
-    match &s.monitor {
-        Some(m) => (m.hours().to_vec(), m.alarms().to_vec()),
-        None => (Vec::new(), Vec::new()),
+    /// Every explained verdict so far, in classification order.
+    #[must_use]
+    pub fn explanations(&self) -> &[VerdictExplanation] {
+        &self.explanations
     }
-}
 
-/// Clears all captured state (records, monitor, reference).
-pub fn reset() {
-    let mut s = lock();
-    s.records.clear();
-    s.monitor = None;
+    /// The drift monitor: finished hourly windows and alarms.
+    #[must_use]
+    pub fn drift(&self) -> &DriftMonitor {
+        &self.drift
+    }
+
+    /// Closes the open drift window, which may raise the session's last
+    /// drift alarms.
+    pub fn finish(&mut self) {
+        self.drift.finish();
+    }
 }
 
 #[cfg(test)]
@@ -471,8 +402,10 @@ mod tests {
     fn identical_window_scores_near_zero_shifted_scores_high() {
         let data = toy_dataset(0.0, 500);
         let reference = FeatureReference::from_dataset(&data);
-        let same = reference.mean_psi(&data);
-        assert!(same < 0.01, "self-PSI {same} should be ~0");
+        for f in 0..3 {
+            let same = reference.psi(f, &reference.counts[f], reference.total);
+            assert!(same < 0.01, "feature {f}'s self-PSI {same} should be ~0");
+        }
         let shifted = toy_dataset(40.0, 500);
         // Feature 0 moved far outside the reference range.
         let mut live = vec![[0u64; DRIFT_BINS]; 3];

@@ -75,10 +75,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ph_core::detector::{ground_truth_and_detector, StreamClassifier, Verdict};
-use ph_core::features::ProfileLookup;
 use ph_core::monitor::{CollectedTweet, MonitorReport, RunState, Runner, StreamMonitor};
 use ph_core::network::PseudoHoneypotNetwork;
-use ph_core::observe::VerdictExplanation;
+use ph_core::observe::DecisionLog;
 use ph_exec::ExecConfig;
 use ph_store::{Manifest, Store, StoreConfig, StoreWriter};
 use ph_telemetry::{log_info, log_warn, TelemetryEvent};
@@ -87,6 +86,7 @@ use ph_twitter_sim::tweet::{Tweet, TweetId};
 use ph_twitter_sim::wire::StreamFrame;
 use ph_twitter_sim::Profile;
 
+use crate::health::Health;
 use crate::http::MetricsServer;
 use crate::listener::{BindAddr, Listener};
 use crate::loadgen::{spawn_feed, FeedConfig};
@@ -346,38 +346,21 @@ fn open_store(config: &ServeConfig) -> io::Result<(Store, MonitorReport, RunStat
     }
 }
 
-/// One hour's verdicts, and with `explain` on their explanations (the
-/// classify fold records one per record, seq = record index).
-type HourVerdicts = (Vec<Verdict>, Vec<VerdictExplanation>);
-
-/// Classifies one hour's batch, whose first record is record `first` of
-/// the log.
-fn classify<P: ProfileLookup + ?Sized>(
-    classifier: &mut StreamClassifier,
-    batch: &[CollectedTweet],
-    profiles: &P,
-    exec: &ExecConfig,
-    first: u64,
-    explain: bool,
-) -> HourVerdicts {
-    let hour_verdicts = classifier.classify_hour(batch, profiles, exec);
-    let explanations = if explain {
-        ph_core::observe::explanations_from(first)
-    } else {
-        Vec::new()
-    };
-    (hour_verdicts, explanations)
-}
-
 /// Appends the verdicts of `batch` (first record `first`) that the
-/// stream does not hold yet; with explanations, each line carries its
-/// explain fields.
+/// stream does not hold yet. With a decision log, the classify fold has
+/// just explained every record of `batch` into it, and each line carries
+/// its explain fields.
 fn append_verdicts(
     verdicts: &mut VerdictWriter,
     batch: &[CollectedTweet],
     first: u64,
-    (hour_verdicts, explanations): &HourVerdicts,
+    hour_verdicts: &[Verdict],
+    log: Option<&DecisionLog>,
 ) -> io::Result<()> {
+    let explanations = log.map_or(&[][..], |log| {
+        let all = log.explanations();
+        &all[all.len() - batch.len()..]
+    });
     for (offset, (collected, verdict)) in batch.iter().zip(hour_verdicts).enumerate() {
         if first + offset as u64 >= verdicts.next_seq() {
             match explanations.get(offset) {
@@ -399,7 +382,6 @@ fn warm_up(
     exec: &ExecConfig,
     store: &Store,
     state: &RunState,
-    explain: bool,
     verdicts: &mut VerdictWriter,
 ) -> io::Result<()> {
     let records: Vec<CollectedTweet> = store
@@ -419,8 +401,14 @@ fn warm_up(
             end += 1;
         }
         let batch = &records[base..end];
-        let classified = classify(classifier, batch, engine, exec, base as u64, explain);
-        append_verdicts(verdicts, batch, base as u64, &classified)?;
+        let hour_verdicts = classifier.classify_hour(batch, engine, exec);
+        append_verdicts(
+            verdicts,
+            batch,
+            base as u64,
+            &hour_verdicts,
+            classifier.log(),
+        )?;
         base = end;
     }
     verdicts.flush()?;
@@ -442,14 +430,10 @@ fn warm_up(
 /// (an hour-marker gap).
 pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
     let _span = ph_telemetry::span("serve");
-    // The session decides: an earlier in-process session may have left
-    // decision observability on.
-    ph_core::observe::set_enabled(config.explain);
     // Service-health setup. Each session starts healthy with a fresh
     // flight ring and, when targeted, a passing SLO check.
-    crate::health::reset();
+    let health = Health::default();
     ph_telemetry::flight_reset();
-    crate::slo::set_enabled(config.slo.is_some());
     let mut slo_check = config.slo.map(SloCheck::new);
     if let Some(target) = &config.slo {
         log_info!(
@@ -463,8 +447,12 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
     let exec = config.exec.clone();
     let mut engine = Engine::new(manifest.sim_config());
     let runner = Runner::with_exec(manifest.runner_config(), exec.clone());
-    let (_, detector) = ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
-    let mut classifier = StreamClassifier::new(detector);
+    let mut classifier = {
+        let (_, training, detector) =
+            ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
+        let log = config.explain.then(|| DecisionLog::new(&training));
+        StreamClassifier::with_log(detector, log)
+    };
 
     let verdict_path = config
         .verdicts
@@ -478,7 +466,6 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
             &exec,
             &store,
             &state,
-            config.explain,
             &mut writer,
         )?;
         writer
@@ -486,10 +473,15 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
         VerdictWriter::create(&verdict_path)?
     };
 
-    let queue = Arc::new(IngestQueue::new(manifest.buffer_capacity as usize));
+    let capacity = manifest.buffer_capacity as usize;
+    let queue = Arc::new(if config.slo.is_some() {
+        IngestQueue::stamped(capacity)
+    } else {
+        IngestQueue::new(capacity)
+    });
     let mut listener = Listener::spawn(&config.listen, Arc::clone(&queue))?;
     let http = match &config.http {
-        Some(addr) => Some(MetricsServer::spawn(addr)?),
+        Some(addr) => Some(MetricsServer::spawn(addr, health.clone())?),
         None => None,
     };
     let ingest_addr = listener.addr.to_string();
@@ -531,6 +523,7 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
             },
             Some(config.dir.clone()),
             Arc::clone(&hour_hb),
+            health.clone(),
         ))
     } else {
         None
@@ -640,18 +633,18 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                             // flight; its verdict lines wait until it is
                             // durable, so they never run ahead of the log.
                             let first = verdicts.next_seq();
-                            let classified = classify(
-                                &mut classifier,
-                                &batch,
-                                profiles.as_slice(),
-                                &exec,
-                                first,
-                                config.explain,
-                            );
+                            let hour_verdicts =
+                                classifier.classify_hour(&batch, profiles.as_slice(), &exec);
                             writer.wait_durable()?;
                             #[cfg(test)]
                             tests::before_verdicts(&config.dir, hour);
-                            append_verdicts(&mut verdicts, &batch, first, &classified)?;
+                            append_verdicts(
+                                &mut verdicts,
+                                &batch,
+                                first,
+                                &hour_verdicts,
+                                classifier.log(),
+                            )?;
                             verdicts.flush()?;
                             if let Some(slo_check) = &mut slo_check {
                                 // The verdicts are durable — the
@@ -667,12 +660,12 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                                 match slo_check.check(hour, quantiles) {
                                     Some(TelemetryEvent::SloBreach {
                                         rule, value, limit, ..
-                                    }) => crate::health::degrade(
+                                    }) => health.degrade(
                                         &rule,
                                         &format!("{value:.1} ms > {limit:.1} ms limit"),
                                     ),
                                     Some(TelemetryEvent::SloRecovered { rule, .. }) => {
-                                        crate::health::clear(&rule);
+                                        health.clear(&rule);
                                     }
                                     _ => {}
                                 }
@@ -728,7 +721,10 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
 
     // The durable observability record, shaped exactly like a batch
     // run's so `inspect` renders serve stores unchanged.
-    store.write_run_record(monitor.state().next_hour.saturating_sub(1))?;
+    store.write_run_record(
+        monitor.state().next_hour.saturating_sub(1),
+        classifier.into_log(),
+    )?;
 
     let outcome = ServeOutcome {
         hours_done: monitor.state().next_hour,

@@ -7,95 +7,95 @@
 //! reason clears it goes back to `200 ok`. Sources are keyed, so a
 //! watchdog recovery cannot clear an SLO breach or vice versa.
 //!
-//! Process-global (like the telemetry registries) so the HTTP server
-//! needs no plumbing from the daemon loop; `serve.health.degraded`
-//! mirrors the state as a gauge for scrapes that only watch `/metrics`.
+//! Each daemon session owns one [`Health`] and hands clones of it to the
+//! watchdog and the HTTP server, so a session starts healthy and two
+//! sessions in one process never see each other's reasons. The
+//! `serve.health.degraded` gauge mirrors the state for scrapes that only
+//! watch `/metrics`; like every metric it lives in the process-global
+//! telemetry registry.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-fn reasons() -> &'static Mutex<BTreeMap<String, String>> {
-    static GLOBAL: OnceLock<Mutex<BTreeMap<String, String>>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// One session's degradation reasons, keyed by source. Clones share the
+/// same set.
+#[derive(Debug, Clone, Default)]
+pub struct Health {
+    reasons: Arc<Mutex<BTreeMap<String, String>>>,
 }
 
-fn update_gauge(map: &BTreeMap<String, String>) {
-    ph_telemetry::gauge("serve.health.degraded").set(if map.is_empty() { 0.0 } else { 1.0 });
-}
-
-/// Raises (or updates) the degradation reason for `source`.
-pub fn degrade(source: &str, reason: &str) {
-    let mut map = reasons().lock().expect("health state poisoned");
-    map.insert(source.to_string(), reason.to_string());
-    update_gauge(&map);
-}
-
-/// Clears `source`'s degradation, if any.
-pub fn clear(source: &str) {
-    let mut map = reasons().lock().expect("health state poisoned");
-    map.remove(source);
-    update_gauge(&map);
-}
-
-/// The joined degradation reasons, or `None` when healthy.
-#[must_use]
-pub fn status() -> Option<String> {
-    let map = reasons().lock().expect("health state poisoned");
-    if map.is_empty() {
-        return None;
+impl Health {
+    fn reasons(&self) -> MutexGuard<'_, BTreeMap<String, String>> {
+        self.reasons.lock().expect("health state poisoned")
     }
-    Some(
-        map.iter()
-            .map(|(source, reason)| format!("{source}: {reason}"))
-            .collect::<Vec<_>>()
-            .join("; "),
-    )
-}
 
-/// Clears every reason (a fresh daemon session starts healthy).
-pub fn reset() {
-    let mut map = reasons().lock().expect("health state poisoned");
-    map.clear();
-    update_gauge(&map);
+    fn update(&self, change: impl FnOnce(&mut BTreeMap<String, String>)) {
+        let mut map = self.reasons();
+        change(&mut map);
+        ph_telemetry::gauge("serve.health.degraded").set(if map.is_empty() { 0.0 } else { 1.0 });
+    }
+
+    /// Raises (or updates) the degradation reason for `source`.
+    pub fn degrade(&self, source: &str, reason: &str) {
+        self.update(|map| {
+            map.insert(source.to_string(), reason.to_string());
+        });
+    }
+
+    /// Clears `source`'s degradation, if any.
+    pub fn clear(&self, source: &str) {
+        self.update(|map| {
+            map.remove(source);
+        });
+    }
+
+    /// The joined degradation reasons, or `None` when healthy.
+    #[must_use]
+    pub fn status(&self) -> Option<String> {
+        let map = self.reasons();
+        if map.is_empty() {
+            return None;
+        }
+        Some(
+            map.iter()
+                .map(|(source, reason)| format!("{source}: {reason}"))
+                .collect::<Vec<_>>()
+                .join("; "),
+        )
+    }
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    // Health is process-global; serialize the tests that reset it.
-    pub(crate) fn lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn reasons_join_sorted_and_clear_per_source() {
-        let _guard = lock();
-        reset();
-        assert_eq!(status(), None);
-        degrade("watchdog.classify", "stage stalled");
-        degrade("slo.p99", "p99 612ms > 250ms");
+        let health = Health::default();
+        assert_eq!(health.status(), None);
+        health.degrade("watchdog.classify", "stage stalled");
+        health.degrade("slo.p99", "p99 612ms > 250ms");
         assert_eq!(
-            status().unwrap(),
+            health.status().unwrap(),
             "slo.p99: p99 612ms > 250ms; watchdog.classify: stage stalled"
         );
-        clear("slo.p99");
-        assert_eq!(status().unwrap(), "watchdog.classify: stage stalled");
-        clear("watchdog.classify");
-        assert_eq!(status(), None);
-        assert_eq!(ph_telemetry::gauge("serve.health.degraded").get(), 0.0);
+        health.clear("slo.p99");
+        assert_eq!(health.status().unwrap(), "watchdog.classify: stage stalled");
+        health.clear("watchdog.classify");
+        assert_eq!(health.status(), None);
     }
 
     #[test]
-    fn degrade_overwrites_the_same_source() {
-        let _guard = lock();
-        reset();
-        degrade("slo.p99", "first");
-        degrade("slo.p99", "second");
-        assert_eq!(status().unwrap(), "slo.p99: second");
-        assert_eq!(ph_telemetry::gauge("serve.health.degraded").get(), 1.0);
-        reset();
+    fn degrade_overwrites_the_same_source_and_clones_share_the_set() {
+        let health = Health::default();
+        let shared = health.clone();
+        health.degrade("slo.p99", "first");
+        shared.degrade("slo.p99", "second");
+        assert_eq!(health.status().unwrap(), "slo.p99: second");
+        assert_eq!(
+            Health::default().status(),
+            None,
+            "a new value starts healthy"
+        );
     }
 }

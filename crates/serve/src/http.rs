@@ -6,7 +6,7 @@
 //!   [`ph_telemetry::to_prometheus`], served with the exposition-format
 //!   content type `text/plain; version=0.0.4` Prometheus expects.
 //! - `GET /healthz` — `200 ok` while the daemon is healthy; while any
-//!   [`crate::health`] degradation reason is raised (a stalled stage, a
+//!   degradation reason of the session's [`Health`] is raised (a stalled stage, a
 //!   failing latency SLO) it answers `503 Service Unavailable` with the
 //!   joined reasons, so probes and load balancers see the state without
 //!   parsing `/metrics`.
@@ -26,6 +26,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ph_telemetry::log_info;
+
+use crate::health::Health;
 
 /// The Prometheus text exposition format version served by `/metrics`.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -49,12 +51,13 @@ pub struct MetricsServer {
 }
 
 impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving.
+    /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving, answering
+    /// `/healthz` from `health`.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
-    pub fn spawn(addr: &str) -> io::Result<Self> {
+    pub fn spawn(addr: &str, health: Health) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?.to_string();
         listener.set_nonblocking(true)?;
@@ -68,8 +71,9 @@ impl MetricsServer {
                         // deadline bounds its lifetime, and the accept
                         // loop goes straight back to listening even
                         // when a client stalls mid-request.
+                        let health = health.clone();
                         std::thread::spawn(move || {
-                            let _ = serve_one(conn);
+                            let _ = serve_one(conn, &health);
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -104,7 +108,7 @@ impl Drop for MetricsServer {
 
 /// Reads one request line (with a per-read timeout and an overall
 /// deadline) and answers it.
-fn serve_one(mut conn: TcpStream) -> io::Result<()> {
+fn serve_one(mut conn: TcpStream, health: &Health) -> io::Result<()> {
     conn.set_read_timeout(Some(READ_TIMEOUT))?;
     let deadline = Instant::now() + REQUEST_DEADLINE;
     // Read until the header terminator (or the buffer fills, or the
@@ -140,7 +144,7 @@ fn serve_one(mut conn: TcpStream) -> io::Result<()> {
             );
             respond(&mut conn, "200 OK", METRICS_CONTENT_TYPE, &body)
         }
-        Some("/healthz") => match crate::health::status() {
+        Some("/healthz") => match health.status() {
             None => respond(&mut conn, "200 OK", "text/plain", "ok\n"),
             Some(reasons) => respond(
                 &mut conn,
@@ -180,7 +184,7 @@ mod tests {
     #[test]
     fn metrics_endpoint_serves_prometheus_with_the_pinned_content_type() {
         ph_telemetry::counter("serve.test.http_metric").inc();
-        let server = MetricsServer::spawn("127.0.0.1:0").unwrap();
+        let server = MetricsServer::spawn("127.0.0.1:0", Health::default()).unwrap();
         let response = get(&server.addr, "/metrics");
         assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
         // The exposition-format content type, pinned: Prometheus rejects
@@ -194,9 +198,7 @@ mod tests {
 
     #[test]
     fn healthz_answers_ok_and_unknown_paths_404() {
-        let _guard = crate::health::tests::lock();
-        crate::health::reset();
-        let mut server = MetricsServer::spawn("127.0.0.1:0").unwrap();
+        let mut server = MetricsServer::spawn("127.0.0.1:0", Health::default()).unwrap();
         let health = get(&server.addr, "/healthz");
         assert!(health.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(health.ends_with("ok\n"));
@@ -208,10 +210,9 @@ mod tests {
 
     #[test]
     fn healthz_flips_to_503_while_degraded_and_recovers() {
-        let _guard = crate::health::tests::lock();
-        crate::health::reset();
-        let server = MetricsServer::spawn("127.0.0.1:0").unwrap();
-        crate::health::degrade("slo.p99", "p99 612.0 ms > 250.0 ms limit");
+        let health = Health::default();
+        let server = MetricsServer::spawn("127.0.0.1:0", health.clone()).unwrap();
+        health.degrade("slo.p99", "p99 612.0 ms > 250.0 ms limit");
         let degraded = get(&server.addr, "/healthz");
         assert!(
             degraded.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
@@ -221,14 +222,14 @@ mod tests {
             degraded.ends_with("degraded: slo.p99: p99 612.0 ms > 250.0 ms limit\n"),
             "{degraded}"
         );
-        crate::health::clear("slo.p99");
+        health.clear("slo.p99");
         let recovered = get(&server.addr, "/healthz");
         assert!(recovered.starts_with("HTTP/1.1 200 OK\r\n"), "{recovered}");
     }
 
     #[test]
     fn an_unparseable_request_line_gets_a_400() {
-        let server = MetricsServer::spawn("127.0.0.1:0").unwrap();
+        let server = MetricsServer::spawn("127.0.0.1:0", Health::default()).unwrap();
         let mut conn = TcpStream::connect(&server.addr).unwrap();
         conn.write_all(b"\r\n\r\n").unwrap();
         let mut response = String::new();
@@ -241,7 +242,7 @@ mod tests {
 
     #[test]
     fn a_stalled_client_does_not_block_a_concurrent_scrape() {
-        let server = MetricsServer::spawn("127.0.0.1:0").unwrap();
+        let server = MetricsServer::spawn("127.0.0.1:0", Health::default()).unwrap();
         // Connect and send half a request line, then stall without
         // closing: the per-connection thread sits in its read timeout.
         let mut stalled = TcpStream::connect(&server.addr).unwrap();
@@ -260,7 +261,7 @@ mod tests {
 
     #[test]
     fn a_client_closing_mid_request_is_answered_not_crashed() {
-        let server = MetricsServer::spawn("127.0.0.1:0").unwrap();
+        let server = MetricsServer::spawn("127.0.0.1:0", Health::default()).unwrap();
         {
             let mut conn = TcpStream::connect(&server.addr).unwrap();
             conn.write_all(b"GET /healthz HTT").unwrap();

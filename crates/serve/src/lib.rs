@@ -29,14 +29,14 @@
 //!   and a later `--resume` continues mid-run with a byte-identical
 //!   verdict stream. SIGQUIT is separate: it requests a flight-recorder
 //!   dump and the daemon keeps running.
-//! - [`slo`] is the ingest→verdict latency SLO: `--slo p99:250` stamps
-//!   every queued frame with a monotonic tick, folds per-hour latency
-//!   quantiles into gauges/series, and checks the targeted quantile
-//!   against the limit each hour. Off, the residue is one relaxed
-//!   atomic load.
-//! - [`health`] is the keyed degradation set behind `/healthz`: the
-//!   watchdog and the SLO check raise and clear named reasons, and the
-//!   probe flips 200 ⇄ 503 accordingly.
+//! - [`slo`] is the ingest→verdict latency SLO: `--slo p99:250` makes
+//!   the daemon build a stamping queue, whose frames carry a monotonic
+//!   tick, folds per-hour latency quantiles into gauges/series, and
+//!   checks the targeted quantile against the limit each hour. Off, the
+//!   queue is built unstamped.
+//! - [`health`] is the keyed degradation set behind `/healthz`, one
+//!   value per daemon session: the watchdog and the SLO check raise and
+//!   clear named reasons, and the probe flips 200 ⇄ 503 accordingly.
 //! - [`watchdog`] samples the hour loop's heartbeat on a wall-clock
 //!   cadence and declares a busy-but-flatlined hour stalled: journal
 //!   event, degraded health, and a flight-recorder dump into the store.

@@ -8,13 +8,13 @@
 //! degrades the collection, losing a boundary would desynchronize the
 //! replica engine from the producer.
 //!
-//! This is also where the latency SLO's clock starts: with
-//! [`crate::slo`] enabled, [`push`](IngestQueue::push) stamps each
-//! frame with a monotonic ingest tick ([`crate::slo::tick_now_ns`])
-//! that rides alongside it to [`pop_timeout`](IngestQueue::pop_timeout),
-//! so ingest→verdict latency covers queueing as well as
-//! classification. Disabled (the default), the stamp is one relaxed
-//! atomic load and a constant `0`.
+//! This is also where the latency SLO's clock starts: in a queue built
+//! `stamped` — the daemon's, when it has an SLO target —
+//! [`push`](IngestQueue::push) stamps each frame with a monotonic ingest
+//! tick ([`crate::slo::tick_now_ns`]) that rides alongside it to
+//! [`pop_timeout`](IngestQueue::pop_timeout), so ingest→verdict latency
+//! covers queueing as well as classification. A queue built with
+//! [`new`](IngestQueue::new) stamps a constant `0`.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -31,16 +31,19 @@ struct Inner {
 /// A bounded MPSC frame queue with oldest-tweet shedding.
 pub struct IngestQueue {
     capacity: usize,
+    stamp: bool,
     inner: Mutex<Inner>,
     ready: Condvar,
 }
 
 impl IngestQueue {
-    /// A queue holding at most `capacity` frames (floored at 1).
+    /// A queue holding at most `capacity` frames (floored at 1), whose
+    /// frames carry no ingest tick.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
+            stamp: false,
             inner: Mutex::new(Inner {
                 frames: VecDeque::new(),
                 shed: 0,
@@ -50,13 +53,23 @@ impl IngestQueue {
         }
     }
 
+    /// [`new`](Self::new), but every pushed frame is stamped with its
+    /// ingest tick for the latency SLO.
+    #[must_use]
+    pub(crate) fn stamped(capacity: usize) -> Self {
+        Self {
+            stamp: true,
+            ..Self::new(capacity)
+        }
+    }
+
     /// Enqueues a frame without blocking. At capacity, the oldest
     /// buffered *tweet* frame is dropped to make room (and counted);
     /// control frames are always admitted even if that means running
     /// over capacity momentarily (there is at most one boundary per
     /// producer hour — they cannot accumulate unboundedly).
     pub fn push(&self, frame: StreamFrame) {
-        let tick = if crate::slo::is_enabled() {
+        let tick = if self.stamp {
             crate::slo::tick_now_ns()
         } else {
             0
@@ -81,10 +94,10 @@ impl IngestQueue {
         self.ready.notify_one();
     }
 
-    /// Dequeues the next frame and its ingest tick (0 when SLO stamping
-    /// is off), waiting up to `timeout` for one to arrive. `None` means
-    /// the wait timed out — the caller polls its stop flag and comes
-    /// back.
+    /// Dequeues the next frame and its ingest tick (0 unless the queue
+    /// was built `stamped`), waiting up to `timeout` for one to arrive.
+    /// `None` means the wait timed out — the caller polls its stop flag
+    /// and comes back.
     pub fn pop_timeout(&self, timeout: Duration) -> Option<(StreamFrame, u64)> {
         let mut inner = self.inner.lock().expect("ingest queue poisoned");
         if inner.frames.is_empty() {
@@ -203,16 +216,14 @@ mod tests {
     }
 
     #[test]
-    fn ticks_are_zero_when_slo_is_off_and_monotone_when_on() {
+    fn ticks_are_zero_unstamped_and_monotone_stamped() {
         let q = IngestQueue::new(8);
-        crate::slo::set_enabled(false);
         q.push(tweet(1));
         let (_, tick) = q.pop_timeout(Duration::from_millis(10)).unwrap();
         assert_eq!(tick, 0);
-        crate::slo::set_enabled(true);
+        let q = IngestQueue::stamped(8);
         q.push(tweet(2));
         q.push(tweet(3));
-        crate::slo::set_enabled(false);
         let (_, a) = q.pop_timeout(Duration::from_millis(10)).unwrap();
         let (_, b) = q.pop_timeout(Duration::from_millis(10)).unwrap();
         assert!(a >= 1, "stamped tick must be nonzero");

@@ -1,8 +1,11 @@
 //! Ingest→verdict latency SLOs.
 //!
-//! When `--slo pQQ:MS` is on, every frame entering the ingest queue is
-//! stamped with a monotonic tick ([`tick_now_ns`], nanoseconds since a
-//! process-global origin), and the daemon measures each tweet's latency
+//! When `--slo pQQ:MS` is on, the daemon builds a stamping ingest queue
+//! (`IngestQueue::stamped`): every
+//! frame entering it is stamped with a monotonic tick ([`tick_now_ns`],
+//! nanoseconds since a process-global origin — the one process-wide
+//! value here, so ticks from any queue compare), and the daemon measures
+//! each tweet's latency
 //! when its verdict is durably flushed — wire + queue + buffering +
 //! classification, the whole ingest-to-verdict path. Per hour the
 //! daemon records the batch into the cumulative `serve.latency_ms`
@@ -12,13 +15,11 @@
 //! hands the hour's quantiles to its [`SloCheck`], which compares the
 //! targeted one against the limit (SLO `slo.pQQ`).
 //!
-//! Off (the default) the only residue is one relaxed atomic load per
-//! queue push — the same zero-cost-when-off discipline as `--explain`
-//! and `--trace`. Latency is wall-clock data: everything recorded here
-//! lands in gauges/series (outside the byte-stability contract), never
-//! in the persisted journal.
+//! Off (the default) the daemon's queue is built unstamped, and a push
+//! reads one field of the queue it already holds. Latency is wall-clock
+//! data: everything recorded here lands in gauges/series (outside the
+//! byte-stability contract), never in the persisted journal.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -27,19 +28,6 @@ use ph_telemetry::{journal_emit, TelemetryEvent};
 /// The histogram / gauge / series name prefix for ingest→verdict
 /// latency.
 pub const LATENCY_METRIC: &str = "serve.latency_ms";
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns ingest-tick stamping on or off (process-global).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether stamping is on — one relaxed load, the hot-path gate.
-#[must_use]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// Monotonic nanoseconds since the first call in this process. `0` is
 /// reserved for "not stamped".
@@ -179,7 +167,7 @@ pub fn exact_quantile(samples: &[f64], q: f64) -> f64 {
 
 /// Records one hour's ingest→verdict latencies: cumulative histogram,
 /// live quantile gauges, and the per-hour quantile series. Returns the
-/// hour's `(p50, p95, p99)` for [`SloCheck::check`]. Returns the hour's `(p50, p95, p99)`.
+/// hour's `(p50, p95, p99)` for [`SloCheck::check`].
 pub fn record_hour(hour: u64, latencies_ms: &[f64]) -> (f64, f64, f64) {
     let hist = ph_telemetry::histogram(LATENCY_METRIC, &ph_telemetry::default_latency_buckets_ms());
     for &ms in latencies_ms {

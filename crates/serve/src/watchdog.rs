@@ -9,7 +9,7 @@
 //! watchdog emits a [`ph_telemetry::TelemetryEvent::StageStalled`]
 //! journal event (diagnostic — it reaches the flight recorder and the
 //! in-process journal, never `journal.log`), flips `/healthz` to degraded
-//! via [`crate::health`], and dumps the flight ring into the store so the
+//! through the session's [`Health`], and dumps the flight ring into the store so the
 //! hang is diagnosable even if the process is later killed -9. When the
 //! stage makes progress again (or goes idle), the degradation clears and
 //! a recovery note lands in the flight ring.
@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use ph_telemetry::{journal_emit, log_warn, TelemetryEvent};
 
-use crate::health;
+use crate::health::Health;
 
 /// A stage's progress pulse, sampled by [`Watchdog`].
 #[derive(Debug)]
@@ -110,13 +110,15 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// Starts sampling `heartbeat`. `dump_dir` is the store directory the
-    /// flight ring is dumped into on a trip (`None` = record events only).
+    /// Starts sampling `heartbeat`, raising and clearing its stall in
+    /// `health`. `dump_dir` is the store directory the flight ring is
+    /// dumped into on a trip (`None` = record events only).
     #[must_use]
     pub fn spawn(
         config: WatchdogConfig,
         dump_dir: Option<PathBuf>,
         heartbeat: Arc<Heartbeat>,
+        health: Health,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let loop_stop = Arc::clone(&stop);
@@ -139,7 +141,7 @@ impl Watchdog {
                         log_warn!(
                             "watchdog: stage '{stage}' stalled ({stale_ticks} ticks without progress)"
                         );
-                        health::degrade(
+                        health.degrade(
                             &format!("watchdog.{stage}"),
                             &format!("stage stalled: no progress across {stale_ticks} ticks"),
                         );
@@ -159,7 +161,7 @@ impl Watchdog {
                             "stage_recovered",
                             &format!("stage '{stage}' making progress again"),
                         );
-                        health::clear(&format!("watchdog.{stage}"));
+                        health.clear(&format!("watchdog.{stage}"));
                     }
                 }
             }
@@ -224,23 +226,22 @@ mod tests {
 
     #[test]
     fn busy_flatlined_stage_trips_then_recovers() {
-        let _guard = crate::health::tests::lock();
-        crate::health::reset();
         let dir = std::env::temp_dir().join(format!("ph-serve-watchdog-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let stage = "test.serve.watchdog";
         let hb = Arc::new(Heartbeat::new(stage));
-        let mut dog = Watchdog::spawn(fast(), Some(dir.clone()), Arc::clone(&hb));
+        let health = Health::default();
+        let mut dog = Watchdog::spawn(fast(), Some(dir.clone()), Arc::clone(&hb), health.clone());
 
         // Idle: never trips, however long we wait.
         std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(crate::health::status(), None);
+        assert_eq!(health.status(), None);
 
         // Busy and flat: trips, degrades, and dumps the flight ring.
         hb.begin_batch();
         wait_until("the watchdog trip", || {
-            crate::health::status().is_some_and(|s| s.contains(stage))
+            health.status().is_some_and(|s| s.contains(stage))
         });
         assert!(
             ph_telemetry::journal_snapshot().iter().any(|e| matches!(
@@ -256,7 +257,7 @@ mod tests {
 
         // Progress: clears the degradation.
         hb.bump();
-        wait_until("the recovery", || crate::health::status().is_none());
+        wait_until("the recovery", || health.status().is_none());
         hb.end_batch();
         dog.shutdown();
         dog.shutdown(); // idempotent

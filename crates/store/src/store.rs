@@ -36,6 +36,7 @@ use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 use ph_core::monitor::{CollectedTweet, MonitorReport, MonitorSink, RunState};
+use ph_core::observe::DecisionLog;
 
 use crate::checkpoint::{Checkpoint, CheckpointLog};
 use crate::log::{CollectedReader, RecoveryReport, SegmentLog, DEFAULT_MAX_SEGMENT_BYTES};
@@ -276,30 +277,33 @@ impl Store {
     /// truncate-and-replace, so `inspect` and `explain` can render the
     /// run without re-executing it. In order:
     ///
-    /// 1. when decision observability is on, closes the open drift
-    ///    window — before the journal snapshot, because closing it may
-    ///    raise the run's last drift alarms;
+    /// 1. with the session's decision log, closes its open drift window
+    ///    — before the journal snapshot, because closing it may raise
+    ///    the run's last drift alarms;
     /// 2. writes the journal (deterministic events only — see
     ///    [`crate::telemetry`] for the byte-stability contract) and the
     ///    series points up to `last_hour`;
-    /// 3. when decision observability is on, writes the explained
-    ///    verdicts and the drift windows and alarms ([`crate::decision`]).
+    /// 3. with the decision log, writes the explained verdicts and the
+    ///    drift windows and alarms ([`crate::decision`]).
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn write_run_record(&self, last_hour: u64) -> io::Result<()> {
-        let observing = ph_core::observe::is_enabled();
-        if observing {
-            ph_core::observe::drift_finalize();
+    pub fn write_run_record(
+        &self,
+        last_hour: u64,
+        mut decisions: Option<DecisionLog>,
+    ) -> io::Result<()> {
+        if let Some(log) = &mut decisions {
+            log.finish();
         }
         let journal = ph_telemetry::journal_snapshot();
         crate::telemetry::write_journal(&self.dir, &journal)?;
         crate::telemetry::write_series(&self.dir, &ph_telemetry::run_series_points(last_hour))?;
-        if observing {
-            crate::decision::write_explain(&self.dir, &ph_core::observe::explanations())?;
-            let (drift_hours, drift_alarms) = ph_core::observe::drift_results();
-            crate::decision::write_drift(&self.dir, &drift_hours, &drift_alarms)?;
+        if let Some(log) = &decisions {
+            crate::decision::write_explain(&self.dir, log.explanations())?;
+            let drift = log.drift();
+            crate::decision::write_drift(&self.dir, drift.hours(), drift.alarms())?;
         }
         ph_telemetry::log_info!(
             "run record ({} journal events) persisted to {}",

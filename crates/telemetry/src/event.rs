@@ -78,7 +78,9 @@ pub enum TelemetryEvent {
         psi: f64,
     },
     /// An adaptive-detector retraining round completed, with the
-    /// window's mean PSI against the old and new references.
+    /// window's mean PSI against the old and new references. Nothing
+    /// emits it any more; it stays so stored journals that carry it
+    /// still decode.
     DriftRetrain {
         /// Engine hour the retrain happened at.
         hour: u64,

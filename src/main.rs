@@ -55,11 +55,14 @@ use ph_exec::ExecConfig;
 use ph_telemetry::{log_info, log_warn};
 use pseudo_honeypot::core::attributes::{AttributeKind, ProfileAttribute, SampleAttribute};
 use pseudo_honeypot::core::baselines::run_random_baseline;
-use pseudo_honeypot::core::detector::ground_truth_and_detector;
+use pseudo_honeypot::core::detector::{
+    ground_truth_and_detector, ClassificationOutcome, StreamClassifier,
+};
 use pseudo_honeypot::core::labeling::pipeline::{
     format_table3, label_collection_with, PipelineConfig,
 };
 use pseudo_honeypot::core::monitor::{CollectedTweet, MonitorReport, RunState, Runner};
+use pseudo_honeypot::core::observe::DecisionLog;
 use pseudo_honeypot::core::pge::{
     overall_pge, per_hour_attribute_pge, per_hour_stats, pge_ranking_with_min,
 };
@@ -356,7 +359,7 @@ fn usage() {
         "            [--explain]               record verdict explanations + per-feature drift"
     );
     println!(
-        "                                      (explain.log/drift.log in the store; zero cost off)"
+        "                                      (explain.log/drift.log in the store; needs --store)"
     );
     println!(
         "            [--taste-flip H]          flip spammer tastes at engine hour H (drift demo;"
@@ -583,14 +586,14 @@ fn simulate(args: &Args) {
 }
 
 fn sniff(args: &Args) -> i32 {
-    if args.has_flag("explain") {
-        pseudo_honeypot::core::observe::set_enabled(true);
-    }
     match args.options.get("store") {
         Some(dir) => sniff_stored(args, &PathBuf::from(dir)),
         None => {
-            if args.has_flag("resume") || args.options.contains_key("crash-after") {
-                eprintln!("error: --resume and --crash-after require --store DIR");
+            if args.has_flag("resume")
+                || args.has_flag("explain")
+                || args.options.contains_key("crash-after")
+            {
+                eprintln!("error: --resume, --crash-after and --explain require --store DIR");
                 std::process::exit(2);
             }
             sniff_in_memory(args);
@@ -609,7 +612,8 @@ fn sniff_in_memory(args: &Args) {
     let mut engine = Engine::new(manifest.sim_config());
     let runner = Runner::with_exec(manifest.runner_config(), exec.clone());
 
-    let (ground_truth, detector) = ground_truth_and_detector(&mut engine, &runner, gt_hours, &exec);
+    let (ground_truth, _, detector) =
+        ground_truth_and_detector(&mut engine, &runner, gt_hours, &exec);
     println!("{}", format_table3(&ground_truth.summary));
 
     log_info!("phase 3: sniffing for {hours} h…");
@@ -736,8 +740,13 @@ fn sniff_stored(args: &Args, dir: &Path) -> i32 {
     // hour boundary with every completed hour on the log.
     let stop = pseudo_honeypot::serve::signal::install();
     let runner = Runner::with_exec(manifest.runner_config(), exec.clone()).with_stop_flag(stop);
-    let (ground_truth, detector) =
+    let (ground_truth, training, detector) =
         ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
+    let log = args
+        .has_flag("explain")
+        .then(|| DecisionLog::new(&training));
+    drop(training);
+    let mut classifier = StreamClassifier::with_log(detector, log);
     if !resume {
         println!("{}", format_table3(&ground_truth.summary));
     }
@@ -811,9 +820,12 @@ fn sniff_stored(args: &Args, dir: &Path) -> i32 {
 
     // Classify off the log — the durable sink kept nothing in memory, so
     // the segment reader supplies the collection (which the summary needs
-    // materialized anyway, letting the classifier shard over it).
+    // materialized anyway, letting the classifier shard over it). One
+    // pass of the stream classifier is the batch classification, and
+    // explains into its decision log when it has one.
     report.collected = stored_records(&store).collect();
-    let outcome = detector.classify_batch(&report.collected, &engine, &exec);
+    let verdicts = classifier.classify_hour(&report.collected, &engine, &exec);
+    let outcome = ClassificationOutcome::from_verdicts(&report.collected, &verdicts);
     if report.dropped > 0 {
         log_warn!(
             "{} tweets were shed by the streaming buffer",
@@ -838,7 +850,7 @@ fn sniff_stored(args: &Args, dir: &Path) -> i32 {
     // describes, so `inspect` and `explain` can render the run later
     // without re-executing anything.
     store
-        .write_run_record(manifest.hours.saturating_sub(1))
+        .write_run_record(manifest.hours.saturating_sub(1), classifier.into_log())
         .unwrap_or_else(|e| die("run record write failed", e));
     if ph_trace::is_enabled() {
         // The durable twin of the --trace JSON export: the framed+CRC'd
@@ -945,7 +957,8 @@ fn replay(args: &Args) {
     record_run_meta(exec.threads, manifest.sim_seed);
     let mut engine = Engine::new(manifest.sim_config());
     let runner = Runner::with_exec(manifest.runner_config(), exec.clone());
-    let (_, detector) = ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
+    let (_, _, detector) =
+        ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
     // Advance the engine to where the stored run left off, so REST-side
     // lookups (profiles, suspensions) see the same world state.
     engine.run_hours(resumed.state.next_hour);

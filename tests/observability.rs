@@ -494,6 +494,21 @@ fn inspect_requires_store() {
     );
 }
 
+/// `sniff --explain` writes its explanations and drift windows into the
+/// store, so without `--store` it is a usage error, not silently lost
+/// work.
+#[test]
+fn sniff_explain_requires_store() {
+    let out = run(&["sniff", "--explain", "--quiet"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--explain require --store DIR"),
+        "no --store hint: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(out.stdout.is_empty(), "sniff ran before the usage check");
+}
+
 /// Forest training follows `--threads` like every other stage: the
 /// run's metadata names the tree workers it used, and `--threads 1`
 /// trains sequentially.

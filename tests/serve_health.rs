@@ -106,12 +106,14 @@ fn slo_breach_degrades_healthz_dumps_flight_on_sigquit_and_recovers() {
                 }
             } else if response.starts_with("HTTP/1.1 200") && saw_degraded {
                 saw_recovery = true;
-                // The armed SLO must be visible to scrapes too. A
-                // scrape can race the daemon's exit, so retry until
-                // one lands rather than asserting on a dead socket.
+                // The armed SLO, and the recovered health gauge, must
+                // be visible to scrapes too. A scrape can race the
+                // daemon's exit, so retry until one lands rather than
+                // asserting on a dead socket.
                 if !saw_latency_gauges {
                     if let Some(metrics) = http_get(&addr, "/metrics") {
-                        saw_latency_gauges = metrics.contains("ph_serve_latency_ms_p99");
+                        saw_latency_gauges = metrics.contains("ph_serve_latency_ms_p99")
+                            && metrics.contains("\nph_serve_health_degraded 0\n");
                     }
                 }
             }
@@ -127,7 +129,7 @@ fn slo_breach_degrades_healthz_dumps_flight_on_sigquit_and_recovers() {
     assert!(saw_recovery, "/healthz never recovered to 200");
     assert!(
         saw_latency_gauges,
-        "no serve.latency_ms quantile gauges in /metrics"
+        "no serve.latency_ms quantile gauges, or no healthy serve.health.degraded, in /metrics"
     );
     assert!(
         flight_log.exists(),

@@ -73,49 +73,67 @@ fn segment_bytes(dir: &Path) -> Vec<u8> {
     bytes
 }
 
+/// Run once plain and once with `explain: true`; the explained pair
+/// also compares the decision streams, which a resumed session rebuilds
+/// in its own decision log while it replays the stored hours.
 #[test]
 fn drained_and_resumed_serve_matches_an_uninterrupted_run_byte_for_byte() {
     let base = std::env::temp_dir().join(format!("ph-serve-soak-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
-    let interrupted = base.join("interrupted");
-    let uninterrupted = base.join("uninterrupted");
+    for explain in [false, true] {
+        let session = |dir: &Path, resume: bool, stop_after: Option<u64>| ServeConfig {
+            explain,
+            ..config(dir, resume, stop_after)
+        };
+        let interrupted = base.join(format!("interrupted-{explain}"));
+        let uninterrupted = base.join(format!("uninterrupted-{explain}"));
 
-    // Session 1: drain after 3 of 6 hours — the deterministic stand-in
-    // for SIGTERM (the signal path flips the same stop flag).
-    let first = run(config(&interrupted, false, Some(3))).unwrap();
-    assert!(first.stopped_early, "stop-after must report an early stop");
-    assert_eq!(first.hours_done, 3);
-    // Each hour's verdicts wait for its checkpoint, and the drain waits
-    // for the store's writer thread: the stream holds one line per
-    // durable record, no more and no fewer.
-    assert_eq!(verdict_lines(&interrupted), first.records);
+        // Session 1: drain after 3 of 6 hours — the deterministic stand-in
+        // for SIGTERM (the signal path flips the same stop flag).
+        let first = run(session(&interrupted, false, Some(3))).unwrap();
+        assert!(first.stopped_early, "stop-after must report an early stop");
+        assert_eq!(first.hours_done, 3);
+        // Each hour's verdicts wait for its checkpoint, and the drain waits
+        // for the store's writer thread: the stream holds one line per
+        // durable record, no more and no fewer.
+        assert_eq!(verdict_lines(&interrupted), first.records);
 
-    // Session 2: resume to completion.
-    let second = run(config(&interrupted, true, None)).unwrap();
-    assert!(!second.stopped_early);
-    assert_eq!(second.hours_done, 6);
-    assert_eq!(verdict_lines(&interrupted), second.records);
+        // Session 2: resume to completion, in the same process.
+        let second = run(session(&interrupted, true, None)).unwrap();
+        assert!(!second.stopped_early);
+        assert_eq!(second.hours_done, 6);
+        assert_eq!(verdict_lines(&interrupted), second.records);
 
-    // The control: one uninterrupted daemon over the same manifest.
-    let full = run(config(&uninterrupted, false, None)).unwrap();
-    assert!(!full.stopped_early);
-    assert_eq!(full.hours_done, 6);
-    assert!(full.verdicts > 0, "the soak must classify something");
-    assert_eq!(second.records, full.records);
-    assert_eq!(second.verdicts, full.verdicts);
+        // The control: one uninterrupted daemon over the same manifest.
+        let full = run(session(&uninterrupted, false, None)).unwrap();
+        assert!(!full.stopped_early);
+        assert_eq!(full.hours_done, 6);
+        assert!(full.verdicts > 0, "the soak must classify something");
+        assert_eq!(second.records, full.records);
+        assert_eq!(second.verdicts, full.verdicts);
 
-    let resumed_stream = std::fs::read(interrupted.join("verdicts.ndjson")).unwrap();
-    let control_stream = std::fs::read(uninterrupted.join("verdicts.ndjson")).unwrap();
-    assert_eq!(
-        resumed_stream, control_stream,
-        "restart broke verdict-stream byte identity"
-    );
-    assert_eq!(
-        segment_bytes(&interrupted),
-        segment_bytes(&uninterrupted),
-        "restart broke segment-log byte identity"
-    );
+        let mut compared = vec!["verdicts.ndjson"];
+        if explain {
+            compared.extend(["explain.log", "drift.log"]);
+        }
+        for name in compared {
+            let resumed = std::fs::read(interrupted.join(name)).unwrap();
+            let control = std::fs::read(uninterrupted.join(name)).unwrap();
+            assert!(
+                resumed == control,
+                "explain={explain}: restart broke the byte identity of {name} \
+                 ({} vs {} bytes)",
+                resumed.len(),
+                control.len()
+            );
+        }
+        assert_eq!(
+            segment_bytes(&interrupted),
+            segment_bytes(&uninterrupted),
+            "explain={explain}: restart broke segment-log byte identity"
+        );
+    }
     let _ = std::fs::remove_dir_all(&base);
 }
 
