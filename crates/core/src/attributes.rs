@@ -304,7 +304,12 @@ pub const MATCH_TOLERANCE_ABS: f64 = 0.01;
 /// True when `value` matches sample `target` within the selection
 /// tolerances.
 pub fn matches_sample(value: f64, target: f64) -> bool {
-    (value - target).abs() <= (target * MATCH_TOLERANCE_REL).max(MATCH_TOLERANCE_ABS)
+    (value - target).abs() <= sample_tolerance(target)
+}
+
+/// The largest `|value - target|` that still matches sample `target`.
+pub fn sample_tolerance(target: f64) -> f64 {
+    (target * MATCH_TOLERANCE_REL).max(MATCH_TOLERANCE_ABS)
 }
 
 #[cfg(test)]

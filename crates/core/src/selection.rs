@@ -6,18 +6,16 @@
 //! paper's Active/Dormant screening (§III-D) to keep the network portable
 //! over accounts that still attract attention.
 
-use std::collections::HashMap;
-
 use ph_twitter_sim::engine::Engine;
 use ph_twitter_sim::topics::{TopicEngine, Trend};
-use ph_twitter_sim::{AccountId, TopicCategory};
+use ph_twitter_sim::{AccountId, Profile, TopicCategory};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::attributes::{
-    matches_sample, AttributeKind, ProfileAttribute, SampleAttribute, TrendAttribute,
+    sample_tolerance, AttributeKind, ProfileAttribute, SampleAttribute, TrendAttribute,
 };
 use crate::network::{NodeAssignment, PseudoHoneypotNetwork};
 
@@ -53,20 +51,24 @@ impl Default for SelectorConfig {
     }
 }
 
-/// Which top-k lists a hashtag (or an account's recent hashtags) falls in:
-/// bit `i` for the `TopicCategory::ALL[i]` list, then the three trend lists.
-type TagMask = u16;
-const TRENDING_UP: TagMask = 1 << TopicCategory::ALL.len();
-const TRENDING_DOWN: TagMask = TRENDING_UP << 1;
-const POPULAR: TagMask = TRENDING_UP << 2;
-const ANY_TRENDING: TagMask = TRENDING_UP | TRENDING_DOWN | POPULAR;
+/// What the screen knows of one account: bit `i` when a recent hashtag is
+/// in the `TopicCategory::ALL[i]` top-k list, then one bit per trend list,
+/// then whether it has posted and whether it used no hashtag.
+type Facts = u16;
+const TRENDING_UP: Facts = 1 << TopicCategory::ALL.len();
+const TRENDING_DOWN: Facts = TRENDING_UP << 1;
+const POPULAR: Facts = TRENDING_UP << 2;
+const ANY_TRENDING: Facts = TRENDING_UP | TRENDING_DOWN | POPULAR;
+const POSTED: Facts = TRENDING_UP << 3;
+const NO_HASHTAGS: Facts = TRENDING_UP << 4;
 
-/// The round's top-k lists folded into one lookup: hashtag → [`TagMask`].
-fn tag_masks(topics: &TopicEngine, top_k: usize) -> HashMap<&str, TagMask> {
-    let mut masks: HashMap<&str, TagMask> = HashMap::new();
-    for (i, &category) in TopicCategory::ALL.iter().enumerate() {
-        for tag in topics.top_hashtags(category, top_k) {
-            *masks.entry(tag).or_default() |= 1 << i;
+/// The round's top-k lists folded into one table indexed by topic: the
+/// list bits of each topic in the pool.
+fn tag_masks(topics: &TopicEngine, top_k: usize) -> Vec<Facts> {
+    let mut masks = vec![0; topics.topics().len()];
+    for &category in &TopicCategory::ALL {
+        for topic in topics.top_hashtags(category, top_k) {
+            masks[topic] |= 1 << category.index();
         }
     }
     for (trend, bit) in [
@@ -74,65 +76,49 @@ fn tag_masks(topics: &TopicEngine, top_k: usize) -> HashMap<&str, TagMask> {
         (Trend::Down, TRENDING_DOWN),
         (Trend::Popular, POPULAR),
     ] {
-        for tag in topics.trending(trend, top_k) {
-            *masks.entry(tag).or_default() |= bit;
+        for topic in topics.trending(trend, top_k) {
+            masks[topic] |= bit;
         }
     }
     masks
 }
 
-/// One eligible account as the screen sees it, computed once per round.
-struct Screened {
-    /// Every C1 attribute, in `ProfileAttribute::ALL` order.
-    profile: [f64; ProfileAttribute::ALL.len()],
-    /// OR of the masks of its recent hashtags.
-    tags: TagMask,
-    posted: bool,
-    no_hashtags: bool,
-}
-
-/// A slot's membership test over [`Screened`] facts.
+/// A slot's membership test, with everything that depends only on the
+/// slot worked out once per round.
 enum SlotTest {
-    /// Attribute `ProfileAttribute::ALL[attr]` matches `target`.
-    Profile { attr: usize, target: f64 },
-    /// Some recent hashtag is in one of these lists.
-    Tags(TagMask),
-    /// Posted, but with no hashtags.
-    NoHashtag,
-    /// Posted, but in no trend list.
-    NonTrending,
+    /// `|value - target| <= tolerance` on one profile attribute: the
+    /// arithmetic of [`matches_sample`](crate::attributes::matches_sample),
+    /// with its tolerance precomputed.
+    Profile {
+        attr: ProfileAttribute,
+        target: f64,
+        tolerance: f64,
+    },
+    /// `facts & mask == want`.
+    Facts { mask: Facts, want: Facts },
 }
 
 impl SlotTest {
     fn of(slot: &SampleAttribute) -> Self {
+        let bit = |mask| SlotTest::Facts { mask, want: mask };
         match slot.kind {
-            AttributeKind::Profile(attr) => SlotTest::Profile {
-                attr: ProfileAttribute::ALL
-                    .iter()
-                    .position(|&a| a == attr)
-                    .expect("attribute is in ALL"),
-                target: slot.sample_value.expect("profile slot has sample value"),
+            AttributeKind::Profile(attr) => {
+                let target = slot.sample_value.expect("profile slot has sample value");
+                SlotTest::Profile {
+                    attr,
+                    target,
+                    tolerance: sample_tolerance(target),
+                }
+            }
+            AttributeKind::Hashtag(Some(category)) => bit(1 << category.index()),
+            AttributeKind::Hashtag(None) => bit(POSTED | NO_HASHTAGS),
+            AttributeKind::Trending(TrendAttribute::TrendingUp) => bit(TRENDING_UP),
+            AttributeKind::Trending(TrendAttribute::TrendingDown) => bit(TRENDING_DOWN),
+            AttributeKind::Trending(TrendAttribute::Popular) => bit(POPULAR),
+            AttributeKind::Trending(TrendAttribute::NonTrending) => SlotTest::Facts {
+                mask: POSTED | ANY_TRENDING,
+                want: POSTED,
             },
-            AttributeKind::Hashtag(Some(category)) => SlotTest::Tags(
-                1 << TopicCategory::ALL
-                    .iter()
-                    .position(|&c| c == category)
-                    .expect("category is in ALL"),
-            ),
-            AttributeKind::Hashtag(None) => SlotTest::NoHashtag,
-            AttributeKind::Trending(TrendAttribute::TrendingUp) => SlotTest::Tags(TRENDING_UP),
-            AttributeKind::Trending(TrendAttribute::TrendingDown) => SlotTest::Tags(TRENDING_DOWN),
-            AttributeKind::Trending(TrendAttribute::Popular) => SlotTest::Tags(POPULAR),
-            AttributeKind::Trending(TrendAttribute::NonTrending) => SlotTest::NonTrending,
-        }
-    }
-
-    fn matches(&self, s: &Screened) -> bool {
-        match *self {
-            SlotTest::Profile { attr, target } => matches_sample(s.profile[attr], target),
-            SlotTest::Tags(mask) => s.tags & mask != 0,
-            SlotTest::NoHashtag => s.posted && s.no_hashtags,
-            SlotTest::NonTrending => s.posted && s.tags & ANY_TRENDING == 0,
         }
     }
 }
@@ -145,11 +131,13 @@ impl SlotTest {
 /// rotate through the eligible population (the paper's portability
 /// property).
 ///
-/// One round touches each account once ("the account screening is
-/// extremely fast", §III-B): a single directory pass screens every
-/// eligible account and appends it, in directory order, to the candidate
-/// list of each slot it matches. Slots then claim their quota in order
-/// from their own lists, skipping accounts an earlier slot took.
+/// One round screens each account once ("the account screening is
+/// extremely fast", §III-B): a single directory pass keeps every eligible
+/// account, in directory order, with its topical facts. Each slot then
+/// scans one column — the facts, or the values of its profile attribute,
+/// computed once for a run of slots on the same attribute — for the
+/// accounts it matches that no earlier slot took, shuffles them, and
+/// claims its quota.
 pub fn select_network(
     engine: &Engine,
     slots: &[SampleAttribute],
@@ -160,9 +148,11 @@ pub fn select_network(
     let rest = engine.rest();
     let now_hours = engine.now().whole_hours();
     let masks = tag_masks(engine.topics(), config.top_k);
-    let tests: Vec<SlotTest> = slots.iter().map(SlotTest::of).collect();
 
-    let mut lists: Vec<Vec<AccountId>> = vec![Vec::new(); slots.len()];
+    // The screen: one row per eligible account, in directory order.
+    let mut eligible: Vec<&Profile> = Vec::with_capacity(rest.num_accounts());
+    let mut facts: Vec<Facts> = Vec::with_capacity(rest.num_accounts());
+    let mut attention: Vec<f64> = Vec::with_capacity(rest.num_accounts());
     for profile in rest.profiles() {
         let id = profile.id;
         let activity = rest.activity(id);
@@ -177,55 +167,103 @@ pub fn select_network(
         if !active || rest.is_suspended(id) {
             continue;
         }
-        let mut tags = 0;
-        let mut no_hashtags = true;
-        for tag in rest.recent_hashtags(id) {
-            no_hashtags = false;
-            tags |= masks.get(tag).copied().unwrap_or(0);
-        }
-        let screened = Screened {
-            profile: ProfileAttribute::ALL.map(|attr| attr.value_of(profile)),
-            tags,
-            posted: activity.last_post_at.is_some(),
-            no_hashtags,
+        let mut f = if activity.last_post_at.is_some() {
+            POSTED
+        } else {
+            0
         };
-        for (list, test) in lists.iter_mut().zip(&tests) {
-            if test.matches(&screened) {
-                list.push(id);
-            }
+        let mut no_hashtags = true;
+        for topic in rest.recent_topics(id) {
+            no_hashtags = false;
+            f |= masks[topic];
         }
+        if no_hashtags {
+            f |= NO_HASHTAGS;
+        }
+        eligible.push(profile);
+        facts.push(f);
+        attention.push(activity.recent_mentions_per_hour);
     }
 
-    // Each slot's candidates are its list minus earlier slots' picks —
-    // the same accounts in the same order as a per-slot directory scan,
-    // so the shuffle below draws the same RNG stream.
-    let mut taken = vec![false; rest.num_accounts()];
+    // Each slot's candidates are the rows it matches that no earlier slot
+    // took, in directory order — the same accounts in the same order as a
+    // per-slot directory scan, so the shuffle below draws the same RNG
+    // stream.
+    let rows = eligible.len();
+    let mut taken = vec![false; rows];
+    let mut column: (Option<ProfileAttribute>, Vec<f64>) = (None, Vec::with_capacity(rows));
+    let mut candidates: Vec<usize> = Vec::with_capacity(rows);
+    let mut order: Vec<usize> = Vec::with_capacity(rows);
     let mut nodes = Vec::new();
     let mut shortfalls = Vec::new();
-    for (slot, mut candidates) in slots.iter().zip(lists) {
-        candidates.retain(|id| !taken[id.index()]);
-        candidates.shuffle(&mut rng);
-        if config.rank_by_attention {
-            // Stable sort after the shuffle: attention decides, ties rotate.
-            candidates.sort_by(|&a, &b| {
-                let ma = rest.activity(a).recent_mentions_per_hour;
-                let mb = rest.activity(b).recent_mentions_per_hour;
-                mb.total_cmp(&ma)
-            });
+    for slot in slots {
+        candidates.clear();
+        match SlotTest::of(slot) {
+            SlotTest::Profile {
+                attr,
+                target,
+                tolerance,
+            } => {
+                if column.0 != Some(attr) {
+                    column.1.clear();
+                    column.1.extend(eligible.iter().map(|p| attr.value_of(p)));
+                    column.0 = Some(attr);
+                }
+                let matches = column.1.iter().zip(&taken);
+                compact(
+                    &mut candidates,
+                    matches.map(|(&value, &taken)| !taken & ((value - target).abs() <= tolerance)),
+                );
+            }
+            SlotTest::Facts { mask, want } => {
+                let matches = facts.iter().zip(&taken);
+                compact(
+                    &mut candidates,
+                    matches.map(|(&f, &taken)| !taken & (f & mask == want)),
+                );
+            }
         }
+        candidates.shuffle(&mut rng);
         let quota = config.accounts_per_slot;
         if candidates.len() < quota {
             shortfalls.push((*slot, quota - candidates.len()));
         }
-        for id in candidates.into_iter().take(quota) {
-            taken[id.index()] = true;
+        let picked = quota.min(candidates.len());
+        order.clear();
+        order.extend(0..candidates.len());
+        if config.rank_by_attention && picked > 0 {
+            // The first `picked` of a stable sort by attention after the
+            // shuffle (attention decides, ties rotate), without sorting
+            // the rest: shuffled position breaks ties.
+            let attention = |at: usize| attention[candidates[at]];
+            let rank =
+                |&a: &usize, &b: &usize| attention(b).total_cmp(&attention(a)).then(a.cmp(&b));
+            order.select_nth_unstable_by(picked - 1, rank);
+            order[..picked].sort_unstable_by(rank);
+        }
+        for &at in &order[..picked] {
+            let row = candidates[at];
+            taken[row] = true;
             nodes.push(NodeAssignment {
-                account: id,
+                account: eligible[row].id,
                 slot: *slot,
             });
         }
     }
     PseudoHoneypotNetwork::new(nodes, shortfalls)
+}
+
+/// Sets `rows` to the positions where `keep` is true, in order. Each
+/// position is written and then kept or overwritten, so which rows match
+/// — data, not a pattern — costs no mispredicted branch.
+fn compact(rows: &mut Vec<usize>, keep: impl ExactSizeIterator<Item = bool>) {
+    rows.resize(keep.len(), 0);
+    let mut len = 0;
+    for (row, keep) in keep.enumerate() {
+        rows[len] = row;
+        len += usize::from(keep);
+    }
+    rows.truncate(len);
 }
 
 /// Selects `count` random, non-suspended accounts — the paper's *non
@@ -254,6 +292,7 @@ mod tests {
     use std::collections::HashSet;
 
     use super::*;
+    use crate::attributes::matches_sample;
     use ph_twitter_sim::engine::SimConfig;
 
     /// The selection round as it was before one-pass screening, kept as
@@ -278,7 +317,7 @@ mod tests {
                     topics
                         .top_hashtags(c, config.top_k)
                         .into_iter()
-                        .map(str::to_string)
+                        .map(|i| topics.topics()[i].name.clone())
                         .collect(),
                 )
             })
@@ -287,7 +326,7 @@ mod tests {
             topics
                 .trending(t, config.top_k)
                 .into_iter()
-                .map(str::to_string)
+                .map(|i| topics.topics()[i].name.clone())
                 .collect()
         };
         let up = top_trending(Trend::Up);
@@ -436,9 +475,10 @@ mod tests {
                 ..Default::default()
             });
             let mut at = 0;
-            // No posting history yet, warming up, and past the 24 h
+            // No posting history yet; two hours in, when most candidates
+            // still tie at zero attention; warming up; and past the 24 h
             // dormancy window.
-            for hour in [0, 8, 30] {
+            for hour in [0, 2, 8, 30] {
                 e.run_hours(hour - at);
                 at = hour;
                 let flags = [true, false];
@@ -452,7 +492,9 @@ mod tests {
                     })
                 });
                 for (active_only, rank_by_attention, top_k, dormant_after_hours) in configs {
-                    for (seed, accounts_per_slot) in [(1, 10), (77, 3)] {
+                    // Quotas: the default, a small one, none, and one
+                    // larger than every candidate list.
+                    for (seed, accounts_per_slot) in [(1, 10), (77, 3), (5, 0), (9, 100_000)] {
                         let config = SelectorConfig {
                             accounts_per_slot,
                             active_only,

@@ -17,9 +17,10 @@
 //! [`new`](IngestQueue::new) stamps a constant `0`.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use ph_telemetry::Gauge;
 use ph_twitter_sim::wire::StreamFrame;
 
 struct Inner {
@@ -34,6 +35,10 @@ pub struct IngestQueue {
     stamp: bool,
     inner: Mutex<Inner>,
     ready: Condvar,
+    /// `serve.ingest.depth`, held: a registry lookup per frame would
+    /// allocate and take the registry lock inside this queue's lock.
+    /// `ph_telemetry::reset` zeroes it in place, so the handle stays live.
+    depth: Arc<Gauge>,
 }
 
 impl IngestQueue {
@@ -50,6 +55,7 @@ impl IngestQueue {
                 shed_unclaimed: 0,
             }),
             ready: Condvar::new(),
+            depth: ph_telemetry::gauge("serve.ingest.depth"),
         }
     }
 
@@ -89,7 +95,7 @@ impl IngestQueue {
             }
         }
         inner.frames.push_back((frame, tick));
-        ph_telemetry::gauge("serve.ingest.depth").set(inner.frames.len() as f64);
+        self.depth.set(inner.frames.len() as f64);
         drop(inner);
         self.ready.notify_one();
     }
@@ -109,7 +115,7 @@ impl IngestQueue {
         }
         let frame = inner.frames.pop_front();
         if frame.is_some() {
-            ph_telemetry::gauge("serve.ingest.depth").set(inner.frames.len() as f64);
+            self.depth.set(inner.frames.len() as f64);
         }
         frame
     }

@@ -22,8 +22,9 @@ use crate::topics::TopicCategory;
 /// rolling hashtag window.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TopicExposure {
-    /// Categories present among recent hashtags.
-    pub categories: Vec<TopicCategory>,
+    /// Categories present among recent hashtags, as a set:
+    /// `categories[c.index()]` for category `c`.
+    pub categories: [bool; TopicCategory::ALL.len()],
     /// Recently used a trending-up hashtag.
     pub trending_up: bool,
     /// Recently used a trending-down hashtag.
@@ -74,6 +75,13 @@ impl AttractivenessModel {
     /// The spammer-attraction score of one account (> 0). Spammers pick
     /// victims with probability proportional to this value.
     pub fn score(&self, profile: &Profile, exposure: &TopicExposure) -> f64 {
+        self.score_from(self.profile_factor(profile), exposure)
+    }
+
+    /// The profile half of [`score`](Self::score): the product of its
+    /// profile factors. Profiles do not change while the engine runs, so
+    /// the engine keeps this per account until the model changes.
+    pub fn profile_factor(&self, profile: &Profile) -> f64 {
         let mut score = 1.0;
 
         // Lists-per-day: saturating Hill curve peaking toward ~1–2/day.
@@ -100,6 +108,14 @@ impl AttractivenessModel {
         // follow-spam shapes (ratio ≫ 1) are not (Figure 3(d)).
         let ratio = profile.friend_follower_ratio();
         score *= 0.7 + 0.6 / (1.0 + ratio);
+        score
+    }
+
+    /// [`score`](Self::score) from a [`profile_factor`](Self::profile_factor):
+    /// the topical multipliers are applied after the profile product, in
+    /// the same order, so the result is bit-identical.
+    pub fn score_from(&self, profile_factor: f64, exposure: &TopicExposure) -> f64 {
+        let mut score = profile_factor;
 
         // Topical exposure.
         if exposure.trending_up {
@@ -127,9 +143,10 @@ fn log_scale(value: u64, cap: u64) -> f64 {
 
 /// The strongest category boost among the exposed categories (Figure 4
 /// shows social/general/tech/business capture the most spammers).
-fn category_boost(categories: &[TopicCategory]) -> f64 {
-    categories
+fn category_boost(categories: &[bool; TopicCategory::ALL.len()]) -> f64 {
+    TopicCategory::ALL
         .iter()
+        .filter(|c| categories[c.index()])
         .map(|c| match c {
             TopicCategory::Social => 1.50,
             TopicCategory::Tech => 1.45,
@@ -175,6 +192,12 @@ mod tests {
     use crate::account::AccountId;
     use ph_sketch::GrayImage;
     use rand::SeedableRng;
+
+    fn exposed(category: TopicCategory) -> [bool; TopicCategory::ALL.len()] {
+        let mut categories = [false; TopicCategory::ALL.len()];
+        categories[category.index()] = true;
+        categories
+    }
 
     fn base_profile() -> Profile {
         Profile {
@@ -275,7 +298,7 @@ mod tests {
         let p = base_profile();
         let hashtag = TopicExposure {
             uses_hashtags: true,
-            categories: vec![TopicCategory::Education],
+            categories: exposed(TopicCategory::Education),
             ..Default::default()
         };
         let up = TopicExposure {
@@ -297,7 +320,7 @@ mod tests {
         let none = TopicExposure::default();
         let social = TopicExposure {
             uses_hashtags: true,
-            categories: vec![TopicCategory::Social],
+            categories: exposed(TopicCategory::Social),
             ..Default::default()
         };
         assert!(m.score(&p, &social) > m.score(&p, &none));

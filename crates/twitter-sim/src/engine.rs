@@ -108,8 +108,8 @@ pub struct ActivitySummary {
 #[derive(Debug, Clone, Default)]
 struct AccountState {
     last_post_at: Option<SimTime>,
-    /// Hashtags used recently: (hashtag, hour used).
-    recent_hashtags: VecDeque<(String, u64)>,
+    /// Hashtags used recently: (index into the topic pool, hour used).
+    recent_topics: VecDeque<(usize, u64)>,
     /// EWMA of mentions received per hour.
     mention_ewma: f64,
     /// Mentions received during the current hour.
@@ -132,13 +132,22 @@ pub struct Engine {
     bus: Arc<StreamBus>,
     next_tweet_id: u64,
     stats: EngineStats,
+    /// `config.attract`'s profile factor of each account, by index: kept
+    /// until the model changes, and extended as accounts are added.
+    profile_factors: Vec<f64>,
     /// Cumulative attraction weights over organic accounts, rebuilt hourly.
     victim_cumulative: Vec<f64>,
     /// Organic account indices parallel to `victim_cumulative`.
     victim_indices: Vec<usize>,
     /// Accounts that posted during the last hour (reply targets).
     recent_posters: Vec<AccountId>,
+    /// The hour's five hottest trending-up topics (spam rides them).
+    trending_up: Vec<usize>,
 }
+
+/// A tweet on its way to [`Engine::deliver`], with the pool index of its
+/// hashtag: every simulated tweet carries at most one.
+type Posted = (Tweet, Option<usize>);
 
 impl Engine {
     /// Builds the population, campaigns and topic pool from the config.
@@ -174,9 +183,11 @@ impl Engine {
             bus: Arc::new(StreamBus::default()),
             next_tweet_id: 0,
             stats: EngineStats::default(),
+            profile_factors: Vec::new(),
             victim_cumulative: Vec::new(),
             victim_indices: Vec::new(),
             recent_posters: Vec::new(),
+            trending_up: Vec::new(),
         };
         engine.rebuild_victim_table();
         engine
@@ -265,6 +276,7 @@ impl Engine {
                 let event = event.clone();
                 if let Some(model) = event.attract {
                     self.config.attract = model;
+                    self.profile_factors.clear();
                 }
                 if let Some(shift) = event.stealth {
                     self.apply_stealth_shift(&shift);
@@ -273,8 +285,9 @@ impl Engine {
         }
         self.topics.evolve(&mut self.rng);
         self.rebuild_victim_table();
+        self.trending_up = self.topics.trending(Trend::Up, 5);
         let mut posters: Vec<AccountId> = Vec::new();
-        let mut tweets: Vec<Tweet> = Vec::new();
+        let mut tweets: Vec<Posted> = Vec::new();
 
         for index in 0..self.accounts.len() {
             if self.states[index].suspended {
@@ -306,8 +319,8 @@ impl Engine {
         }
 
         // Deliver, then update rolling state.
-        for tweet in &tweets {
-            self.deliver(tweet);
+        for (tweet, topic) in &tweets {
+            self.deliver(tweet, *topic);
         }
         ph_telemetry::cached_counter!("simulate.tweets_posted").add(tweets.len() as u64);
         self.recent_posters = posters;
@@ -332,7 +345,13 @@ impl Engine {
 
     /// Rebuilds the cumulative attraction table over organic accounts.
     fn rebuild_victim_table(&mut self) {
-        let hour = self.time.whole_hours();
+        let model = &self.config.attract;
+        let known = self.profile_factors.len();
+        self.profile_factors.extend(
+            self.accounts[known..]
+                .iter()
+                .map(|a| model.profile_factor(&a.profile)),
+        );
         self.victim_indices.clear();
         self.victim_cumulative.clear();
         let mut acc = 0.0;
@@ -340,8 +359,8 @@ impl Engine {
             if account.is_spammer() || self.states[i].suspended {
                 continue;
             }
-            let exposure = self.exposure_of(i, hour);
-            let score = self.config.attract.score(&account.profile, &exposure);
+            let exposure = self.exposure_of(i);
+            let score = model.score_from(self.profile_factors[i], &exposure);
             acc += score;
             self.victim_indices.push(i);
             self.victim_cumulative.push(acc);
@@ -349,73 +368,76 @@ impl Engine {
     }
 
     /// Recent topical exposure of an account.
-    fn exposure_of(&self, index: usize, _hour: u64) -> TopicExposure {
+    fn exposure_of(&self, index: usize) -> TopicExposure {
         let mut exposure = TopicExposure::default();
-        for (hashtag, _) in &self.states[index].recent_hashtags {
-            if let Some(topic) = self.topics.topic(hashtag) {
-                exposure.uses_hashtags = true;
-                if !exposure.categories.contains(&topic.category) {
-                    exposure.categories.push(topic.category);
-                }
-                match topic.trend {
-                    Trend::Up => exposure.trending_up = true,
-                    Trend::Down => exposure.trending_down = true,
-                    Trend::Popular => exposure.popular = true,
-                    Trend::Stable => {}
-                }
+        for &(topic, _) in &self.states[index].recent_topics {
+            let topic = &self.topics.topics()[topic];
+            exposure.uses_hashtags = true;
+            exposure.categories[topic.category.index()] = true;
+            match topic.trend {
+                Trend::Up => exposure.trending_up = true,
+                Trend::Down => exposure.trending_down = true,
+                Trend::Popular => exposure.popular = true,
+                Trend::Stable => {}
             }
         }
         exposure
     }
 
     /// One organic (or camouflage) tweet from `index`.
-    fn organic_tweet(&mut self, index: usize, spamlike: bool) -> Tweet {
+    fn organic_tweet(&mut self, index: usize, spamlike: bool) -> Posted {
         let created_at = self.random_minute();
-        let behavior = self.accounts[index].behavior.clone();
+        let behavior = &self.accounts[index].behavior;
+        let (retweet, quote) = (behavior.retweet_probability, behavior.quote_probability);
+        let source_weights = behavior.source_weights;
+        let mention_probability = behavior.mention_probability;
+        let latency_mean = behavior.reaction_latency_minutes;
         let kind = {
             let r = self.rng.random::<f64>();
-            if r < behavior.retweet_probability {
+            if r < retweet {
                 TweetKind::Retweet
-            } else if r < behavior.retweet_probability + behavior.quote_probability {
+            } else if r < retweet + quote {
                 TweetKind::Quote
             } else {
                 TweetKind::Original
             }
         };
-        let source = self.sample_source(&behavior.source_weights);
+        let source = self.sample_source(&source_weights);
 
-        // Hashtags from the account's interests.
-        let mut hashtags = Vec::new();
-        if !behavior.interests.is_empty() && self.rng.random_bool(0.7) {
-            let topic = self
-                .topics
-                .sample_topic(&behavior.interests, &mut self.rng)
-                .name
-                .clone();
-            hashtags.push(topic);
-        }
+        // A hashtag from the account's interests.
+        let interests = &self.accounts[index].behavior.interests;
+        let topic = if !interests.is_empty() && self.rng.random_bool(0.7) {
+            Some(self.topics.sample_topic(interests, &mut self.rng))
+        } else {
+            None
+        };
 
         // Mentions: organic users mostly react to people they actually
         // follow who posted recently; occasionally to any recent poster
         // (discovery via hashtags/retweets).
         let mut mentions = Vec::new();
         let mut reacted_to_post_at = None;
-        if self.rng.random_bool(behavior.mention_probability) {
+        if self.rng.random_bool(mention_probability) {
             let target = if self.rng.random_bool(0.7) {
-                let id = AccountId(index as u32);
                 let now_hours = self.time.whole_hours();
-                let recent_followed: Vec<AccountId> = self
-                    .graph
-                    .following(id)
-                    .iter()
-                    .copied()
-                    .filter(|f| {
-                        self.states[f.index()]
-                            .last_post_at
-                            .is_some_and(|t| now_hours.saturating_sub(t.whole_hours()) <= 2)
-                    })
-                    .collect();
-                recent_followed.choose(&mut self.rng).copied()
+                let states = &self.states;
+                let recent = |f: &&AccountId| {
+                    states[f.index()]
+                        .last_post_at
+                        .is_some_and(|t| now_hours.saturating_sub(t.whole_hours()) <= 2)
+                };
+                let following = self.graph.following(AccountId(index as u32));
+                // `choose` over the recently active followees — one
+                // `random_range(0..n)` draw, none when there are none —
+                // without collecting them.
+                match following.iter().filter(recent).count() {
+                    0 => None,
+                    n => following
+                        .iter()
+                        .filter(recent)
+                        .nth(self.rng.random_range(0..n))
+                        .copied(),
+                }
             } else {
                 self.recent_posters.choose(&mut self.rng).copied()
             };
@@ -424,7 +446,7 @@ impl Engine {
                     mentions.push(target);
                     // Organic reaction latency: the target posted earlier;
                     // reconstruct the observed gap from this user's latency.
-                    let latency = self.exp_minutes(behavior.reaction_latency_minutes);
+                    let latency = self.exp_minutes(latency_mean);
                     reacted_to_post_at =
                         Some(created_at - SimTime::from_minutes(latency.max(1.0) as u64));
                 }
@@ -436,7 +458,8 @@ impl Engine {
         let mut urls = Vec::new();
         if self.rng.random_bool(0.15) {
             let url = benign_url(&mut self.rng);
-            text = format!("{text} {url}");
+            text.push(' ');
+            text.push_str(&url);
             urls.push(url);
         }
         if spamlike {
@@ -447,11 +470,15 @@ impl Engine {
                 .expect("non-empty corpus");
             text = format!("lol this ad says: {phrase}");
         }
-        for h in &hashtags {
-            text = format!("{text} #{h}");
+        let mut hashtags = Vec::new();
+        if let Some(topic) = topic {
+            let name = &self.topics.topics()[topic].name;
+            text.push_str(" #");
+            text.push_str(name);
+            hashtags.push(name.clone());
         }
 
-        self.make_tweet(
+        let tweet = self.make_tweet(
             index,
             created_at,
             kind,
@@ -462,17 +489,20 @@ impl Engine {
             urls,
             reacted_to_post_at,
             false,
-        )
+        );
+        (tweet, topic)
     }
 
     /// Spam mentions from campaign account `index` during this hour.
-    fn spam_activity(&mut self, index: usize, out: &mut Vec<Tweet>) {
-        let behavior = self.accounts[index].behavior.clone();
+    fn spam_activity(&mut self, index: usize, out: &mut Vec<Posted>) {
+        let behavior = &self.accounts[index].behavior;
+        let (flavor, latency_mean) = (behavior.spam_flavor, behavior.reaction_latency_minutes);
+        let source_weights = behavior.source_weights;
         let attempts = self.poisson(behavior.spam_attempts_per_hour);
         if attempts == 0 || self.victim_indices.is_empty() {
             return;
         }
-        let flavor = behavior.spam_flavor.expect("spammer has flavor");
+        let flavor = flavor.expect("spammer has flavor");
         let campaign = &self.campaigns[self.accounts[index]
             .campaign()
             .expect("spammer has campaign")
@@ -482,7 +512,7 @@ impl Engine {
             let victim = self.sample_victim();
             let created_at = self.random_minute();
             // Spammers react to victims almost immediately.
-            let gap = self.exp_minutes(behavior.reaction_latency_minutes).max(1.0);
+            let gap = self.exp_minutes(latency_mean).max(1.0);
             let reacted = Some(created_at - SimTime::from_minutes(gap as u64));
             let text = if self.rng.random_bool(subtle_rate) {
                 crate::text::subtle_spam_payload(&mut self.rng)
@@ -498,14 +528,16 @@ impl Engine {
                 .map(str::to_string)
                 .collect();
             // Spam sometimes rides a trending hashtag for reach.
-            let mut hashtags = Vec::new();
-            if self.rng.random_bool(0.4) {
-                let trending = self.topics.trending(Trend::Up, 5);
-                if let Some(h) = trending.choose(&mut self.rng) {
-                    hashtags.push((*h).to_string());
-                }
-            }
-            let source = self.sample_source(&behavior.source_weights);
+            let topic = if self.rng.random_bool(0.4) {
+                self.trending_up.choose(&mut self.rng).copied()
+            } else {
+                None
+            };
+            let hashtags = topic
+                .map(|t| self.topics.topics()[t].name.clone())
+                .into_iter()
+                .collect();
+            let source = self.sample_source(&source_weights);
             let tweet = self.make_tweet(
                 index,
                 created_at,
@@ -518,7 +550,7 @@ impl Engine {
                 reacted,
                 true,
             );
-            out.push(tweet);
+            out.push((tweet, topic));
         }
         self.states[index].has_spammed = true;
     }
@@ -569,7 +601,9 @@ impl Engine {
     }
 
     /// Publishes a tweet and updates rolling per-account state + stats.
-    fn deliver(&mut self, tweet: &Tweet) {
+    /// `topic` is the pool index of the tweet's hashtag, if it has one.
+    fn deliver(&mut self, tweet: &Tweet, topic: Option<usize>) {
+        debug_assert_eq!(tweet.hashtags.len(), usize::from(topic.is_some()));
         self.bus.publish(tweet);
         self.stats.tweets += 1;
         if tweet.ground_truth_spam {
@@ -581,10 +615,8 @@ impl Engine {
         let hour = self.time.whole_hours();
         let author = tweet.author.index();
         self.states[author].last_post_at = Some(tweet.created_at);
-        for hashtag in &tweet.hashtags {
-            self.states[author]
-                .recent_hashtags
-                .push_back((hashtag.clone(), hour));
+        if let Some(topic) = topic {
+            self.states[author].recent_topics.push_back((topic, hour));
         }
         for mention in &tweet.mentions {
             self.states[mention.index()].mentions_this_hour += 1;
@@ -626,11 +658,11 @@ impl Engine {
             // Exposure window expiry.
             let state = &mut self.states[index];
             while state
-                .recent_hashtags
+                .recent_topics
                 .front()
                 .is_some_and(|&(_, h)| hour.saturating_sub(h) >= window)
             {
-                state.recent_hashtags.pop_front();
+                state.recent_topics.pop_front();
             }
             // Mention EWMA.
             state.mention_ewma =
@@ -725,14 +757,24 @@ impl<'a> RestApi<'a> {
             .is_some_and(|s| s.suspended)
     }
 
-    /// Hashtags the account used within the exposure window (observable
-    /// from its public timeline), oldest first, borrowed from the engine.
-    pub fn recent_hashtags(&self, id: AccountId) -> impl Iterator<Item = &'a str> {
+    /// The hashtags the account used within the exposure window
+    /// (observable from its public timeline), oldest first, as indices
+    /// into the topic pool ([`Engine::topics`]). A topic's index never
+    /// changes, so callers can key per-round tables by it.
+    pub fn recent_topics(&self, id: AccountId) -> impl Iterator<Item = usize> + 'a {
         self.engine
             .states
             .get(id.index())
             .into_iter()
-            .flat_map(|s| s.recent_hashtags.iter().map(|(h, _)| h.as_str()))
+            .flat_map(|s| s.recent_topics.iter().map(|&(topic, _)| topic))
+    }
+
+    /// [`recent_topics`](Self::recent_topics) by hashtag text, borrowed
+    /// from the engine.
+    pub fn recent_hashtags(&self, id: AccountId) -> impl Iterator<Item = &'a str> {
+        let topics = self.engine.topics.topics();
+        self.recent_topics(id)
+            .map(move |topic| topics[topic].name.as_str())
     }
 
     /// Post/mention recency summary for Active/Dormant screening.

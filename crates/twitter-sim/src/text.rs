@@ -233,16 +233,16 @@ pub fn spam_payload(rng: &mut StdRng, flavor: SpamFlavor) -> String {
 pub fn spam_payload_with_noise(rng: &mut StdRng, flavor: SpamFlavor, extra_words: usize) -> String {
     let phrase = flavor.phrases().choose(rng).expect("non-empty corpus");
     let url = malicious_url(rng);
-    let mut parts: Vec<String> = Vec::with_capacity(extra_words + 2);
+    let mut parts: Vec<&str> = Vec::with_capacity(extra_words + 2);
     let before = rng.random_range(0..=extra_words);
     for _ in 0..before {
-        parts.push(BENIGN_WORDS.choose(rng).expect("non-empty").to_string());
+        parts.push(BENIGN_WORDS.choose(rng).expect("non-empty"));
     }
-    parts.push((*phrase).to_string());
+    parts.push(phrase);
     for _ in before..extra_words {
-        parts.push(BENIGN_WORDS.choose(rng).expect("non-empty").to_string());
+        parts.push(BENIGN_WORDS.choose(rng).expect("non-empty"));
     }
-    parts.push(url);
+    parts.push(&url);
     parts.join(" ")
 }
 

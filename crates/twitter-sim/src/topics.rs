@@ -8,6 +8,8 @@
 //! the [`TopicEngine`] plays that role, evolving per-topic "heat" hour by
 //! hour and exposing the equivalent top-k queries.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -46,6 +48,11 @@ impl TopicCategory {
         TopicCategory::Social,
         TopicCategory::Astrology,
     ];
+
+    /// Position in [`TopicCategory::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
     /// Lowercase label used in hashtag names and reports.
     pub fn label(self) -> &'static str {
@@ -177,65 +184,73 @@ impl TopicEngine {
         }
     }
 
-    /// All topics.
+    /// All topics, category-major in [`TopicCategory::ALL`] order. The
+    /// pool is built once: a topic's index is stable for the engine's
+    /// lifetime, and only its heat, momentum and trend evolve.
     pub fn topics(&self) -> &[Topic] {
         &self.topics
     }
 
-    /// The `k` hottest hashtags of a category (the provider's per-category
-    /// "top 10" list).
-    pub fn top_hashtags(&self, category: TopicCategory, k: usize) -> Vec<&str> {
-        let mut in_cat: Vec<&Topic> = self
-            .topics
-            .iter()
-            .filter(|t| t.category == category)
+    /// The index range of one category's block of the pool.
+    fn block(&self, category: TopicCategory) -> Range<usize> {
+        let per_category = self.topics.len() / TopicCategory::ALL.len();
+        let start = category.index() * per_category;
+        start..start + per_category
+    }
+
+    /// Indices of the `k` hottest topics that `keep` admits, hottest
+    /// first; equal heats keep pool order.
+    fn hottest(&self, k: usize, keep: impl Fn(&Topic) -> bool) -> Vec<usize> {
+        let mut matching: Vec<usize> = (0..self.topics.len())
+            .filter(|&i| keep(&self.topics[i]))
             .collect();
-        in_cat.sort_by(|a, b| b.heat.total_cmp(&a.heat));
-        in_cat
-            .into_iter()
-            .take(k)
-            .map(|t| t.name.as_str())
-            .collect()
-    }
-
-    /// The `k` hottest topics currently in trend state `trend`.
-    pub fn trending(&self, trend: Trend, k: usize) -> Vec<&str> {
-        let mut matching: Vec<&Topic> = self.topics.iter().filter(|t| t.trend == trend).collect();
-        matching.sort_by(|a, b| b.heat.total_cmp(&a.heat));
+        matching.sort_by(|&a, &b| self.topics[b].heat.total_cmp(&self.topics[a].heat));
+        matching.truncate(k);
         matching
-            .into_iter()
-            .take(k)
-            .map(|t| t.name.as_str())
-            .collect()
     }
 
-    /// Looks a topic up by hashtag name.
-    pub fn topic(&self, name: &str) -> Option<&Topic> {
-        self.topics.iter().find(|t| t.name == name)
+    /// Indices of the `k` hottest topics of a category (the provider's
+    /// per-category "top 10" list).
+    pub fn top_hashtags(&self, category: TopicCategory, k: usize) -> Vec<usize> {
+        self.hottest(k, |t| t.category == category)
+    }
+
+    /// Indices of the `k` hottest topics currently in trend state `trend`.
+    pub fn trending(&self, trend: Trend, k: usize) -> Vec<usize> {
+        self.hottest(k, |t| t.trend == trend)
     }
 
     /// Samples a topic for an account with the given interests, weighted by
-    /// heat (hot topics get talked about more). Falls back to any topic when
-    /// `interests` is empty.
-    pub fn sample_topic(&self, interests: &[TopicCategory], rng: &mut StdRng) -> &Topic {
-        let pool: Vec<&Topic> = if interests.is_empty() {
-            self.topics.iter().collect()
-        } else {
-            self.topics
-                .iter()
-                .filter(|t| interests.contains(&t.category))
-                .collect()
-        };
-        debug_assert!(!pool.is_empty(), "topic pool cannot be empty");
-        let total: f64 = pool.iter().map(|t| t.heat).sum();
-        let mut draw = rng.random::<f64>() * total;
-        for topic in &pool {
-            draw -= topic.heat;
+    /// heat (hot topics get talked about more), and returns its index.
+    /// Falls back to any topic when `interests` is empty.
+    pub fn sample_topic(&self, interests: &[TopicCategory], rng: &mut StdRng) -> usize {
+        let mut draw = rng.random::<f64>() * self.pool_heat(interests);
+        let mut last = 0;
+        for i in self.pool(interests) {
+            draw -= self.topics[i].heat;
             if draw <= 0.0 {
-                return topic;
+                return i;
             }
+            last = i;
         }
-        pool[pool.len() - 1]
+        last
+    }
+
+    /// The indices [`sample_topic`](Self::sample_topic) draws from: the
+    /// interests' category blocks in [`TopicCategory::ALL`] order, which
+    /// is pool order.
+    fn pool<'a>(&'a self, interests: &'a [TopicCategory]) -> impl Iterator<Item = usize> + 'a {
+        TopicCategory::ALL
+            .iter()
+            .filter(move |c| interests.is_empty() || interests.contains(c))
+            .flat_map(move |&c| self.block(c))
+    }
+
+    /// The pool's total heat, summed topic by topic in pool order — the
+    /// order a filter over the whole pool sums in, so it rounds the same.
+    /// (Per-category subtotals would round differently.)
+    fn pool_heat(&self, interests: &[TopicCategory]) -> f64 {
+        self.pool(interests).map(|i| self.topics[i].heat).sum()
     }
 }
 
@@ -264,10 +279,13 @@ mod tests {
         let (e, _) = engine(2);
         let top = e.top_hashtags(TopicCategory::Tech, 5);
         assert_eq!(top.len(), 5);
-        let heats: Vec<f64> = top.iter().map(|n| e.topic(n).unwrap().heat).collect();
+        let heats: Vec<f64> = top.iter().map(|&i| e.topics()[i].heat).collect();
         for w in heats.windows(2) {
             assert!(w[0] >= w[1]);
         }
+        assert!(top
+            .iter()
+            .all(|&i| e.topics()[i].category == TopicCategory::Tech));
     }
 
     #[test]
@@ -301,17 +319,87 @@ mod tests {
         let (e, mut rng) = engine(5);
         for _ in 0..50 {
             let t = e.sample_topic(&[TopicCategory::Astrology], &mut rng);
-            assert_eq!(t.category, TopicCategory::Astrology);
+            assert_eq!(e.topics()[t].category, TopicCategory::Astrology);
         }
     }
 
     #[test]
     fn sample_topic_with_no_interests_uses_all() {
         let (e, mut rng) = engine(6);
-        // Should not panic and should return valid topics.
-        for _ in 0..20 {
-            let t = e.sample_topic(&[], &mut rng);
-            assert!(e.topic(&t.name).is_some());
+        let mut categories = std::collections::HashSet::new();
+        for _ in 0..200 {
+            categories.insert(e.topics()[e.sample_topic(&[], &mut rng)].category);
+        }
+        assert_eq!(categories.len(), TopicCategory::ALL.len());
+    }
+
+    /// Topic sampling as it was before the pool was walked by category
+    /// block, kept as the oracle: a filtered `Vec` of the pool, summed and
+    /// walked in pool order.
+    fn sample_topic_reference<'a>(
+        e: &'a TopicEngine,
+        interests: &[TopicCategory],
+        rng: &mut StdRng,
+    ) -> &'a Topic {
+        let pool: Vec<&Topic> = if interests.is_empty() {
+            e.topics.iter().collect()
+        } else {
+            e.topics
+                .iter()
+                .filter(|t| interests.contains(&t.category))
+                .collect()
+        };
+        let total: f64 = pool.iter().map(|t| t.heat).sum();
+        let mut draw = rng.random::<f64>() * total;
+        for topic in &pool {
+            draw -= topic.heat;
+            if draw <= 0.0 {
+                return topic;
+            }
+        }
+        pool[pool.len() - 1]
+    }
+
+    #[test]
+    fn sample_topic_matches_the_pool_reference_for_every_interest_subset() {
+        let (mut e, mut rng) = engine(7);
+        for round in 0..4 {
+            e.evolve(&mut rng);
+            for subset in 0u32..1 << TopicCategory::ALL.len() {
+                let mut interests: Vec<TopicCategory> = TopicCategory::ALL
+                    .iter()
+                    .copied()
+                    .filter(|c| subset & (1 << c.index()) != 0)
+                    .collect();
+                // Interest lists are not kept in category order.
+                if round % 2 == 1 {
+                    interests.reverse();
+                }
+                let reference_heat: f64 = e
+                    .topics
+                    .iter()
+                    .filter(|t| interests.is_empty() || interests.contains(&t.category))
+                    .map(|t| t.heat)
+                    .sum();
+                assert_eq!(
+                    e.pool_heat(&interests).to_bits(),
+                    reference_heat.to_bits(),
+                    "subset {subset:#010b}: the heat total must round as the pool sum did"
+                );
+                let seed = u64::from(subset) + 1_000 * round;
+                let mut ours = StdRng::seed_from_u64(seed);
+                let mut theirs = StdRng::seed_from_u64(seed);
+                for _ in 0..16 {
+                    let index = e.sample_topic(&interests, &mut ours);
+                    let expected = sample_topic_reference(&e, &interests, &mut theirs);
+                    assert_eq!(
+                        &e.topics()[index],
+                        expected,
+                        "subset {subset:#010b}, round {round}"
+                    );
+                }
+                assert_eq!(ours.random::<u64>(), theirs.random::<u64>());
+            }
         }
     }
 
