@@ -110,6 +110,20 @@ print(f"    torn checkpoint log cut {counters['store.recovery.truncated_bytes']}
       "replay unchanged")
 EOF
 
+echo "==> in-memory vs durable sniff (one hour step, two sinks)"
+# `sniff` and `sniff --store` close every hour through the same step and
+# differ only in its sink: their stdout must match apart from the store's
+# own summary line and the blank line before it.
+"$BIN" sniff "${SNIFF_ARGS[@]}" --quiet > "$SMOKE/sniff-memory.out"
+"$BIN" sniff --store "$SMOKE/sniff-durable" "${SNIFF_ARGS[@]}" --quiet \
+    > "$SMOKE/sniff-durable.out"
+grep -q "^store: " "$SMOKE/sniff-durable.out" \
+    || { echo "sniff --store printed no store line"; exit 1; }
+diff "$SMOKE/sniff-memory.out" \
+    <(sed -e '/^store: /d' "$SMOKE/sniff-durable.out" | sed -e '${/^$/d}') \
+    || { echo "sniff and sniff --store diverged beyond the store line"; exit 1; }
+echo "    sniff and sniff --store print the same run"
+
 echo "==> store kill -9 smoke (SIGKILL at three seeded instants, --resume, diff stdout)"
 # --crash-after exits cooperatively, after the store's writer thread has
 # drained; a SIGKILL lands anywhere, an hour in flight on the writer

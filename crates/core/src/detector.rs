@@ -544,14 +544,21 @@ mod tests {
         }
     }
 
-    /// The daemon classifies from its own copy of the replica's profile
-    /// directory, extended by the accounts each hour creates. Under heavy
-    /// suspension and replacement churn that copy must give the engine's
-    /// verdicts bit for bit, every hour.
+    /// The hour step gives the same result from the engine and from the
+    /// wire. Engine-fed, as `sniff`: one engine behind a filtered
+    /// subscription. Wire-fed, as the daemon: a producer's firehose
+    /// crosses the wire unlabeled, and a replica plans each hour — truth
+    /// for the re-stamp, new profiles for the copy.
+    /// Under heavy suspension and replacement churn both must give equal
+    /// batches and, bit for bit, the verdicts of classifying from the
+    /// engine itself, every hour.
     #[test]
     fn classify_hour_from_a_profile_copy_matches_the_engine() {
-        use crate::monitor::{MemorySink, StreamMonitor};
-        use ph_twitter_sim::Profile;
+        use crate::monitor::{MemorySink, RunState, StreamMonitor};
+        use crate::step::{EngineHours, HourStep};
+        use ph_twitter_sim::api::DEFAULT_QUEUE_CAPACITY;
+        use ph_twitter_sim::wire::{decode_frame, encode_frame};
+        use ph_twitter_sim::Tweet;
 
         let (training_engine, collected, labels) = pipeline_run();
         let (data, _) = build_training_data(&collected, &labels, &training_engine, 0.01);
@@ -562,23 +569,18 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut from_engine = StreamClassifier::new(SpamDetector::train(&config, &data));
-        let mut from_copy = StreamClassifier::new(SpamDetector::train(&config, &data));
-
-        let mut live = Engine::new(SimConfig {
-            seed: 72,
-            num_organic: 600,
-            num_campaigns: 4,
-            accounts_per_campaign: 8,
-            suspension_rate_per_hour: 0.5,
-            campaign_replenishment_rate: 1.0,
-            ..Default::default()
-        });
-        let streaming = live.streaming();
-        let firehose =
-            streaming.firehose_with_capacity(ph_twitter_sim::api::DEFAULT_QUEUE_CAPACITY);
-        let mut profiles: Vec<Profile> = live.rest().profiles().cloned().collect();
-        let initial_accounts = profiles.len();
+        let classifier = || StreamClassifier::new(SpamDetector::train(&config, &data));
+        let world = || {
+            Engine::new(SimConfig {
+                seed: 72,
+                num_organic: 600,
+                num_campaigns: 4,
+                accounts_per_campaign: 8,
+                suspension_rate_per_hour: 0.5,
+                campaign_replenishment_rate: 1.0,
+                ..Default::default()
+            })
+        };
         let runner = Runner::new(RunnerConfig {
             slots: vec![
                 SampleAttribute::profile(ProfileAttribute::ListsPerDay, 1.0),
@@ -588,30 +590,73 @@ mod tests {
             ..Default::default()
         });
         let exec = ExecConfig::with_threads(2);
-        let mut monitor = StreamMonitor::new(runner, 12);
+        let capacity = DEFAULT_QUEUE_CAPACITY;
+        let hours = 12;
+
+        let mut live = world();
+        let initial_accounts = live.rest().num_accounts();
+        let mut sniff_hours = EngineHours::new(&live, capacity, &RunState::default());
+        let mut sniff = HourStep::new(
+            StreamMonitor::new(runner.clone(), hours),
+            classifier(),
+            &live,
+            exec.clone(),
+        );
+
+        let mut producer = world();
+        let wire = producer.streaming();
+        let feed = wire.firehose_with_capacity(capacity);
+        let mut replica = world();
+        let mut replica_hours = EngineHours::new(&replica, capacity, &RunState::default());
+        let mut served = HourStep::new(
+            StreamMonitor::new(runner.clone(), hours),
+            classifier(),
+            &replica,
+            exec.clone(),
+        );
+
+        let mut from_engine = classifier();
+        let bits = |v: &[Verdict]| -> Vec<(bool, u64)> {
+            v.iter().map(|v| (v.spam, v.score.to_bits())).collect()
+        };
         let mut classified = 0;
-        while !monitor.complete() {
-            monitor.begin_hour(&mut live);
-            let delivered = streaming.poll(firehose).unwrap();
-            let batch = monitor.finish_hour(delivered, 0, &mut MemorySink).unwrap();
-            let known = profiles.len();
-            profiles.extend(live.rest().profiles().skip(known).cloned());
+        while !sniff.monitor.complete() {
+            let state = sniff.monitor.state().clone();
+            let (plan, delivered, shed) =
+                sniff_hours.next(&runner, &mut live, state.next_hour, state.round);
+            let (batch, verdicts) = sniff.close(plan, delivered, shed, &mut MemorySink).unwrap();
+
+            producer.step_hour();
+            let delivered: Vec<Tweet> = wire
+                .poll(feed)
+                .unwrap()
+                .iter()
+                .map(|t| decode_frame(&encode_frame(t)).unwrap())
+                .collect();
+            let cursor = served.monitor.state();
+            let (plan, _, _) =
+                replica_hours.next(&runner, &mut replica, cursor.next_hour, cursor.round);
+            let (served_batch, served_verdicts) =
+                served.close(plan, delivered, 0, &mut MemorySink).unwrap();
+
+            let hour = state.next_hour;
+            assert_eq!(served_batch, batch, "hour {hour}: the batches diverged");
             let expected = from_engine.classify_hour(&batch, &live, &exec);
-            let got = from_copy.classify_hour(&batch, profiles.as_slice(), &exec);
-            let bits = |v: &[Verdict]| -> Vec<(bool, u64)> {
-                v.iter().map(|v| (v.spam, v.score.to_bits())).collect()
-            };
             assert_eq!(
-                bits(&got),
+                bits(&verdicts),
                 bits(&expected),
-                "hour {} diverged",
-                monitor.state().next_hour - 1
+                "hour {hour}: the engine-fed step diverged from the engine"
+            );
+            assert_eq!(
+                bits(&served_verdicts),
+                bits(&expected),
+                "hour {hour}: the wire-fed step diverged from the engine"
             );
             classified += batch.len();
         }
         assert!(classified > 0, "nothing was classified");
         assert!(
-            profiles.len() > initial_accounts,
+            live.rest().num_accounts() > initial_accounts,
             "churn created no accounts"
         );
     }

@@ -17,7 +17,9 @@
 //! 7. [`pge`] — per-attribute statistics and the PGE metric (§V-E),
 //! 8. [`advanced`] — the top-10-attribute advanced system (§V-E),
 //! 9. [`baselines`] — random-account and traditional-honeypot baselines,
-//!    plus the published Table VII rows.
+//!    plus the published Table VII rows,
+//! 10. [`step`] — the hourly cycle (plan → monitor → classify) that
+//!     `sniff`, `replay` and the `serve` daemon share.
 //!
 //! # Example: a complete sniffing campaign
 //!
@@ -57,6 +59,7 @@ pub mod network;
 pub mod observe;
 pub mod pge;
 pub mod selection;
+pub mod step;
 
 pub use attributes::{AttributeKind, ProfileAttribute, SampleAttribute, TrendAttribute};
 pub use detector::{DetectorConfig, SpamDetector, StreamClassifier, Verdict};

@@ -7,11 +7,10 @@
 //! per-attribute statistics (Tables V–VI, Figures 3–5) aggregate over.
 //! [`StreamMonitor`] is the one place an hour is accounted for: the
 //! batch [`Runner::run_segment`] drives it from a filtered subscription,
-//! the daemon from its ingest queue.
+//! and [`crate::step::HourStep`] — the hour body of `sniff` and the
+//! daemon — from whatever delivery its caller owns.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use ph_exec::ExecConfig;
 use ph_twitter_sim::engine::Engine;
@@ -21,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use crate::attributes::SampleAttribute;
 use crate::network::PseudoHoneypotNetwork;
 use crate::selection::{select_network, SelectorConfig};
+use crate::step::EngineHours;
 
 /// Which of the paper's three collection categories a tweet falls into
 /// (§III-E). Categories (2) and (3) are distinguished only *after*
@@ -222,10 +222,6 @@ fn per_hour_volume_buckets() -> Vec<f64> {
 pub struct Runner {
     config: RunnerConfig,
     exec: ExecConfig,
-    /// Cooperative stop request, checked at hour boundaries. Lives on the
-    /// runner (not the serializable [`RunnerConfig`]) so signal handlers
-    /// can ask a run to checkpoint-and-exit between hours.
-    stop: Option<Arc<AtomicBool>>,
 }
 
 impl Runner {
@@ -240,29 +236,7 @@ impl Runner {
     /// [`StreamMonitor::finish_hour`]), so collected output is the same
     /// as [`Runner::new`]'s.
     pub fn with_exec(config: RunnerConfig, exec: ExecConfig) -> Self {
-        Self {
-            config,
-            exec,
-            stop: None,
-        }
-    }
-
-    /// Attaches a cooperative stop flag: once set (e.g. by a SIGINT
-    /// handler), [`Runner::run_segment`] stops cleanly at the next hour
-    /// boundary — every completed hour fully delivered to the sink, the
-    /// cursor pointing at the first unsimulated hour — so the run can be
-    /// resumed exactly like one bounded by `segment_hours`.
-    #[must_use]
-    pub fn with_stop_flag(mut self, stop: Arc<AtomicBool>) -> Self {
-        self.stop = Some(stop);
-        self
-    }
-
-    /// Whether the attached stop flag (if any) has been raised.
-    pub fn stop_requested(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
+        Self { config, exec }
     }
 
     /// The configuration.
@@ -342,46 +316,28 @@ impl Runner {
     {
         let _run_span = ph_telemetry::span("monitor.run");
         let _run_phase = ph_trace::phase("monitor.run");
-        let streaming = engine.streaming();
-        let subscription = streaming.track_mentions_with_capacity([], self.config.buffer_capacity);
-        if !state.membership.is_empty() {
-            // Resumed mid-interval: re-point the stream at the node set the
-            // checkpoint recorded.
-            streaming
-                .set_filter(subscription, state.membership.iter().map(|&(a, _)| a))
-                .expect("subscription is open");
-        }
+        let mut hours = EngineHours::new(engine, self.config.buffer_capacity, state);
         let end = total_hours.min(state.next_hour.saturating_add(segment_hours));
         let mut monitor = StreamMonitor::resume(self.clone(), total_hours, std::mem::take(state));
         let retain = sink.retain_in_memory();
         let mut collected = Vec::new();
-        let mut dropped_before = 0;
-        let mut hours = || -> std::io::Result<()> {
-            while monitor.state.next_hour < end && !self.stop_requested() {
+        let mut run_hours = || -> std::io::Result<()> {
+            while monitor.state.next_hour < end {
                 let round = monitor.state.round;
-                let (network, hour) = self.open_hour_with(engine, monitor.state.next_hour, |e| {
-                    let network = make_network(e, round);
-                    streaming
-                        .set_filter(subscription, network.account_ids())
-                        .expect("subscription is open");
-                    network
-                });
+                let (network, hour, polled, shed) =
+                    hours.open_with(self, engine, monitor.state.next_hour, |e| {
+                        make_network(e, round)
+                    });
                 monitor.begin_hour_with(network, hour);
-                let polled = streaming.poll(subscription).expect("subscription is open");
-                let dropped = streaming
-                    .dropped(subscription)
-                    .expect("subscription is open");
-                let batch = monitor.finish_hour(polled, dropped - dropped_before, sink)?;
-                dropped_before = dropped;
+                let batch = monitor.finish_hour(polled, shed, sink)?;
                 if retain {
                     collected.extend(batch);
                 }
             }
             Ok(())
         };
-        let outcome = hours();
+        let outcome = run_hours();
         monitor.finish(self.config.buffer_capacity);
-        streaming.close(subscription);
         *state = monitor.state;
         outcome?;
         Ok(MonitorReport {
@@ -396,9 +352,9 @@ impl Runner {
     }
 
     /// The engine side of opening run-relative hour `hour_index`: selects
-    /// switch round `round`'s network if one is due (on `engine` *before*
-    /// stepping, like the batch loop), then steps `engine` into the hour.
-    /// Returns the network and the absolute hour stepped through — what
+    /// the network with `select` if a switch is due (on `engine` *before*
+    /// stepping), then steps `engine` into the hour. Returns the network
+    /// and the absolute hour stepped through — what
     /// [`StreamMonitor::begin_hour_with`] takes.
     ///
     /// Telemetry lands on the calling thread, wherever that is: the
@@ -406,17 +362,7 @@ impl Runner {
     /// `monitor.switch` / `sim.step_hour` trace phases, which are flushed
     /// to the trace sink before returning so a dedicated thread needs no
     /// teardown of its own.
-    pub fn open_hour(
-        &self,
-        engine: &mut Engine,
-        hour_index: u64,
-        round: u64,
-    ) -> (Option<PseudoHoneypotNetwork>, u64) {
-        self.open_hour_with(engine, hour_index, |e| self.select(e, round))
-    }
-
-    /// [`Runner::open_hour`] with the selection supplied by the caller.
-    fn open_hour_with(
+    pub(crate) fn open_hour_with(
         &self,
         engine: &mut Engine,
         hour_index: u64,
@@ -444,14 +390,14 @@ impl Runner {
 
     /// The standard selection strategy as a `make_network` closure: slot
     /// plan + selector from the config, selection seed rotated per round.
-    /// [`Runner::run`] and the store-backed resumable runs share it so a
-    /// resumed run re-selects exactly as the original would have.
+    /// It is the selection [`crate::step::EngineHours::next`] makes, so a
+    /// run driven either way re-selects exactly as the other would.
     pub fn standard_networks(&self) -> impl FnMut(&Engine, u64) -> PseudoHoneypotNetwork + '_ {
         move |engine, round| self.select(engine, round)
     }
 
     /// Switch round `round`'s standard selection on `engine`.
-    fn select(&self, engine: &Engine, round: u64) -> PseudoHoneypotNetwork {
+    pub(crate) fn select(&self, engine: &Engine, round: u64) -> PseudoHoneypotNetwork {
         select_network(
             engine,
             &self.config.slots,
@@ -498,17 +444,18 @@ impl Runner {
 /// One monitoring hour at a time: the switch → categorize → account
 /// cycle every monitoring run goes through, for whoever delivers the
 /// hour's tweets. [`Runner::run_segment`] drives it from an engine-side
-/// filtered subscription; the daemon drives it from a socket ingest queue.
+/// filtered subscription; [`crate::step::HourStep`] — `sniff`'s and the
+/// daemon's hour body — drives it from a plan built wherever the engine
+/// runs and a delivery its caller owns.
 ///
-/// For the daemon the engine behind each hour is its *replica*: a
-/// deterministic re-simulation stepped once per wire-marked hour so that
-/// network selection and REST lookups see exactly the state the
-/// producer's engine had. [`begin_hour`](StreamMonitor::begin_hour)
-/// selects on and steps it in place; the daemon does both ahead of time
-/// on the replica's own thread and opens the hour with
-/// [`begin_hour_with`](StreamMonitor::begin_hour_with). Either way the
-/// journal, series, and checkpoint stream come from this one cycle, so
-/// `inspect` works on a serve store unchanged.
+/// [`begin_hour`](StreamMonitor::begin_hour) selects on and steps an
+/// engine in place; [`begin_hour_with`](StreamMonitor::begin_hour_with)
+/// applies work done elsewhere — for the daemon, on its *replica*'s
+/// thread, a deterministic re-simulation stepped once per wire-marked
+/// hour so that network selection and REST lookups see exactly the state
+/// the producer's engine had. Either way the journal, series, and
+/// checkpoint stream come from this one cycle, so `inspect` works on a
+/// serve store unchanged.
 ///
 /// Categorization drops tweets from outside the node set — the same
 /// predicate the filtered subscription applies engine-side — so a
@@ -572,20 +519,18 @@ impl StreamMonitor {
         self.state.next_hour >= self.total_hours
     }
 
-    /// Opens the next hour on `engine`: [`Runner::open_hour`] (select if a
-    /// switch is due, then step) followed by
+    /// Opens the next hour on `engine` — selects if a switch is due, then
+    /// steps — followed by
     /// [`begin_hour_with`](StreamMonitor::begin_hour_with). Call exactly
-    /// once before each [`finish_hour`](StreamMonitor::finish_hour); the
-    /// window between the two is where the daemon re-labels evaluation
-    /// sidecars from the freshly stepped replica.
+    /// once before each [`finish_hour`](StreamMonitor::finish_hour).
     ///
     /// # Panics
     ///
     /// Panics if the run is already complete or an hour is already open.
     pub fn begin_hour(&mut self, engine: &mut Engine) {
-        let (network, hour) = self
-            .runner
-            .open_hour(engine, self.state.next_hour, self.state.round);
+        let (runner, round) = (&self.runner, self.state.round);
+        let (network, hour) =
+            runner.open_hour_with(engine, self.state.next_hour, |e| runner.select(e, round));
         self.begin_hour_with(network, hour);
     }
 
@@ -654,7 +599,7 @@ impl StreamMonitor {
     /// # Panics
     ///
     /// Panics if no hour is open.
-    pub fn finish_hour<S: MonitorSink>(
+    pub fn finish_hour<S: MonitorSink + ?Sized>(
         &mut self,
         delivered: Vec<Tweet>,
         shed: u64,
@@ -1069,65 +1014,6 @@ mod tests {
         let fh2 = s2.firehose_with_capacity(ph_twitter_sim::api::DEFAULT_QUEUE_CAPACITY);
         let mut resumed = StreamMonitor::resume(runner, 10, state);
         merged.merge(&stream_monitor_hours(&mut resumed, &mut e2, (&s2, fh2), 10));
-        assert_eq!(merged, full);
-    }
-
-    #[test]
-    fn stop_flag_halts_run_segment_at_an_hour_boundary() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let runner = small_runner(24).with_stop_flag(Arc::clone(&stop));
-        let mut e = engine();
-        let mut state = RunState::default();
-
-        struct StopAfter {
-            stop: Arc<AtomicBool>,
-            hours: u64,
-        }
-        impl MonitorSink for StopAfter {
-            fn on_tweet(&mut self, _c: &CollectedTweet) -> std::io::Result<()> {
-                Ok(())
-            }
-            fn on_hour(&mut self, state: &RunState, _s: &MonitorReport) -> std::io::Result<()> {
-                if state.next_hour >= self.hours {
-                    self.stop.store(true, Ordering::Relaxed);
-                }
-                Ok(())
-            }
-        }
-        let mut sink = StopAfter {
-            stop: Arc::clone(&stop),
-            hours: 3,
-        };
-        let report = runner
-            .run_segment(
-                &mut e,
-                &mut state,
-                12,
-                u64::MAX,
-                runner.standard_networks(),
-                &mut sink,
-            )
-            .unwrap();
-        assert!(runner.stop_requested());
-        assert_eq!(state.next_hour, 3, "did not stop at the flagged boundary");
-        assert_eq!(report.hours, 3);
-
-        // The stopped run resumes exactly like a crash-resumed one.
-        let full = small_runner(24).run(&mut engine(), 12);
-        let mut resumed_engine = engine();
-        resumed_engine.run_hours(state.next_hour);
-        let resumed = small_runner(24)
-            .run_segment(
-                &mut resumed_engine,
-                &mut state,
-                12,
-                u64::MAX,
-                small_runner(24).standard_networks(),
-                &mut MemorySink,
-            )
-            .unwrap();
-        let mut merged = report;
-        merged.merge(&resumed);
         assert_eq!(merged, full);
     }
 

@@ -164,20 +164,6 @@ pub fn stage_stats(stage: &str) -> Option<AllocStats> {
     Some(slot_stats(i + 1))
 }
 
-/// Zeroes every tally (stage names stay interned). For tests and for
-/// per-phase measurement windows.
-pub fn reset_counts() {
-    for slot in &SLOTS {
-        slot.allocs.store(0, Ordering::Relaxed);
-        slot.bytes.store(0, Ordering::Relaxed);
-        slot.frees.store(0, Ordering::Relaxed);
-        slot.freed_bytes.store(0, Ordering::Relaxed);
-    }
-    LIVE_BYTES.store(0, Ordering::Relaxed);
-    PEAK_BYTES.store(0, Ordering::Relaxed);
-    SCOPE_OVERFLOW.store(0, Ordering::Relaxed);
-}
-
 /// Flushes the profiling state into the `ph-telemetry` registry as
 /// `prof.*` gauges, where the JSON report and Prometheus exporter pick
 /// it up: per-stage `prof.alloc.<stage>.{allocs,bytes,frees,freed_bytes}`,

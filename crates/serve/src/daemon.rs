@@ -1,5 +1,8 @@
 //! The daemon: a long-lived monitor → extract → classify pipeline fed by
-//! wire frames.
+//! wire frames. Each hour is closed by the hour step `sniff` also runs
+//! ([`HourStep::close`]); the daemon keeps only the I/O around it: the
+//! listener and ingest queue, the replica thread, the store's durability
+//! barrier, the verdict writer, SLO stamps and the watchdog.
 //!
 //! # The two-engine design
 //!
@@ -8,38 +11,23 @@
 //! its firehose. The daemon owns a second engine — the **replica** —
 //! built from the same manifest and stepped exactly once per wire-marked
 //! hour. Because the simulation is deterministic, the replica's world
-//! state (profiles, suspensions, trends, ground truth) is identical to
-//! the producer's at every boundary, which gives the daemon three things
-//! the wire deliberately does not carry:
-//!
-//! 1. **Network selection**: the hourly attribute switch reads the
-//!    replica *before* stepping into the hour, exactly like the batch
-//!    runner.
-//! 2. **REST context**: feature extraction and classification look up
-//!    author profiles in the replica's profile directory.
-//! 3. **Evaluation sidecars**: ground-truth labels never cross the wire
-//!    (decoded tweets always arrive unlabeled), so each hour the daemon
-//!    polls its replica's own firehose and re-stamps the delivered
-//!    tweets from the replica's oracle before they are stored — stored
-//!    bytes match a batch run's exactly.
+//! state is identical to the producer's at every boundary, which gives
+//! the daemon what the wire deliberately does not carry: the hourly
+//! network selection, the profiles new accounts bring (classification
+//! reads them from the step's profile copy), and the ground truth the
+//! step re-stamps the delivered tweets' evaluation sidecars from — wire
+//! tweets always arrive unlabeled, yet stored bytes match a batch run's.
 //!
 //! # Replica look-ahead
 //!
 //! None of that depends on what the wire delivers, so the replica runs on
-//! its own thread ahead of the hour loop. For each hour it selects the
-//! network when a switch is due, steps, and turns its firehose tap into
-//! the hour's `TweetId → spam` truth map; the result travels to the hour
-//! loop as a `ReplicaHour` plan over a channel of `LOOKAHEAD_HOURS`.
-//! At a boundary the hour loop only applies the plan
-//! ([`StreamMonitor::begin_hour_with`]), re-stamps, categorizes, stores,
-//! classifies and writes verdicts. The store's writer thread makes the
+//! its own thread ahead of the hour loop, planning each hour with
+//! [`EngineHours::next`] and sending the [`HourPlan`] over a channel of
+//! `LOOKAHEAD_HOURS`. At a boundary the hour loop closes the hour with
+//! the plan and the buffered tweets. The store's writer thread makes the
 //! hour's checkpoint durable while the hour is classified; the hour loop
-//! waits for it before it writes the hour's verdict lines, so the
-//! verdict stream never runs ahead of the durable log. Classification
-//! reads profiles from the hour loop's own copy of the directory —
-//! profiles never change after an account is created and accounts are
-//! only ever appended, so each plan carries the profiles its hour created
-//! and the copy stays exact.
+//! waits for it before it writes the hour's verdict lines, so the verdict
+//! stream never runs ahead of the durable log.
 //!
 //! The run cursor ([`RunState`]) still advances only at the boundary, on
 //! the hour loop's thread: checkpoints, `AttributeSwitch`/`HourTick`
@@ -55,14 +43,14 @@
 //! Hour boundaries — not wall clocks — define batch composition, so a
 //! stop + `--resume` replays into the same hourly batches however the
 //! frames were timed. On resume the daemon rebuilds classifier state by
-//! replaying the stored log hour-by-hour through the same
-//! [`StreamClassifier`] (classification is stream-order-dependent via
-//! environment-score feedback), truncates the verdict stream to the
-//! records the recovered store actually holds, rewrites whatever prefix
-//! the stop tore off, and appends from there: the concatenated verdict
-//! stream is byte-identical to an uninterrupted run. Stale hour markers
-//! (a producer re-sending already-checkpointed hours) are skipped with
-//! their tweets; a marker *gap* is a protocol violation and fatal.
+//! classifying the stored hours again ([`replay_stored`]; classification
+//! is stream-order-dependent via environment-score feedback), truncates
+//! the verdict stream to the records the recovered store actually holds,
+//! rewrites whatever prefix the stop tore off, and appends from there:
+//! the concatenated verdict stream is byte-identical to an uninterrupted
+//! run. Stale hour markers (a producer re-sending already-checkpointed
+//! hours) are skipped with their tweets; a marker *gap* is a protocol
+//! violation and fatal.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::HashMap;
@@ -75,16 +63,15 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ph_core::detector::{ground_truth_and_detector, StreamClassifier, Verdict};
-use ph_core::monitor::{CollectedTweet, MonitorReport, RunState, Runner, StreamMonitor};
-use ph_core::network::PseudoHoneypotNetwork;
+use ph_core::monitor::{CollectedTweet, RunState, Runner, StreamMonitor};
 use ph_core::observe::DecisionLog;
+use ph_core::step::{replay_stored, EngineHours, HourPlan, HourStep};
 use ph_exec::ExecConfig;
-use ph_store::{Manifest, Store, StoreConfig, StoreWriter};
+use ph_store::{Manifest, ResumedStore, Store, StoreConfig, StoreWriter};
 use ph_telemetry::{log_info, log_warn, TelemetryEvent};
 use ph_twitter_sim::engine::Engine;
 use ph_twitter_sim::tweet::{Tweet, TweetId};
 use ph_twitter_sim::wire::StreamFrame;
-use ph_twitter_sim::Profile;
 
 use crate::health::Health;
 use crate::http::MetricsServer;
@@ -119,25 +106,12 @@ impl Drop for HourDone<'_> {
 /// would only hold more engine state in memory, so this is not a knob.
 const LOOKAHEAD_HOURS: usize = 1;
 
-/// One hour of replica work, done ahead on the replica thread and applied
-/// by the hour loop at that hour's boundary.
-struct ReplicaHour {
-    /// Absolute engine hour the replica stepped through.
-    hour: u64,
-    /// The switch round's network, when this hour opens one.
-    network: Option<PseudoHoneypotNetwork>,
-    /// Ground truth of every tweet the replica's firehose saw this hour.
-    truth: HashMap<TweetId, bool>,
-    /// Profiles of the accounts created this hour, in id order.
-    new_profiles: Vec<Profile>,
-}
-
 /// The replica engine's thread and the channel its plans arrive on.
 /// Every way out of [`run`] joins the thread: dropping this disconnects
 /// the channel, so a replica blocked on a full channel stops, and waits
 /// for it.
 struct Replica {
-    plans: Option<Receiver<ReplicaHour>>,
+    plans: Option<Receiver<HourPlan>>,
     thread: Option<JoinHandle<io::Result<()>>>,
 }
 
@@ -146,7 +120,7 @@ impl Replica {
     /// [`LOOKAHEAD_HOURS`]-deep plan channel.
     fn start<F>(body: F) -> io::Result<Self>
     where
-        F: FnOnce(SyncSender<ReplicaHour>) -> io::Result<()> + Send + 'static,
+        F: FnOnce(SyncSender<HourPlan>) -> io::Result<()> + Send + 'static,
     {
         let (send, plans) = mpsc::sync_channel(LOOKAHEAD_HOURS);
         let thread = std::thread::Builder::new()
@@ -160,7 +134,7 @@ impl Replica {
 
     /// The next hour's plan. If the replica thread ended without one, its
     /// error — or its panic, as an `io::Error` — comes back instead.
-    fn next(&mut self) -> io::Result<ReplicaHour> {
+    fn next(&mut self) -> io::Result<HourPlan> {
         if let Some(plan) = self.plans.as_ref().and_then(|plans| plans.recv().ok()) {
             return Ok(plan);
         }
@@ -194,42 +168,24 @@ impl Drop for Replica {
 }
 
 /// The replica thread's loop: from the session's restored cursor to the
-/// end of the run, select (when a switch is due), step, and send the
-/// hour's plan. A closed channel means the hour loop drained — a normal
-/// stop.
+/// end of the run, plan each hour ([`EngineHours::next`]) and send the
+/// plan. A closed channel means the hour loop drained — a normal stop.
 fn replica_hours(
     mut engine: Engine,
     runner: &Runner,
     state: &RunState,
     manifest: &Manifest,
-    plans: &SyncSender<ReplicaHour>,
+    plans: &SyncSender<HourPlan>,
 ) -> io::Result<()> {
     let _span = ph_telemetry::span("serve.replica");
-    // The replica's own firehose tap, opened only now so neither the
-    // ground-truth window nor replayed hours leak into it.
-    let streaming = engine.streaming();
-    let tap = streaming.firehose_with_capacity(manifest.buffer_capacity as usize);
+    // The replica's own subscription, opened only now so neither the
+    // ground-truth window nor replayed hours leak into it. Its tweets
+    // only supply each plan's truth: the wire delivers the hour.
+    let mut hours = EngineHours::new(&engine, manifest.buffer_capacity as usize, state);
     let mut round = state.round;
-    let mut known_accounts = engine.rest().num_accounts();
     for hour_index in state.next_hour..manifest.hours {
-        let (network, hour) = runner.open_hour(&mut engine, hour_index, round);
-        round += u64::from(network.is_some());
-        let tweets = streaming.poll(tap).map_err(io::Error::other)?;
-        let oracle = engine.ground_truth();
-        let truth = tweets.iter().map(|t| (t.id, oracle.is_spam(t))).collect();
-        let new_profiles: Vec<Profile> = engine
-            .rest()
-            .profiles()
-            .skip(known_accounts)
-            .cloned()
-            .collect();
-        known_accounts += new_profiles.len();
-        let plan = ReplicaHour {
-            hour,
-            network,
-            truth,
-            new_profiles,
-        };
+        let (plan, _, _) = hours.next(runner, &mut engine, hour_index, round);
+        round += u64::from(plan.network.is_some());
         if plans.send(plan).is_err() {
             break;
         }
@@ -323,29 +279,6 @@ pub struct ServeOutcome {
     pub http_addr: Option<String>,
 }
 
-fn open_store(config: &ServeConfig) -> io::Result<(Store, MonitorReport, RunState, Manifest)> {
-    if config.resume {
-        let r = Store::open_resume(&config.dir, config.store)?;
-        log_info!(
-            "serve: resuming {}: {} of {} h done, {} records on log ({} bytes truncated in recovery)",
-            config.dir.display(),
-            r.state.next_hour,
-            r.manifest.hours,
-            r.store.record_count(),
-            r.recovery.truncated_bytes
-        );
-        Ok((r.store, r.report, r.state, r.manifest))
-    } else {
-        let store = Store::create(&config.dir, config.manifest, config.store)?;
-        Ok((
-            store,
-            MonitorReport::default(),
-            RunState::default(),
-            config.manifest,
-        ))
-    }
-}
-
 /// Appends the verdicts of `batch` (first record `first`) that the
 /// stream does not hold yet. With a decision log, the classify fold has
 /// just explained every record of `batch` into it, and each line carries
@@ -372,55 +305,6 @@ fn append_verdicts(
     Ok(())
 }
 
-/// Replays the stored log hour-by-hour through the classifier: steps the
-/// replica across every already-monitored hour, rebuilds the
-/// stream-order-dependent extractor state, and rewrites verdict lines
-/// the previous session computed but never durably flushed.
-fn warm_up(
-    engine: &mut Engine,
-    classifier: &mut StreamClassifier,
-    exec: &ExecConfig,
-    store: &Store,
-    state: &RunState,
-    verdicts: &mut VerdictWriter,
-) -> io::Result<()> {
-    let records: Vec<CollectedTweet> = store
-        .reader()?
-        .collect::<io::Result<Vec<CollectedTweet>>>()?;
-    log_info!(
-        "serve: warm-up — replaying {} stored records over {} hours…",
-        records.len(),
-        state.next_hour
-    );
-    let mut base = 0usize;
-    for _ in 0..state.next_hour {
-        let absolute_hour = engine.now().whole_hours();
-        engine.step_hour();
-        let mut end = base;
-        while end < records.len() && records[end].hour == absolute_hour {
-            end += 1;
-        }
-        let batch = &records[base..end];
-        let hour_verdicts = classifier.classify_hour(batch, engine, exec);
-        append_verdicts(
-            verdicts,
-            batch,
-            base as u64,
-            &hour_verdicts,
-            classifier.log(),
-        )?;
-        base = end;
-    }
-    verdicts.flush()?;
-    if base != records.len() {
-        log_warn!(
-            "serve: {} stored records fall outside the checkpointed hours",
-            records.len() - base
-        );
-    }
-    Ok(())
-}
-
 /// Runs the daemon to completion (or a requested stop). See the module
 /// docs for the architecture.
 ///
@@ -430,9 +314,11 @@ fn warm_up(
 /// (an hour-marker gap).
 pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
     let _span = ph_telemetry::span("serve");
-    // Service-health setup. Each session starts healthy with a fresh
-    // flight ring and, when targeted, a passing SLO check.
+    // Service-health setup. Each session starts healthy with an empty
+    // journal, a fresh flight ring and, when targeted, a passing SLO
+    // check.
     let health = Health::default();
+    ph_telemetry::journal_reset();
     ph_telemetry::flight_reset();
     let mut slo_check = config.slo.map(SloCheck::new);
     if let Some(target) = &config.slo {
@@ -442,7 +328,13 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
             target.target_ms
         );
     }
-    let (mut store, prior, state, manifest) = open_store(&config)?;
+    let ResumedStore {
+        mut store,
+        manifest,
+        state,
+        report: prior,
+        ..
+    } = Store::open_session(&config.dir, config.manifest, config.store, config.resume)?;
 
     let exec = config.exec.clone();
     let mut engine = Engine::new(manifest.sim_config());
@@ -459,15 +351,20 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
         .clone()
         .unwrap_or_else(|| config.dir.join("verdicts.ndjson"));
     let mut verdicts = if config.resume {
+        // Rebuild the stream-order-dependent classifier state from the
+        // stored hours, and rewrite the verdict lines the previous
+        // session computed but never durably flushed.
         let (mut writer, _) = VerdictWriter::resume(&verdict_path, store.record_count())?;
-        warm_up(
+        let records = store.reader()?.collect::<io::Result<Vec<_>>>()?;
+        let (records, replayed) = replay_stored(
             &mut engine,
             &mut classifier,
             &exec,
-            &store,
-            &state,
-            &mut writer,
-        )?;
+            records,
+            state.next_hour,
+        );
+        append_verdicts(&mut writer, &records, 0, &replayed, classifier.log())?;
+        writer.flush()?;
         writer
     } else {
         VerdictWriter::create(&verdict_path)?
@@ -529,23 +426,25 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
         None
     };
 
-    // The hour loop's copy of the replica's profile directory, extended
-    // from each plan; the engine itself moves to the replica thread,
-    // which starts once set-up is done.
-    let mut profiles: Vec<Profile> = engine.rest().profiles().cloned().collect();
-    let mut replica = {
-        let (runner, state) = (runner.clone(), state.clone());
-        Replica::start(move |plans| replica_hours(engine, &runner, &state, &manifest, &plans))?
-    };
-    let mut monitor = StreamMonitor::resume(runner, manifest.hours, state);
-    let session_start_hour = monitor.state().next_hour;
+    // The hour step copies the replica's profile directory now; the
+    // engine itself moves to the replica thread, which starts once set-up
+    // is done.
+    let mut step = HourStep::new(
+        StreamMonitor::resume(runner.clone(), manifest.hours, state.clone()),
+        classifier,
+        &engine,
+        exec,
+    );
+    let session_start_hour = state.next_hour;
+    let mut replica =
+        Replica::start(move |plans| replica_hours(engine, &runner, &state, &manifest, &plans))?;
     let mut stopped_early = false;
     let mut producer_done = false;
     let mut buffered: Vec<Tweet> = Vec::new();
     let mut ingest_ticks: HashMap<TweetId, u64> = HashMap::new();
     {
         let mut writer: StoreWriter<'_> = store.writer(&prior);
-        while !monitor.complete() {
+        while !step.monitor.complete() {
             if crate::signal::take_dump_request() {
                 // SIGQUIT = dump-and-continue: snapshot the flight ring
                 // into the store, keep serving.
@@ -557,7 +456,7 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                     Err(e) => log_warn!("serve: flight dump failed: {e}"),
                 }
             }
-            let hours_this_session = monitor.state().next_hour - session_start_hour;
+            let hours_this_session = step.monitor.state().next_hour - session_start_hour;
             if config.stop.load(Ordering::SeqCst)
                 || config
                     .stop_after_hours
@@ -585,7 +484,7 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                 }
                 StreamFrame::Shutdown => producer_done = true,
                 StreamFrame::HourBoundary { hour } => {
-                    match hour.cmp(&monitor.state().next_hour) {
+                    match hour.cmp(&step.monitor.state().next_hour) {
                         CmpOrdering::Less => {
                             // A producer replaying already-checkpointed
                             // hours (it restarted from an older cursor):
@@ -598,7 +497,7 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                                 io::ErrorKind::InvalidData,
                                 format!(
                                     "hour marker gap: producer announced hour {hour} but hour {} is next",
-                                    monitor.state().next_hour
+                                    step.monitor.state().next_hour
                                 ),
                             ));
                         }
@@ -615,26 +514,17 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                                 }
                             }
                             let plan = replica.next()?;
-                            monitor.begin_hour_with(plan.network, plan.hour);
-                            // Re-stamp evaluation sidecars from the
-                            // replica's oracle — the wire carries none.
-                            for tweet in &mut buffered {
-                                let spam = plan.truth.get(&tweet.id).copied().unwrap_or(false);
-                                tweet.set_evaluation_sidecar_spam(spam);
-                            }
-                            profiles.extend(plan.new_profiles);
                             let shed = queue.take_shed();
                             if shed > 0 {
                                 ph_telemetry::counter("serve.ingest.shed").add(shed);
                             }
-                            let delivered = std::mem::take(&mut buffered);
-                            let batch = monitor.finish_hour(delivered, shed, &mut writer)?;
                             // Classify while the hour's checkpoint is in
                             // flight; its verdict lines wait until it is
                             // durable, so they never run ahead of the log.
                             let first = verdicts.next_seq();
-                            let hour_verdicts =
-                                classifier.classify_hour(&batch, profiles.as_slice(), &exec);
+                            let delivered = std::mem::take(&mut buffered);
+                            let (batch, hour_verdicts) =
+                                step.close(plan, delivered, shed, &mut writer)?;
                             writer.wait_durable()?;
                             #[cfg(test)]
                             tests::before_verdicts(&config.dir, hour);
@@ -643,7 +533,7 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                                 &batch,
                                 first,
                                 &hour_verdicts,
-                                classifier.log(),
+                                step.classifier.log(),
                             )?;
                             verdicts.flush()?;
                             if let Some(slo_check) = &mut slo_check {
@@ -673,10 +563,10 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                             hour_hb.bump();
                             ph_telemetry::counter("serve.verdicts").add(batch.len() as u64);
                             ph_telemetry::gauge("serve.hours_done")
-                                .set(monitor.state().next_hour as f64);
+                                .set(step.monitor.state().next_hour as f64);
                             ph_telemetry::progress_update(&format!(
                                 "serve: hour {}/{} done",
-                                monitor.state().next_hour,
+                                step.monitor.state().next_hour,
                                 manifest.hours
                             ));
                         }
@@ -687,11 +577,8 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
         if stopped_early {
             // A partial hour is discarded — its boundary never arrived,
             // so the producer re-sends the whole hour after resume. The
-            // forced checkpoint is what lets a between-intervals stop
-            // resume from the last *completed* hour. A cursor the store's
-            // own cadence already checkpointed (or this session resumed
-            // from) gets no duplicate, so a drained and resumed store's
-            // checkpoint log equals an uninterrupted run's.
+            // drain's checkpoint is what lets a between-intervals stop
+            // resume from the last *completed* hour.
             if !buffered.is_empty() {
                 log_info!(
                     "serve: discarding {} tweets of the unfinished hour (re-sent on resume)",
@@ -699,19 +586,11 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
                 );
                 buffered.clear();
             }
-            let next_hour = monitor.state().next_hour;
-            let checkpointed = if next_hour == session_start_hour {
-                config.resume
-            } else {
-                next_hour.is_multiple_of(config.store.checkpoint_interval_hours.max(1))
-            };
-            if !checkpointed {
-                writer.checkpoint_now(monitor.state(), monitor.segment())?;
-            }
+            writer.checkpoint_drain(step.monitor.state(), step.monitor.segment())?;
         }
     }
     replica.join()?;
-    monitor.finish(manifest.buffer_capacity as usize);
+    step.monitor.finish(manifest.buffer_capacity as usize);
     if let Some(dog) = watchdog.as_mut() {
         dog.shutdown();
     }
@@ -721,18 +600,16 @@ pub fn run(config: ServeConfig) -> io::Result<ServeOutcome> {
 
     // The durable observability record, shaped exactly like a batch
     // run's so `inspect` renders serve stores unchanged.
-    store.write_run_record(
-        monitor.state().next_hour.saturating_sub(1),
-        classifier.into_log(),
-    )?;
+    let hours_done = step.monitor.state().next_hour;
+    store.write_run_record(hours_done.saturating_sub(1), step.classifier.into_log())?;
 
     let outcome = ServeOutcome {
-        hours_done: monitor.state().next_hour,
+        hours_done,
         total_hours: manifest.hours,
         records: store.record_count(),
         verdicts: verdicts.next_seq(),
         shed: queue.shed_count(),
-        stopped_early: stopped_early && !monitor.complete(),
+        stopped_early: stopped_early && !step.monitor.complete(),
         ingest_addr,
         http_addr,
     };
@@ -824,8 +701,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn empty_plan() -> ReplicaHour {
-        ReplicaHour {
+    fn empty_plan() -> HourPlan {
+        HourPlan {
             hour: 0,
             network: None,
             truth: HashMap::new(),
@@ -837,7 +714,7 @@ mod tests {
     fn plans_arrive_in_order_then_the_end_is_an_error() {
         let mut replica = Replica::start(|plans| {
             for hour in 0..3 {
-                let plan = ReplicaHour {
+                let plan = HourPlan {
                     hour,
                     ..empty_plan()
                 };
@@ -849,7 +726,7 @@ mod tests {
         for hour in 0..3 {
             assert_eq!(replica.next().unwrap().hour, hour);
         }
-        let err = replica.next().err().expect("no fourth plan");
+        let err = replica.next().expect_err("no fourth plan");
         assert!(err.to_string().contains("stopped before"), "{err}");
         replica.join().unwrap();
     }
@@ -857,14 +734,14 @@ mod tests {
     #[test]
     fn a_replica_error_comes_back_from_next() {
         let mut replica = Replica::start(|_| Err(io::Error::other("tap closed"))).unwrap();
-        let err = replica.next().err().expect("the replica failed");
+        let err = replica.next().expect_err("the replica failed");
         assert_eq!(err.to_string(), "tap closed");
     }
 
     #[test]
     fn a_replica_panic_comes_back_as_an_io_error() {
         let mut replica = Replica::start(|_| panic!("selection blew up")).unwrap();
-        let err = replica.next().err().expect("the replica panicked");
+        let err = replica.next().expect_err("the replica panicked");
         assert_eq!(err.kind(), io::ErrorKind::Other);
         assert!(err.to_string().contains("selection blew up"), "{err}");
     }

@@ -1,7 +1,6 @@
 //! SIGINT/SIGTERM → a cooperative stop flag.
 //!
-//! The daemon (and the batch `sniff` loop, via
-//! [`ph_core::monitor::Runner::with_stop_flag`]) polls an
+//! The daemon and the `sniff --store` hour loop each poll an
 //! `Arc<AtomicBool>` at hour boundaries; this module is the one place in
 //! the workspace allowed to touch `signal(2)` to raise that flag. The
 //! handler body is a pair of atomic stores on `'static` data —

@@ -94,11 +94,6 @@ impl DHash128 {
         (self.horizontal ^ other.horizontal).count_ones()
             + (self.vertical ^ other.vertical).count_ones()
     }
-
-    /// Whether two hashes fall within the paper's near-duplicate threshold.
-    pub fn is_near_duplicate(self, other: Self) -> bool {
-        self.hamming_distance(other) < DEFAULT_THRESHOLD
-    }
 }
 
 impl fmt::Display for DHash128 {

@@ -8,9 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Default number of hash functions in a signature.
-pub const DEFAULT_NUM_HASHES: usize = 64;
-
 /// A factory for MinHash signatures using `k` independent 64-bit hash
 /// functions derived from a seed.
 ///
@@ -57,11 +54,6 @@ impl MinHasher {
             masks.push(next());
         }
         Self { multipliers, masks }
-    }
-
-    /// Creates a hasher with [`DEFAULT_NUM_HASHES`] functions.
-    pub fn with_default_width(seed: u64) -> Self {
-        Self::new(DEFAULT_NUM_HASHES, seed)
     }
 
     /// Number of hash functions (signature width).

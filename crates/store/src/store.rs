@@ -92,6 +92,9 @@ pub struct Store {
     manifest: Manifest,
     log: SegmentLog,
     checkpoints: CheckpointLog,
+    /// The run cursor the newest checkpoint records: the one a resumed
+    /// store reopened at, or the last one handed over since.
+    checkpointed: Option<u64>,
     /// The writer thread, started by the first hour handed over and
     /// joined when the [`StoreWriter`] drops or the store syncs.
     writer: Option<WriterThread>,
@@ -126,7 +129,7 @@ impl Store {
         let log = SegmentLog::create(dir, config.max_segment_bytes)?;
         let checkpoints = CheckpointLog::create(&dir.join(CHECKPOINT_FILE))?;
         manifest.save(&manifest_path)?;
-        Ok(Self::new(dir, config, manifest, log, checkpoints))
+        Ok(Self::new(dir, config, manifest, log, checkpoints, None))
     }
 
     fn new(
@@ -135,6 +138,7 @@ impl Store {
         manifest: Manifest,
         log: SegmentLog,
         checkpoints: CheckpointLog,
+        checkpointed: Option<u64>,
     ) -> Self {
         Self {
             dir: dir.to_path_buf(),
@@ -142,6 +146,7 @@ impl Store {
             manifest,
             log,
             checkpoints,
+            checkpointed,
             writer: None,
             failed: None,
             #[cfg(test)]
@@ -181,7 +186,14 @@ impl Store {
             ),
         };
         log.truncate_to(target)?;
-        let store = Self::new(dir, config, manifest, log, checkpoints);
+        let store = Self::new(
+            dir,
+            config,
+            manifest,
+            log,
+            checkpoints,
+            Some(state.next_hour),
+        );
         Ok(ResumedStore {
             store,
             manifest,
@@ -190,6 +202,42 @@ impl Store {
             engine_hours,
             recovery,
         })
+    }
+
+    /// Opens a run session on `dir`: with `resume`, reopens it at its
+    /// last checkpoint ([`Store::open_resume`]; the stored manifest pins
+    /// the run and `manifest` is ignored), otherwise creates it fresh for
+    /// `manifest` ([`Store::create`]) as a session starting at hour 0.
+    ///
+    /// # Errors
+    ///
+    /// As [`Store::open_resume`] and [`Store::create`].
+    pub fn open_session(
+        dir: &Path,
+        manifest: Manifest,
+        config: StoreConfig,
+        resume: bool,
+    ) -> io::Result<ResumedStore> {
+        if !resume {
+            return Ok(ResumedStore {
+                store: Self::create(dir, manifest, config)?,
+                manifest,
+                state: RunState::default(),
+                report: MonitorReport::default(),
+                engine_hours: manifest.gt_hours,
+                recovery: RecoveryReport::default(),
+            });
+        }
+        let resumed = Self::open_resume(dir, config)?;
+        ph_telemetry::log_info!(
+            "resuming {}: {} of {} h done, {} records on log ({} bytes truncated in recovery)",
+            dir.display(),
+            resumed.state.next_hour,
+            resumed.manifest.hours,
+            resumed.store.record_count(),
+            resumed.recovery.truncated_bytes
+        );
+        Ok(resumed)
     }
 
     /// The pinned run configuration.
@@ -492,9 +540,10 @@ impl StoreWriter<'_> {
     /// Forces a checkpoint right now, regardless of the configured
     /// interval — the graceful-drain path of a long-lived service uses
     /// this so a stop between interval boundaries still resumes from the
-    /// last *completed* hour instead of re-running the whole interval.
-    /// Duplicate checkpoints at the same cursor are harmless: resume
-    /// picks the newest one the log covers.
+    /// last *completed* hour instead of re-running the whole interval
+    /// (through [`StoreWriter::checkpoint_drain`], which skips a cursor
+    /// already checkpointed). Duplicate checkpoints at the same cursor
+    /// are harmless: resume picks the newest one the log covers.
     ///
     /// The checkpoint is handed to the writer thread, after the one
     /// before it is durable; [`StoreWriter::wait_durable`] waits for it.
@@ -514,11 +563,33 @@ impl StoreWriter<'_> {
         );
         let records = checkpoint.records;
         self.store.hand_over(checkpoint)?;
+        self.store.checkpointed = Some(state.next_hour);
         ph_telemetry::journal_emit(ph_telemetry::TelemetryEvent::CheckpointWritten {
             hour: state.next_hour,
             records,
         });
         Ok(())
+    }
+
+    /// The checkpoint a drain ends with, so that a stop between interval
+    /// boundaries resumes from the last *completed* hour: forces one at
+    /// `state`'s cursor unless the newest checkpoint already records it
+    /// (the interval's cadence wrote it, or the store was resumed there).
+    /// A drained and resumed store's checkpoint log thus equals an
+    /// uninterrupted run's.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreWriter::checkpoint_now`].
+    pub fn checkpoint_drain(
+        &mut self,
+        state: &RunState,
+        segment: &MonitorReport,
+    ) -> io::Result<()> {
+        if self.store.checkpointed == Some(state.next_hour) {
+            return Ok(());
+        }
+        self.checkpoint_now(state, segment)
     }
 
     /// Waits until everything handed over so far is durable: the records
@@ -824,6 +895,41 @@ mod tests {
         std::mem::forget(store);
         let last = checkpoints_on_disk(&dir).pop().unwrap();
         assert_eq!((last.state.next_hour, last.records), (3, records));
+    }
+
+    #[test]
+    fn a_drain_checkpoints_only_a_cursor_no_checkpoint_records() {
+        let m = manifest();
+        let dir = temp_dir("drain");
+        let mut store = Store::create(&dir, m, store_config()).unwrap();
+        let mut state = RunState::default();
+        let mut writer = store.writer(&MonitorReport::default());
+        // A fresh store records no cursor, not even the first.
+        writer
+            .checkpoint_drain(&state, &MonitorReport::default())
+            .unwrap();
+        let segment = run_hours(&m, &mut state, 2, &mut writer).unwrap();
+        // The hourly cadence already wrote cursor 2.
+        writer.checkpoint_drain(&state, &segment).unwrap();
+        drop(writer);
+        let cursors = |dir: &Path| -> Vec<u64> {
+            checkpoints_on_disk(dir)
+                .iter()
+                .map(|c| c.state.next_hour)
+                .collect()
+        };
+        assert_eq!(cursors(&dir), [0, 1, 2]);
+        drop(store);
+
+        // A session resumed at cursor 2 drains without a duplicate.
+        let mut resumed = Store::open_resume(&dir, store_config()).unwrap();
+        resumed
+            .store
+            .writer(&resumed.report)
+            .checkpoint_drain(&resumed.state, &MonitorReport::default())
+            .unwrap();
+        drop(resumed);
+        assert_eq!(cursors(&dir), [0, 1, 2]);
     }
 
     #[test]

@@ -50,6 +50,7 @@
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 
 use ph_exec::ExecConfig;
 use ph_telemetry::{log_info, log_warn};
@@ -61,11 +62,14 @@ use pseudo_honeypot::core::detector::{
 use pseudo_honeypot::core::labeling::pipeline::{
     format_table3, label_collection_with, PipelineConfig,
 };
-use pseudo_honeypot::core::monitor::{CollectedTweet, MonitorReport, RunState, Runner};
+use pseudo_honeypot::core::monitor::{
+    CollectedTweet, MemorySink, MonitorReport, MonitorSink, Runner, StreamMonitor,
+};
 use pseudo_honeypot::core::observe::DecisionLog;
 use pseudo_honeypot::core::pge::{
     overall_pge, per_hour_attribute_pge, per_hour_stats, pge_ranking_with_min,
 };
+use pseudo_honeypot::core::step::{replay_stored, EngineHours, HourStep};
 use pseudo_honeypot::sim::engine::Engine;
 use pseudo_honeypot::store::{Manifest, ResumedStore, Store, StoreConfig};
 
@@ -585,60 +589,199 @@ fn simulate(args: &Args) {
     );
 }
 
+/// `sniff`: ground truth and training, then the monitored hours — each
+/// one planned from the engine's filtered subscription and closed by the
+/// shared hour step, into memory or, with `--store`, into the durable log.
+/// A stored run checkpoints hourly, and `--resume` continues it after a
+/// crash by replaying its stored hours first. SIGINT/SIGTERM stop a
+/// stored run at the next hour boundary with a checkpoint and exit code
+/// 5 — `--resume` continues it exactly.
 fn sniff(args: &Args) -> i32 {
-    match args.options.get("store") {
-        Some(dir) => sniff_stored(args, &PathBuf::from(dir)),
-        None => {
-            if args.has_flag("resume")
-                || args.has_flag("explain")
-                || args.options.contains_key("crash-after")
-            {
-                eprintln!("error: --resume, --crash-after and --explain require --store DIR");
-                std::process::exit(2);
-            }
-            sniff_in_memory(args);
-            0
-        }
+    let dir = args.options.get("store").map(PathBuf::from);
+    let resume = args.has_flag("resume");
+    let crash_after = args
+        .options
+        .contains_key("crash-after")
+        .then(|| args.get_u64("crash-after", 0));
+    if dir.is_none() && (resume || crash_after.is_some() || args.has_flag("explain")) {
+        eprintln!("error: --resume, --crash-after and --explain require --store DIR");
+        std::process::exit(2);
     }
-}
-
-fn sniff_in_memory(args: &Args) {
-    let manifest = manifest_from(args);
-    let (gt_hours, hours) = (manifest.gt_hours, manifest.hours);
     let name = args.get_str("name", "sniffing campaign");
     println!("== {name} ==");
+
+    // Fresh runs pin the CLI configuration into the manifest; resumed
+    // runs take *everything* from the stored manifest (the store is the
+    // source of truth — mixing a new seed into an old log would corrupt
+    // the determinism the whole recovery story rests on).
+    let open = |dir: &Path, manifest: Manifest, resume: bool| {
+        Store::open_session(dir, manifest, StoreConfig::default(), resume)
+            .unwrap_or_else(|e| die(&format!("cannot open store {}", dir.display()), e))
+    };
+    let mut session = match &dir {
+        Some(dir) if resume => {
+            warn_ignored_on_resume(args);
+            Some(open(dir, manifest_from(args), true))
+        }
+        _ => None,
+    };
+    let manifest = session
+        .as_ref()
+        .map_or_else(|| manifest_from(args), |s| s.manifest);
+
     let exec = exec_config(args);
     record_run_meta(exec.threads, manifest.sim_seed);
     let mut engine = Engine::new(manifest.sim_config());
+    // SIGINT/SIGTERM raise this flag; a stored run then stops at the next
+    // hour boundary with every completed hour on the log.
+    let stop = dir.is_some().then(pseudo_honeypot::serve::signal::install);
+    let stop_requested = || {
+        stop.as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
+    };
+    let interrupted = |step: &HourStep| stop_requested() && !step.monitor.complete();
     let runner = Runner::with_exec(manifest.runner_config(), exec.clone());
+    let (ground_truth, training, detector) =
+        ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
+    let log = args
+        .has_flag("explain")
+        .then(|| DecisionLog::new(&training));
+    drop(training);
+    let mut classifier = StreamClassifier::with_log(detector, log);
+    if !resume {
+        println!("{}", format_table3(&ground_truth.summary));
+    }
+    if let (Some(dir), None) = (&dir, &session) {
+        session = Some(open(dir, manifest, false));
+    }
 
-    let (ground_truth, _, detector) =
-        ground_truth_and_detector(&mut engine, &runner, gt_hours, &exec);
-    println!("{}", format_table3(&ground_truth.summary));
+    let (state, prior) = session
+        .as_ref()
+        .map_or_else(Default::default, |s| (s.state.clone(), s.report.clone()));
+    // The stored hours (none on a fresh run): the engine steps over them
+    // and the classifier rebuilds its stream state by classifying them.
+    let records = session
+        .as_ref()
+        .map_or_else(Vec::new, |s| stored_records(&s.store).collect());
+    let (mut collected, mut verdicts) = replay_stored(
+        &mut engine,
+        &mut classifier,
+        &exec,
+        records,
+        state.next_hour,
+    );
+    let mut store = session.map(|s| s.store);
+    let until = crash_after.unwrap_or(u64::MAX);
+    log_info!(
+        "phase 3: sniffing hours {}..{}…",
+        state.next_hour,
+        manifest.hours
+    );
+    let capacity = runner.config().buffer_capacity;
+    let mut hours = EngineHours::new(&engine, capacity, &state);
+    let mut step = HourStep::new(
+        StreamMonitor::resume(runner.clone(), manifest.hours, state),
+        classifier,
+        &engine,
+        exec,
+    );
+    {
+        let mut memory = MemorySink;
+        let mut writer = store.as_mut().map(|store| store.writer(&prior));
+        let sink: &mut dyn MonitorSink = match writer.as_mut() {
+            Some(writer) => writer,
+            None => &mut memory,
+        };
+        while !step.monitor.complete()
+            && step.monitor.state().next_hour < until
+            && !stop_requested()
+        {
+            let state = step.monitor.state();
+            let (plan, delivered, shed) =
+                hours.next(&runner, &mut engine, state.next_hour, state.round);
+            let (batch, hour_verdicts) = step
+                .close(plan, delivered, shed, sink)
+                .unwrap_or_else(|e| die("store write failed", e));
+            collected.extend(batch);
+            verdicts.extend(hour_verdicts);
+        }
+        if let (Some(writer), true) = (writer.as_mut(), interrupted(&step)) {
+            // SIGINT/SIGTERM: the loop drained at an hour boundary.
+            writer
+                .checkpoint_drain(step.monitor.state(), step.monitor.segment())
+                .unwrap_or_else(|e| die("interrupt checkpoint failed", e));
+        }
+    }
+    if interrupted(&step) {
+        // Leave the summary to the run that completes the store.
+        if let Some(store) = &mut store {
+            store.sync().unwrap_or_else(|e| die("store sync failed", e));
+        }
+        log_warn!(
+            "interrupted after {} of {} h (checkpoint written); resume with --resume",
+            step.monitor.state().next_hour,
+            manifest.hours
+        );
+        return serve_cli::EXIT_INTERRUPTED;
+    }
+    step.monitor.finish(capacity);
+    let next_hour = step.monitor.state().next_hour;
+    if let (Some(dir), true) = (&dir, next_hour < manifest.hours) {
+        // Simulated hard crash: die mid-append, leaving a torn half-frame
+        // on the active segment for the next open to truncate.
+        inject_torn_tail(dir);
+        log_warn!(
+            "simulated crash after {next_hour} of {} h (torn tail written); resume with --resume",
+            manifest.hours
+        );
+        std::process::exit(3);
+    }
 
-    log_info!("phase 3: sniffing for {hours} h…");
-    let report = runner.run(&mut engine, hours);
-    let outcome = detector.classify_batch(&report.collected, &engine, &exec);
+    let mut report = prior;
+    report.merge(step.monitor.segment());
+    report.collected = collected;
+    let outcome = ClassificationOutcome::from_verdicts(&report.collected, &verdicts);
     if report.dropped > 0 {
         log_warn!(
             "{} tweets were shed by the streaming buffer",
             report.dropped
         );
     }
-    print_sniff_summary(&report, &outcome.predictions, &outcome, hours, gt_hours);
-    if args.has_flag("verify") {
-        let oracle = engine.ground_truth();
-        let correct = report
-            .collected
-            .iter()
-            .zip(&outcome.predictions)
-            .filter(|(c, &p)| p == oracle.is_spam(&c.tweet))
-            .count();
+    print_sniff_summary(&report, &outcome, manifest.hours, manifest.gt_hours);
+    if let (Some(dir), Some(store)) = (&dir, &mut store) {
+        store.sync().unwrap_or_else(|e| die("store sync failed", e));
         println!(
-            "\noracle check: {:.2}% of verdicts correct",
-            100.0 * correct as f64 / report.collected.len().max(1) as f64
+            "\nstore: {} records in {} ({next_hour} h checkpointed)",
+            store.record_count(),
+            dir.display()
         );
+        // Persist the run's observability record next to the data it
+        // describes, so `inspect` and `explain` can render the run later
+        // without re-executing anything.
+        store
+            .write_run_record(manifest.hours.saturating_sub(1), step.classifier.into_log())
+            .unwrap_or_else(|e| die("run record write failed", e));
+        if ph_trace::is_enabled() {
+            // The durable twin of the --trace JSON export: the framed+CRC'd
+            // trace.log lands next to journal.log/series.log so
+            // `inspect --timeline` and `perf critical-path --store` can
+            // analyze the run later without the recording process.
+            let trace = ph_trace::snapshot();
+            pseudo_honeypot::store::write_trace(dir, &trace)
+                .unwrap_or_else(|e| die("trace write failed", e));
+            log_info!(
+                "trace: {} timeline events persisted to {} ({} dropped)",
+                trace.events.len(),
+                dir.display(),
+                trace.dropped
+            );
+        }
     }
+    if args.has_flag("verify") {
+        let source = dir.as_ref().map_or("", |_| " (stored sidecar)");
+        sidecar_check(&report.collected, &outcome.predictions, source);
+    }
+    0
 }
 
 /// Feeds the per-attribute PGE time series (`pge.<attribute>`) into the
@@ -662,11 +805,11 @@ fn emit_pge_series(report: &MonitorReport, predictions: &[bool], hours: u64, gt_
 /// The classification + PGE tail every sniff variant prints.
 fn print_sniff_summary(
     report: &MonitorReport,
-    predictions: &[bool],
-    outcome: &pseudo_honeypot::core::detector::ClassificationOutcome,
+    outcome: &ClassificationOutcome,
     hours: u64,
     gt_hours: u64,
 ) {
+    let predictions = &outcome.predictions;
     emit_pge_series(report, predictions, hours, gt_hours);
     println!(
         "collected {} tweets from {} accounts",
@@ -695,184 +838,6 @@ fn die(context: &str, e: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// Store-backed sniff: every collected tweet lands in the segment log,
-/// the run checkpoints hourly, and `--resume` continues after a crash.
-/// SIGINT/SIGTERM stop the run at the next hour boundary with a forced
-/// checkpoint and exit code 5 — `--resume` continues it exactly.
-fn sniff_stored(args: &Args, dir: &Path) -> i32 {
-    let resume = args.has_flag("resume");
-    let crash_after = args
-        .options
-        .contains_key("crash-after")
-        .then(|| args.get_u64("crash-after", 0));
-    let name = args.get_str("name", "sniffing campaign");
-    println!("== {name} ==");
-
-    // Fresh runs pin the CLI configuration into the manifest; resumed
-    // runs take *everything* from the stored manifest (the store is the
-    // source of truth — mixing a new seed into an old log would corrupt
-    // the determinism the whole recovery story rests on).
-    let resumed: Option<ResumedStore> = if resume {
-        let r = Store::open_resume(dir, StoreConfig::default())
-            .unwrap_or_else(|e| die(&format!("cannot resume {}", dir.display()), e));
-        warn_ignored_on_resume(args);
-        log_info!(
-            "resuming {}: {} of {} h done, {} records on log ({} bytes truncated in recovery)",
-            dir.display(),
-            r.state.next_hour,
-            r.manifest.hours,
-            r.store.record_count(),
-            r.recovery.truncated_bytes
-        );
-        Some(r)
-    } else {
-        None
-    };
-    let manifest = match &resumed {
-        Some(r) => r.manifest,
-        None => manifest_from(args),
-    };
-
-    let exec = exec_config(args);
-    record_run_meta(exec.threads, manifest.sim_seed);
-    let mut engine = Engine::new(manifest.sim_config());
-    // SIGINT/SIGTERM raise this flag; the runner then stops at the next
-    // hour boundary with every completed hour on the log.
-    let stop = pseudo_honeypot::serve::signal::install();
-    let runner = Runner::with_exec(manifest.runner_config(), exec.clone()).with_stop_flag(stop);
-    let (ground_truth, training, detector) =
-        ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
-    let log = args
-        .has_flag("explain")
-        .then(|| DecisionLog::new(&training));
-    drop(training);
-    let mut classifier = StreamClassifier::with_log(detector, log);
-    if !resume {
-        println!("{}", format_table3(&ground_truth.summary));
-    }
-
-    let (mut store, mut state, prior) = match resumed {
-        Some(r) => {
-            // Fast-forward a fresh engine over the already-monitored hours;
-            // determinism makes this byte-equivalent to never crashing.
-            engine.run_hours(r.state.next_hour);
-            (r.store, r.state, r.report)
-        }
-        None => {
-            let store = Store::create(dir, manifest, StoreConfig::default())
-                .unwrap_or_else(|e| die(&format!("cannot create store {}", dir.display()), e));
-            (store, RunState::default(), MonitorReport::default())
-        }
-    };
-
-    let segment_hours = crash_after
-        .map(|h| h.saturating_sub(state.next_hour))
-        .unwrap_or(u64::MAX);
-    log_info!(
-        "phase 3: sniffing hours {}..{} into {}…",
-        state.next_hour,
-        manifest.hours,
-        dir.display()
-    );
-    let mut writer = store.writer(&prior);
-    let segment = runner
-        .run_segment(
-            &mut engine,
-            &mut state,
-            manifest.hours,
-            segment_hours,
-            runner.standard_networks(),
-            &mut writer,
-        )
-        .unwrap_or_else(|e| die("store write failed", e));
-    if runner.stop_requested() && state.next_hour < manifest.hours {
-        // SIGINT/SIGTERM: the runner already drained at an hour boundary,
-        // so force a checkpoint (the hourly interval may not have hit) and
-        // leave classification to the run that completes the store.
-        writer
-            .checkpoint_now(&state, &segment)
-            .unwrap_or_else(|e| die("interrupt checkpoint failed", e));
-        drop(writer);
-        store.sync().unwrap_or_else(|e| die("store sync failed", e));
-        log_warn!(
-            "interrupted after {} of {} h (checkpoint written); resume with --resume",
-            state.next_hour,
-            manifest.hours
-        );
-        return serve_cli::EXIT_INTERRUPTED;
-    }
-    drop(writer);
-    let mut report = prior;
-    report.merge(&segment);
-
-    if crash_after.is_some() && state.next_hour < manifest.hours {
-        // Simulated hard crash: die mid-append, leaving a torn half-frame
-        // on the active segment for the next open to truncate.
-        inject_torn_tail(dir);
-        log_warn!(
-            "simulated crash after {} of {} h (torn tail written); resume with --resume",
-            state.next_hour,
-            manifest.hours
-        );
-        std::process::exit(3);
-    }
-    store.sync().unwrap_or_else(|e| die("store sync failed", e));
-
-    // Classify off the log — the durable sink kept nothing in memory, so
-    // the segment reader supplies the collection (which the summary needs
-    // materialized anyway, letting the classifier shard over it). One
-    // pass of the stream classifier is the batch classification, and
-    // explains into its decision log when it has one.
-    report.collected = stored_records(&store).collect();
-    let verdicts = classifier.classify_hour(&report.collected, &engine, &exec);
-    let outcome = ClassificationOutcome::from_verdicts(&report.collected, &verdicts);
-    if report.dropped > 0 {
-        log_warn!(
-            "{} tweets were shed by the streaming buffer",
-            report.dropped
-        );
-    }
-    print_sniff_summary(
-        &report,
-        &outcome.predictions,
-        &outcome,
-        manifest.hours,
-        manifest.gt_hours,
-    );
-    println!(
-        "\nstore: {} records in {} ({} h checkpointed)",
-        store.record_count(),
-        dir.display(),
-        state.next_hour
-    );
-
-    // Persist the run's observability record next to the data it
-    // describes, so `inspect` and `explain` can render the run later
-    // without re-executing anything.
-    store
-        .write_run_record(manifest.hours.saturating_sub(1), classifier.into_log())
-        .unwrap_or_else(|e| die("run record write failed", e));
-    if ph_trace::is_enabled() {
-        // The durable twin of the --trace JSON export: the framed+CRC'd
-        // trace.log lands next to journal.log/series.log so
-        // `inspect --timeline` and `perf critical-path --store` can
-        // analyze the run later without the recording process.
-        let trace = ph_trace::snapshot();
-        pseudo_honeypot::store::write_trace(dir, &trace)
-            .unwrap_or_else(|e| die("trace write failed", e));
-        log_info!(
-            "trace: {} timeline events persisted to {} ({} dropped)",
-            trace.events.len(),
-            dir.display(),
-            trace.dropped
-        );
-    }
-    if args.has_flag("verify") {
-        sidecar_check(&report.collected, &outcome.predictions);
-    }
-    0
-}
-
 /// Infallible record stream over a store's log (I/O errors abort the CLI).
 fn stored_records(store: &Store) -> impl Iterator<Item = CollectedTweet> {
     store
@@ -881,15 +846,17 @@ fn stored_records(store: &Store) -> impl Iterator<Item = CollectedTweet> {
         .map(|r| r.unwrap_or_else(|e| die("stored record unreadable", e)))
 }
 
-/// Scores predictions against the evaluation sidecar persisted in the log.
-fn sidecar_check(collected: &[CollectedTweet], predictions: &[bool]) {
+/// Scores predictions against each tweet's evaluation sidecar — the
+/// engine's oracle label, persisted in the log by a stored run; `source`
+/// names where it was read.
+fn sidecar_check(collected: &[CollectedTweet], predictions: &[bool], source: &str) {
     let correct = collected
         .iter()
         .zip(predictions)
         .filter(|(c, &p)| p == c.tweet.evaluation_sidecar_spam())
         .count();
     println!(
-        "\noracle check (stored sidecar): {:.2}% of verdicts correct",
+        "\noracle check{source}: {:.2}% of verdicts correct",
         100.0 * correct as f64 / collected.len().max(1) as f64
     );
 }
@@ -923,35 +890,39 @@ fn inject_torn_tail(dir: &Path) {
     }
 }
 
-/// Re-runs labeling and classification *from the stored log alone*: the
-/// manifest rebuilds the deterministic engine and detector, the segment
-/// log supplies the traffic, and the checkpoint log supplies node-hours —
-/// no live monitoring anywhere.
-fn replay(args: &Args) {
+/// Opens `--store DIR` through the recovery path of `--resume` (a torn
+/// tail is truncated first) for `command`, and prints the stored run's
+/// banner: manifest and log extent.
+fn open_stored_run(args: &Args, command: &str) -> (PathBuf, ResumedStore) {
     let Some(dir) = args.options.get("store").map(PathBuf::from) else {
-        eprintln!("error: replay requires --store DIR");
+        eprintln!("error: {command} requires --store DIR");
         std::process::exit(2);
     };
-    let _span = ph_telemetry::span("replay");
     let resumed = Store::open_resume(&dir, StoreConfig::default())
         .unwrap_or_else(|e| die(&format!("cannot open store {}", dir.display()), e));
-    let manifest = resumed.manifest;
-    println!("== replay of {} ==", dir.display());
+    let m = resumed.manifest;
+    println!("== {command} of {} ==", dir.display());
     println!(
         "manifest: seed {}, {} organic, {} campaigns × {}, gt {} h, sniff {} h",
-        manifest.sim_seed,
-        manifest.organic,
-        manifest.campaigns,
-        manifest.per_campaign,
-        manifest.gt_hours,
-        manifest.hours
+        m.sim_seed, m.organic, m.campaigns, m.per_campaign, m.gt_hours, m.hours
     );
     println!(
         "log: {} records, {} of {} h completed",
         resumed.store.record_count(),
         resumed.state.next_hour,
-        manifest.hours
+        m.hours
     );
+    (dir, resumed)
+}
+
+/// Re-runs labeling and classification *from the stored log alone*: the
+/// manifest rebuilds the deterministic engine and detector, the segment
+/// log supplies the traffic, and the checkpoint log supplies node-hours —
+/// no live monitoring anywhere.
+fn replay(args: &Args) {
+    let _span = ph_telemetry::span("replay");
+    let (_, resumed) = open_stored_run(args, "replay");
+    let manifest = resumed.manifest;
 
     let exec = exec_config(args);
     record_run_meta(exec.threads, manifest.sim_seed);
@@ -959,33 +930,26 @@ fn replay(args: &Args) {
     let runner = Runner::with_exec(manifest.runner_config(), exec.clone());
     let (_, _, detector) =
         ground_truth_and_detector(&mut engine, &runner, manifest.gt_hours, &exec);
-    // Advance the engine to where the stored run left off, so REST-side
-    // lookups (profiles, suspensions) see the same world state.
-    engine.run_hours(resumed.state.next_hour);
+    // The stored hours step the engine to where the run left off, so
+    // REST-side lookups (profiles, suspensions) see the same world state.
+    let (collected, verdicts) = replay_stored(
+        &mut engine,
+        &mut StreamClassifier::new(detector),
+        &exec,
+        stored_records(&resumed.store).collect(),
+        resumed.state.next_hour,
+    );
 
     log_info!("labeling the stored collection…");
-    let collected = resumed
-        .store
-        .reader()
-        .unwrap_or_else(|e| die("cannot read store", e))
-        .collect::<Result<Vec<_>, _>>()
-        .unwrap_or_else(|e| die("stored record unreadable", e));
     let dataset = label_collection_with(&collected, &engine, &PipelineConfig::default(), &exec);
     println!("{}", format_table3(&dataset.summary));
 
-    log_info!("classifying the stored collection…");
-    let outcome = detector.classify_batch(&collected, &engine, &exec);
+    let outcome = ClassificationOutcome::from_verdicts(&collected, &verdicts);
     let mut report = resumed.report.clone();
     report.collected = collected;
-    print_sniff_summary(
-        &report,
-        &outcome.predictions,
-        &outcome,
-        manifest.hours,
-        manifest.gt_hours,
-    );
+    print_sniff_summary(&report, &outcome, manifest.hours, manifest.gt_hours);
     if args.has_flag("verify") {
-        sidecar_check(&report.collected, &outcome.predictions);
+        sidecar_check(&report.collected, &outcome.predictions, " (stored sidecar)");
     }
 }
 
@@ -995,31 +959,10 @@ fn replay(args: &Args) {
 /// re-running any part of the pipeline. The store is opened through the
 /// same recovery path as `--resume`, so a torn tail is truncated first.
 fn inspect(args: &Args) {
-    let Some(dir) = args.options.get("store").map(PathBuf::from) else {
-        eprintln!("error: inspect requires --store DIR");
-        std::process::exit(2);
-    };
     let top = args.get_u64("top", 5) as usize;
     let tail = args.get_u64("tail", 8) as usize;
-    let resumed = Store::open_resume(&dir, StoreConfig::default())
-        .unwrap_or_else(|e| die(&format!("cannot open store {}", dir.display()), e));
+    let (dir, resumed) = open_stored_run(args, "inspect");
     let manifest = resumed.manifest;
-    println!("== inspect of {} ==", dir.display());
-    println!(
-        "manifest: seed {}, {} organic, {} campaigns × {}, gt {} h, sniff {} h",
-        manifest.sim_seed,
-        manifest.organic,
-        manifest.campaigns,
-        manifest.per_campaign,
-        manifest.gt_hours,
-        manifest.hours
-    );
-    println!(
-        "log: {} records, {} of {} h completed",
-        resumed.store.record_count(),
-        resumed.state.next_hour,
-        manifest.hours
-    );
 
     let mut report = resumed.report.clone();
     report.collected = stored_records(&resumed.store).collect();

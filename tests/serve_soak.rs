@@ -239,10 +239,16 @@ fn an_hour_marker_gap_fails_the_session_and_returns() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// SIGINT on `sniff --store`, then `--resume`: the store completes, and
+/// its checkpoint log equals an uninterrupted run's byte for byte — the
+/// drain adds no checkpoint at a cursor the hourly cadence already wrote.
 #[test]
 fn sigint_on_batch_sniff_checkpoints_exits_5_and_resumes_cleanly() {
     let dir = std::env::temp_dir().join(format!("ph-sniff-sigint-{}", std::process::id()));
+    let control =
+        std::env::temp_dir().join(format!("ph-sniff-sigint-control-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&control);
     let exe = env!("CARGO_BIN_EXE_pseudo-honeypot");
     let sim_args = [
         "--seed",
@@ -305,5 +311,24 @@ fn sigint_on_batch_sniff_checkpoints_exits_5_and_resumes_cleanly() {
         .status()
         .unwrap();
     assert_eq!(resumed.code(), Some(0), "resume after SIGINT must finish");
+
+    let uninterrupted = std::process::Command::new(exe)
+        .arg("sniff")
+        .args(["--store", control.to_str().unwrap()])
+        .args(sim_args)
+        .arg("--quiet")
+        .stdout(std::process::Stdio::null())
+        .status()
+        .unwrap();
+    assert_eq!(uninterrupted.code(), Some(0));
+    let resumed_log = std::fs::read(&checkpoints).unwrap();
+    let control_log = std::fs::read(control.join(CHECKPOINT_FILE)).unwrap();
+    assert!(
+        resumed_log == control_log,
+        "interrupted + resumed checkpoints.log ({} bytes) differs from an uninterrupted run's ({} bytes)",
+        resumed_log.len(),
+        control_log.len()
+    );
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&control);
 }
